@@ -129,7 +129,7 @@ def result_to_dict(res: TestResult) -> dict:
 
 
 def _check_level_sum(res: TestResult) -> None:
-    total = sum(res.level_contributions)
+    total = math.fsum(res.level_contributions)
     tol = 1e-10 * max(1, len(res.level_contributions))
     if abs(total - res.log_bf) > tol:
         raise ValueError("level contributions do not sum to log_bf; refusing to write")
@@ -275,7 +275,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="RNG seed (falls back to env PTDEP_SEED, then 0)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", dest="out_format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
+    p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
 
 def _add_model(p: argparse.ArgumentParser) -> None:
@@ -583,3 +583,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .ebayes import ShiftSearchConfig, ebayes_test
-from .engine import PartitionConfig, TestResult, test_dependence
+from .engine import PartitionConfig, TestResult, evaluate_rows, test_dependence
 from .errors import DegenerateSample, VarMismatch
-from .transforms import PairedSample
+from .transforms import PairedSample, to_unit_interval
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,49 @@ def _run_pair(m: ExpressionMatrix, i: int, j: int, cfg, scfg, method) -> PairRes
         return PairResult(var_a=name_a, var_b=name_b, result=None, error=str(exc))
 
 
+def _ordered_map(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]``, on ``workers`` threads when above one."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _basic_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
+                workers: int) -> list[PairResult]:
+    """Basic test of every pair, each column mapped once, pairs scored in batches.
+
+    A pair's result is bit for bit what ``test_dependence`` gives for it; a
+    pair with a degenerate column carries that column's error.
+    """
+    units: list[np.ndarray | None] = []
+    errors: list[str | None] = []
+    for j in range(m.n_vars):
+        try:
+            units.append(to_unit_interval(m.values[:, j],
+                                          normal_consistent=cfg.mad_normal_consistent))
+            errors.append(None)
+        except DegenerateSample as exc:
+            units.append(None)
+            errors.append(str(exc))
+    usable = [(i, j) for i, j in pairs if errors[i] is None and errors[j] is None]
+    step = kernels.rows_per_call(m.n_samples)
+    blocks = [usable[lo:lo + step] for lo in range(0, len(usable), step)]
+
+    def score(block):
+        u = np.stack([units[i] for i, _ in block])
+        v = np.stack([units[j] for _, j in block])
+        return evaluate_rows(u, v, cfg)
+
+    scored = dict(zip(usable, (res for out in _ordered_map(score, blocks, workers)
+                               for res in out)))
+    return [
+        PairResult(var_a=m.var_names[i], var_b=m.var_names[j], result=scored.get((i, j)),
+                   error=errors[i] or errors[j])
+        for i, j in pairs
+    ]
+
+
 def pairwise_scan(
     m: ExpressionMatrix,
     cfg: PartitionConfig | None = None,
@@ -116,7 +160,8 @@ def pairwise_scan(
 
     Degenerate columns skip their pairs with a recorded reason instead of
     failing the scan. Output order is lexicographic by column indices and
-    does not depend on the worker count.
+    does not depend on the worker count. The basic test maps each column
+    once and scores the pairs in batches.
     """
     if m.n_vars < 2:
         raise ValueError("need at least two variables to scan")
@@ -124,11 +169,9 @@ def pairwise_scan(
         raise ValueError(f"method must be 'basic' or 'ebayes', got {method!r}")
     cfg = cfg or PartitionConfig()
     pairs = [(i, j) for i in range(m.n_vars) for j in range(i + 1, m.n_vars)]
-    if workers <= 1:
-        return [_run_pair(m, i, j, cfg, scfg, method) for i, j in pairs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_pair, m, i, j, cfg, scfg, method) for i, j in pairs]
-        return [f.result() for f in futures]
+    if method == "basic" and m.n_samples > 1:
+        return _basic_scan(m, pairs, cfg, workers)
+    return _ordered_map(lambda ij: _run_pair(m, *ij, cfg, scfg, method), pairs, workers)
 
 
 def classify_edge(p_a: float, p_b: float) -> str:

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PartitionConfig, TestResult, _evaluate
+from . import kernels
+from .engine import PartitionConfig, TestResult, _evaluate, evaluate_rows
 from .errors import DegenerateSample
-from .transforms import PairedSample, ShiftSpec, shift_wrap
+from .transforms import PairedSample, ShiftSpec, shift_wrap, to_unit_interval
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,14 @@ def ebayes_test(
 ) -> TestResult:
     """Dependence test with empirically optimised partition centering.
 
-    Every candidate is a full re-run: wrap, re-standardise, recount,
-    re-score. The candidate with the smallest log Bayes factor wins; ties
-    go to the earliest candidate, so the no-shift baseline is preferred
-    when nothing beats it. With the baseline in the grid the returned
-    probability of dependence can never fall below the basic test's.
+    Every candidate is a full re-score of the wrapped sample. A wrap along
+    one axis moves only that margin, so the other is mapped once per axis
+    and only the wrapped margin is re-standardised per candidate; the
+    candidates of an axis are scored in batches. The candidate with the
+    smallest log Bayes factor wins; ties go to the earliest candidate, so
+    the no-shift baseline is preferred when nothing beats it. With the
+    baseline in the grid the returned probability of dependence can never
+    fall below the basic test's.
     """
     cfg = cfg or PartitionConfig()
     scfg = scfg or ShiftSearchConfig()
@@ -110,23 +114,46 @@ def ebayes_test(
         grid = delta_candidates(values, cfg=scfg)
         if scfg.include_no_shift:
             grid = grid[1:]  # baseline already evaluated once, axis-independent
-        for delta in grid:
-            shifted = shift_wrap(sample, ShiftSpec(delta=float(delta), axis=axis))
-            try:
-                res = _evaluate(shifted, cfg)
-            except DegenerateSample:
-                # wrapping collapsed the margin onto too few values; this
-                # cut defines no partition, so it cannot be the optimum
-                continue
+        for delta, res in _score_axis(sample, axis, grid, cfg):
             if best is None or res.log_bf < best.log_bf:
                 best = res
-                best_delta = float(delta)
+                best_delta = delta
                 best_axis = axis
     if best is None:
         raise DegenerateSample(
             "no usable centering candidate: enable include_no_shift or widen the grid"
         )
     return _as_ebayes(best, best_delta, best_axis)
+
+
+def _score_axis(sample: PairedSample, axis: str, grid: np.ndarray, cfg: PartitionConfig):
+    """Yield ``(delta, result)`` for each usable cut of one axis, in grid order.
+
+    A cut that collapses the wrapped margin onto too few values defines no
+    partition, so it cannot be the optimum and is skipped; so is every cut
+    when the fixed margin itself is degenerate.
+    """
+    fixed = sample.y if axis == "x" else sample.x
+    try:
+        fixed_unit = to_unit_interval(fixed, normal_consistent=cfg.mad_normal_consistent)
+    except DegenerateSample:
+        return
+    step = kernels.rows_per_call(sample.n)
+    for lo in range(0, grid.size, step):
+        deltas, rows = [], []
+        for delta in grid[lo:lo + step]:
+            shifted = shift_wrap(sample, ShiftSpec(delta=float(delta), axis=axis))
+            try:
+                rows.append(to_unit_interval(shifted.x if axis == "x" else shifted.y,
+                                             normal_consistent=cfg.mad_normal_consistent))
+            except DegenerateSample:
+                continue
+            deltas.append(float(delta))
+        if not rows:
+            continue
+        moving = np.stack(rows)
+        u, v = (moving, fixed_unit) if axis == "x" else (fixed_unit, moving)
+        yield from zip(deltas, evaluate_rows(u, v, cfg))
 
 
 def _as_ebayes(res: TestResult, delta: float | None, axis: str | None) -> TestResult:

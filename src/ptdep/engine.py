@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .transforms import PairedSample, to_unit_square
+from .transforms import PairedSample, UnitPoints, to_unit_square
 from .tree import CountTree
 
 
@@ -176,26 +176,45 @@ def test_dependence(sample: PairedSample, cfg: PartitionConfig | None = None) ->
     return _evaluate(sample, cfg or PartitionConfig())
 
 
-def _evaluate(sample: PairedSample, cfg: PartitionConfig) -> TestResult:
-    if sample.n == 1:
-        return TestResult(
-            log_bf=0.0,
-            p_dependent=posterior_dependence(0.0, cfg.prior_odds),
-            level_contributions=(),
-            n=1,
-            truncated=False,
-            method="basic",
-            config=cfg,
-        )
-    pts = to_unit_square(sample, normal_consistent=cfg.mad_normal_consistent)
-    levels, truncated = kernels.logbf_levels(pts.u, pts.v, cfg.depth_cap, cfg.c)
-    log_bf = float(levels.sum())
+def unit_points(sample: PairedSample, cfg: PartitionConfig) -> UnitPoints:
+    """Both margins of a sample mapped to the unit square as ``cfg`` asks."""
+    return to_unit_square(sample, normal_consistent=cfg.mad_normal_consistent)
+
+
+def _result(levels: np.ndarray, truncated: bool, n: int, cfg: PartitionConfig) -> TestResult:
+    """A basic-test result from one sample's trimmed level sums.
+
+    The total is the exactly rounded sum of the level sums, so the level-sum
+    identity holds to the last digit at any sample size.
+    """
+    level_sums = tuple(levels.tolist())
+    log_bf = math.fsum(level_sums)
     return TestResult(
         log_bf=log_bf,
         p_dependent=posterior_dependence(log_bf, cfg.prior_odds),
-        level_contributions=tuple(float(b) for b in levels),
-        n=sample.n,
-        truncated=truncated,
+        level_contributions=level_sums,
+        n=n,
+        truncated=bool(truncated),
         method="basic",
         config=cfg,
     )
+
+
+def evaluate_rows(u, v, cfg: PartitionConfig) -> list[TestResult]:
+    """Basic-test results for a batch of mapped samples, in row order.
+
+    ``u`` and ``v`` hold unit-square coordinates that broadcast to (B, n),
+    so a margin shared by every sample is passed once. Each result is bit
+    for bit what :func:`test_dependence` gives for that row's sample.
+    """
+    levels, depth, truncated = kernels.logbf_batch(u, v, cfg.depth_cap, cfg.c)
+    n = np.broadcast_shapes(np.shape(u), np.shape(v))[-1]
+    return [_result(row[:d], t, n, cfg) for row, d, t in zip(levels, depth, truncated)]
+
+
+def _evaluate(sample: PairedSample, cfg: PartitionConfig) -> TestResult:
+    if sample.n == 1:
+        return _result(np.zeros(0), False, 1, cfg)
+    pts = unit_points(sample, cfg)
+    levels, truncated = kernels.logbf_levels(pts.u, pts.v, cfg.depth_cap, cfg.c)
+    return _result(levels, truncated, sample.n, cfg)

@@ -1,18 +1,20 @@
-"""Hot evidence kernels: quadrant counting fused with log-gamma accumulation.
+"""Sort-once quadrant-count kernel, batched over samples of equal size.
 
-Two interchangeable implementations compute per-level log evidence sums
-directly from unit-square coordinates, without building an explicit tree:
+Every point gets one Morton (Z-order) address (G. M. Morton, IBM, 1966):
+the binary digits of ``floor(u * 2**D)`` and ``floor(v * 2**D)``
+interleaved, level 1 in the top two bits, for depth cap D. Scaling by a
+power of two is exact, so the top 2k bits of an address name the point's
+level-k cell. Each sample's addresses are sorted once. At every level the
+cells are then runs of equal shifted address, found by comparing
+neighbours, and the length of each run is one quadrant count of its parent
+cell. A point alone in its cell never shares a cell again and is dropped
+before the next level.
 
-* ``_logbf_numba`` sorts one packed base-4 address per point and walks
-  prefix runs; compiled with ``@njit(cache=True, nogil=True)``.
-* ``_logbf_numpy`` is a vectorised fallback using ``np.unique`` grouping
-  per level.
-
-Backend selection: the ``PTDEP_BACKEND`` environment variable ("numba" or
-"numpy") wins; otherwise numba is used when importable. Both backends
-return identical groupings; floating-point sums may differ in the last
-couple of ulps because accumulation order differs. ``benchmarks/
-bench_backends.py`` compares their throughput.
+A batch is B samples of n points, given as ``u`` and ``v`` that broadcast
+to (B, n), so a margin shared by every sample is passed once. Samples never
+interact: each row's result is bit for bit what the row gives alone. A
+batch is scored in calls of at most ``CHUNK_POINTS`` points, never
+splitting a row, which bounds the working set of large batches.
 
 Level convention: the split of the root counts as level 1, so a cell whose
 address has m digits splits at level m + 1 with concentration ``c * (m+1)**2``.
@@ -20,215 +22,139 @@ address has m digits splits at level m + 1 with concentration ``c * (m+1)**2``.
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 from scipy.special import gammaln
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but stay importable
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 # 2 bits per level in an int64 address, keep one bit of headroom.
 MAX_DEPTH_CAP = 30
 
-
-def _select_backend() -> str:
-    env = os.environ.get("PTDEP_BACKEND", "").strip().lower()
-    if env in ("numba", "numpy"):
-        if env == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("PTDEP_BACKEND=numba requested but numba is not importable")
-        return env
-    return "numba" if HAVE_NUMBA else "numpy"
+# Points scored per kernel call; a row longer than this is scored alone.
+CHUNK_POINTS = 8192
 
 
-_BACKEND = _select_backend()
+def rows_per_call(n: int) -> int:
+    """Rows of n points that fit one kernel call (at least one)."""
+    return max(1, CHUNK_POINTS // max(n, 1))
 
 
-def active_backend() -> str:
-    """Name of the kernel implementation in use ("numba" or "numpy")."""
-    return _BACKEND
+def _spread(cells: np.ndarray) -> np.ndarray:
+    """Move bit i of each (at most 30-bit) cell index to bit 2i, in place."""
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+        cells |= cells << shift
+        cells &= mask
+    return cells
 
 
-@njit(cache=True, nogil=True)
-def _log_cell_term(n0: int, n1: int, n2: int, n3: int, a: float, const: float) -> float:
-    lg = math.lgamma
-    return (
-        lg(n0 + n2 + 2.0 * a)
-        + lg(n1 + n3 + 2.0 * a)
-        + lg(n0 + n1 + 2.0 * a)
-        + lg(n2 + n3 + 2.0 * a)
-        - lg(n0 + n1 + n2 + n3 + 4.0 * a)
-        - lg(n0 + a)
-        - lg(n1 + a)
-        - lg(n2 + a)
-        - lg(n3 + a)
-        + const
-    )
+def _addresses(u: np.ndarray, v: np.ndarray, depth_cap: int) -> np.ndarray:
+    """Row-sorted Morton addresses of the points (u, v), shape (B, n)."""
+    scale = float(2**depth_cap)
+    ax = _spread((u * scale).astype(np.int64))
+    ay = _spread((v * scale).astype(np.int64))
+    return np.sort(ax | (ay << 1), axis=-1)
 
 
-@njit(cache=True, nogil=True)
-def _logbf_numba(u: np.ndarray, v: np.ndarray, depth_cap: int, c: float):
-    n = u.shape[0]
-    levels = np.zeros(depth_cap, dtype=np.float64)
-    if n <= 1:
-        return levels, 0, False
-
-    # Packed quaternary address, level 1 in the top bits. Repeated doubling
-    # extracts exact binary digits because the scale factors are powers of 2.
-    addr = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        x = u[i]
-        y = v[i]
-        a = 0
-        for _ in range(depth_cap):
-            x = x * 2.0
-            y = y * 2.0
-            bx = 0
-            if x >= 1.0:
-                bx = 1
-                x -= 1.0
-            by = 0
-            if y >= 1.0:
-                by = 1
-                y -= 1.0
-            a = (a << 2) | (by << 1) | bx
-        addr[i] = a
-    addr.sort()
-
-    truncated = False
-    for i in range(n - 1):
-        if addr[i] == addr[i + 1]:
-            truncated = True
-            break
-
-    max_level = 0
+def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, truncated) -> None:
+    """Fill the level sums, depths and truncation flags of a block of sorted rows."""
+    rows, n = addr.shape
+    a = addr.ravel()
+    # Points where a run of equal parent cell begins, and the row of each
+    # parent; at level 1 the parent is the whole row.
+    start = np.zeros(a.size, dtype=bool)
+    start[::n] = True
+    parent_row = np.arange(rows)
     for k in range(1, depth_cap + 1):
-        shift = 2 * (depth_cap - k)
-        pshift = shift + 2
-        a_k = c * k * k
-        const = (
-            math.lgamma(4.0 * a_k)
-            + 4.0 * math.lgamma(a_k)
-            - 4.0 * math.lgamma(2.0 * a_k)
-        )
-        level_sum = 0.0
-        any_cell = False
-        i = 0
-        while i < n:
-            prefix = addr[i] >> pshift
-            j = i + 1
-            while j < n and (addr[j] >> pshift) == prefix:
-                j += 1
-            if j - i >= 2:
-                c0 = 0
-                c1 = 0
-                c2 = 0
-                c3 = 0
-                for t in range(i, j):
-                    d = (addr[t] >> shift) & 3
-                    if d == 0:
-                        c0 += 1
-                    elif d == 1:
-                        c1 += 1
-                    elif d == 2:
-                        c2 += 1
-                    else:
-                        c3 += 1
-                level_sum += _log_cell_term(c0, c1, c2, c3, a_k, const)
-                any_cell = True
-            i = j
-        if not any_cell:
-            break
-        max_level = k
-        levels[k - 1] = level_sum
-    return levels, max_level, truncated
-
-
-def _logbf_numpy(u: np.ndarray, v: np.ndarray, depth_cap: int, c: float):
-    n = u.size
-    levels = np.zeros(depth_cap, dtype=np.float64)
-    if n <= 1:
-        return levels, 0, False
-
-    uu = u
-    vv = v
-    max_level = 0
-    truncated = False
-    for k in range(1, depth_cap + 1):
-        scale = 2.0**k
-        ix = (uu * scale).astype(np.int64)
-        iy = (vv * scale).astype(np.int64)
-        pcode = ((iy >> 1) << (k - 1)) | (ix >> 1)
-        digit = (ix & 1) | ((iy & 1) << 1)
-        parents, inverse = np.unique(pcode, return_inverse=True)
-        counts4 = np.bincount(inverse * 4 + digit, minlength=4 * parents.size)
-        counts4 = counts4.reshape(-1, 4)
-        totals = counts4.sum(axis=1)
-        retained = totals >= 2
-        if not retained.any():
-            break
-        max_level = k
-        a = c * k * k
-        cnt = counts4[retained].astype(np.float64)
-        n0, n1, n2, n3 = cnt[:, 0], cnt[:, 1], cnt[:, 2], cnt[:, 3]
+        cell = a >> (2 * (depth_cap - k))
+        cell_start = start.copy()
+        cell_start[1:] |= cell[1:] != cell[:-1]
+        runs = np.flatnonzero(cell_start)
+        size = np.empty_like(runs)
+        np.subtract(runs[1:], runs[:-1], out=size[:-1])
+        size[-1] = a.size - runs[-1]
+        run_parent = np.cumsum(start[runs]) - 1
+        counts = np.zeros((parent_row.size, 4), dtype=np.int64)
+        counts[run_parent, cell[runs] & 3] = size
+        n0, n1, n2, n3 = counts.T
+        total = n0 + n1 + n2 + n3
+        # Counts are integers, so each log-gamma argument is looked up in a
+        # table holding the same float the direct evaluation would form.
+        ka = c * k * k
+        m = np.arange(total.max() + 1, dtype=np.float64)
+        g1 = gammaln(m + ka)
+        g2 = gammaln(m + 2.0 * ka)
+        g4 = gammaln(m + 4.0 * ka)
         terms = (
-            gammaln(n0 + n2 + 2.0 * a)
-            + gammaln(n1 + n3 + 2.0 * a)
-            + gammaln(n0 + n1 + 2.0 * a)
-            + gammaln(n2 + n3 + 2.0 * a)
-            - gammaln(n0 + n1 + n2 + n3 + 4.0 * a)
-            - gammaln(n0 + a)
-            - gammaln(n1 + a)
-            - gammaln(n2 + a)
-            - gammaln(n3 + a)
-            + gammaln(4.0 * a)
-            + 4.0 * gammaln(a)
-            - 4.0 * gammaln(2.0 * a)
+            g2[n0 + n2]
+            + g2[n1 + n3]
+            + g2[n0 + n1]
+            + g2[n2 + n3]
+            - g4[total]
+            - g1[n0]
+            - g1[n1]
+            - g1[n2]
+            - g1[n3]
+            + gammaln(4.0 * ka)
+            + 4.0 * gammaln(ka)
+            - 4.0 * gammaln(2.0 * ka)
         )
-        levels[k - 1] = float(terms.sum())
+        # Every parent holds two or more points (lone points were dropped),
+        # so each is a retained cell; a row's level sum runs over a segment.
+        new_row = np.empty(parent_row.size, dtype=bool)
+        new_row[0] = True
+        np.not_equal(parent_row[1:], parent_row[:-1], out=new_row[1:])
+        first = np.flatnonzero(new_row)
+        here = parent_row[first]
+        levels[here, k - 1] = np.add.reduceat(terms, first)
+        depth[here] = k
 
-        # Points whose level-k cell holds a single point can never sit in a
-        # retained cell again; drop them before the next level.
-        ccode = (iy << k) | ix
-        cells, cinv, ccounts = np.unique(ccode, return_inverse=True, return_counts=True)
-        keep = ccounts[cinv] >= 2
+        shared = size >= 2
+        run_row = parent_row[run_parent]
         if k == depth_cap:
-            truncated = bool(keep.any())
+            truncated[run_row[shared]] = True
             break
-        uu = uu[keep]
-        vv = vv[keep]
-        if uu.size < 2:
+        if not shared.any():
             break
-    return levels, max_level, truncated
+        parent_row = run_row[shared]
+        keep = np.repeat(shared, size)
+        a = a[keep]
+        start = cell_start[keep]
 
 
-def logbf_levels(u: np.ndarray, v: np.ndarray, depth_cap: int, c: float):
-    """Per-level log evidence contributions for unit-square points.
+def logbf_batch(u, v, depth_cap: int, c: float):
+    """Per-level log evidence of every sample in a batch.
 
-    Returns ``(levels, truncated)`` where ``levels[k-1]`` sums the log
-    evidence of every cell split at level k, trimmed to the deepest level
-    with a retained cell. The total log Bayes factor (independence over
-    dependence) is ``levels.sum()``.
+    ``u`` and ``v`` hold unit-square coordinates and broadcast to (B, n).
+    Returns ``(levels, depth, truncated)``: ``levels[b, k-1]`` sums the log
+    evidence of every cell of sample b split at level k and is zero beyond
+    ``depth[b]``, the deepest level with a retained cell; ``truncated[b]``
+    tells whether points of sample b still shared a cell at the depth cap.
     """
     if depth_cap < 1 or depth_cap > MAX_DEPTH_CAP:
         raise ValueError(f"depth_cap must be in [1, {MAX_DEPTH_CAP}]")
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    if _BACKEND == "numba":
-        levels, max_level, truncated = _logbf_numba(u, v, depth_cap, float(c))
-    else:
-        levels, max_level, truncated = _logbf_numpy(u, v, depth_cap, float(c))
-    return levels[:max_level].copy(), bool(truncated)
+    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    batch, n = np.broadcast_shapes(u.shape, v.shape)
+    levels = np.zeros((batch, depth_cap), dtype=np.float64)
+    depth = np.zeros(batch, dtype=np.int64)
+    truncated = np.zeros(batch, dtype=bool)
+    if n <= 1:
+        return levels, depth, truncated
+    step = rows_per_call(n)
+    for lo in range(0, batch, step):
+        rows = slice(lo, min(lo + step, batch))
+        addr = _addresses(u[rows] if u.shape[0] > 1 else u,
+                          v[rows] if v.shape[0] > 1 else v, depth_cap)
+        _score_block(addr, depth_cap, float(c), levels[rows], depth[rows], truncated[rows])
+    return levels, depth, truncated
+
+
+def logbf_levels(u, v, depth_cap: int, c: float):
+    """Per-level log evidence contributions for one sample of unit-square points.
+
+    Returns ``(levels, truncated)`` where ``levels[k-1]`` sums the log
+    evidence of every cell split at level k, trimmed to the deepest level
+    with a retained cell. This is row 0 of :func:`logbf_batch`.
+    """
+    levels, depth, truncated = logbf_batch(u, v, depth_cap, c)
+    return levels[0, : depth[0]].copy(), bool(truncated[0])

@@ -35,8 +35,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .ebayes import ShiftSearchConfig, ebayes_test
-from .engine import PartitionConfig, TestResult, test_dependence
+from .engine import PartitionConfig, TestResult, evaluate_rows, test_dependence, unit_points
 from .transforms import PairedSample
 
 MODEL_KINDS = ("linear", "parabolic", "sinusoidal", "circular", "checkerboard", "independent")
@@ -268,16 +269,40 @@ def permutation_null(
         raise ValueError("n_perm must be >= 1")
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    stat = statistic or default_statistic(cfg or PartitionConfig())
+    cfg = cfg or PartitionConfig()
     rng = np.random.default_rng(seed)
-    null = np.empty(n_perm)
-    for i in range(n_perm):
-        null[i] = stat(PairedSample(x=sample.x, y=rng.permutation(sample.y)))
+    if statistic is None and sample.n > 1:
+        null = _default_null(sample, n_perm, cfg, rng)
+    else:
+        stat = statistic or default_statistic(cfg)
+        null = np.empty(n_perm)
+        for i in range(n_perm):
+            null[i] = stat(PairedSample(x=sample.x, y=rng.permutation(sample.y)))
     return PermutationNull(
         null_stats=null,
         threshold=empirical_quantile(null, 1.0 - level),
         level=level,
     )
+
+
+def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Null statistics of the default statistic, scored in batches.
+
+    Re-pairing changes no margin, so the sample is mapped once and each
+    permutation re-pairs the mapped v through ``rng.permutation(n)``
+    indices: the same draws, and the same re-pairing, as
+    ``rng.permutation(sample.y)``. Only one batch of permutations is held
+    at a time.
+    """
+    pts = unit_points(sample, cfg)
+    null = np.empty(n_perm)
+    step = kernels.rows_per_call(sample.n)
+    for lo in range(0, n_perm, step):
+        hi = min(lo + step, n_perm)
+        order = np.stack([rng.permutation(sample.n) for _ in range(lo, hi)])
+        null[lo:hi] = [res.p_dependent for res in evaluate_rows(pts.u, pts.v[order], cfg)]
+    return null
 
 
 def power_experiment(
@@ -312,6 +337,8 @@ def power_experiment(
     cfg = cfg or PartitionConfig()
     stat = statistic or default_statistic(cfg, method, scfg)
     name = statistic_name or (method if statistic is None else "custom")
+    # The default basic statistic takes the batched null.
+    null_stat = None if statistic is None and method == "basic" else stat
     null_model = SimModel(kind="independent", sigma=model.sigma)
 
     def detect(sim: SimModel, base: int, r: int) -> tuple[bool, float]:
@@ -321,7 +348,7 @@ def power_experiment(
             return value > 0.5, 0.5
         perm = permutation_null(
             sample, n_perm=n_perm, cfg=cfg, seed=base + _PERM_SEED_OFFSET + r,
-            statistic=stat, level=level,
+            statistic=null_stat, level=level,
         )
         return value > perm.threshold, perm.threshold
 

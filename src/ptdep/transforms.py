@@ -137,18 +137,25 @@ def normal_cdf(z):
     return ndtr(np.asarray(z, dtype=np.float64))
 
 
-def to_unit_square(sample: PairedSample, *, normal_consistent: bool = True) -> UnitPoints:
-    """Map both margins through robust standardisation and the normal CDF.
+def to_unit_interval(values, *, normal_consistent: bool = True) -> np.ndarray:
+    """Map one margin through robust standardisation and the normal CDF.
 
     Coordinates are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] so extreme
-    outliers cannot land exactly on the unit-square boundary.
+    outliers cannot land exactly on the unit-interval boundary. The map
+    depends on the values only as a multiset, so a permuted margin maps to
+    the same permutation of the mapped margin.
     """
-    sx = robust_location_scale(sample.x, normal_consistent=normal_consistent)
-    sy = robust_location_scale(sample.y, normal_consistent=normal_consistent)
-    u = ndtr((sample.x - sx.location) / sx.scale)
-    v = ndtr((sample.y - sy.location) / sy.scale)
-    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    return UnitPoints(u=np.clip(u, lo, hi), v=np.clip(v, lo, hi))
+    arr = np.asarray(values, dtype=np.float64)
+    stats = robust_location_scale(arr, normal_consistent=normal_consistent)
+    return np.clip(ndtr((arr - stats.location) / stats.scale), CLAMP_EPS, 1.0 - CLAMP_EPS)
+
+
+def to_unit_square(sample: PairedSample, *, normal_consistent: bool = True) -> UnitPoints:
+    """Map both margins of a sample with :func:`to_unit_interval`."""
+    return UnitPoints(
+        u=to_unit_interval(sample.x, normal_consistent=normal_consistent),
+        v=to_unit_interval(sample.y, normal_consistent=normal_consistent),
+    )
 
 
 def shift_wrap(sample: PairedSample, spec: ShiftSpec) -> PairedSample:

@@ -6,8 +6,8 @@ retained when it holds at least two points; its record stores how those
 points distribute over the four children. Recursion stops at single-point
 cells or at the depth cap.
 
-This is the reference construction. The fused kernels in
-:mod:`ptdep.kernels` compute the same counts without materialising the
+This is the reference construction. The sort-once kernel in
+:mod:`ptdep.kernels` computes the same counts without materialising the
 tree; equivalence between the two routes is covered by the test suite.
 """
 

@@ -1,11 +1,19 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptdep.cli import read_matrix, run, write_matrix, write_result
+import ptdep
+from ptdep import engine
+from ptdep.cli import _check_level_sum, read_matrix, run, write_matrix, write_result
 from ptdep.diffscan import ExpressionMatrix
 from ptdep.errors import EmptyMatrix, ParseError, RaggedRows
+from ptdep.transforms import PairedSample
 
 
 @pytest.fixture
@@ -165,6 +173,42 @@ class TestScanCommand:
         assert run(["scan", path, "--format", "csv"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header == "var_a,var_b,n,log_bf,p_dependent,p_independent,delta_star,truncated,error"
+
+
+    def test_short_output_flag(self, matrix_file, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = "\n".join(",".join(map(str, r)) for r in rng.normal(size=(30, 3)))
+        path = matrix_file("a,b,c\n" + rows + "\n")
+        short, long = str(tmp_path / "short.json"), str(tmp_path / "long.json")
+        assert run(["scan", path, "-o", short]) == 0
+        assert run(["scan", path, "--output", long]) == 0
+        assert open(short, "rb").read() == open(long, "rb").read()
+
+    @pytest.mark.parametrize("module", ["ptdep", "ptdep.cli"])
+    def test_python_m_runs_the_command(self, module, matrix_file, tmp_path):
+        path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+        out = tmp_path / "pairs.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(ptdep.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", module, "scan", path, "-o", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(out.read_text(encoding="utf-8"))
+        assert [(r["var_a"], r["var_b"], r["n"]) for r in rows] == [("a", "b", 4)]
+
+
+class TestLevelSumGuard:
+    def test_exact_sum_accepted_where_naive_sum_drifts(self):
+        # naive left-to-right summation loses the 1.0 entirely
+        levels = np.array([1e16, 1.0, -1e16, 3e-7])
+        res = engine._result(levels, False, 10**7, engine.PartitionConfig())
+        assert sum(res.level_contributions) != res.log_bf
+        _check_level_sum(res)
+
+    def test_inconsistent_result_refused(self):
+        res = engine.test_dependence(PairedSample(x=[1.0, 2.0, 3.0], y=[1.0, 3.0, 2.0]))
+        bad = dataclasses.replace(res, log_bf=res.log_bf + 1e-6)
+        with pytest.raises(ValueError, match="refusing to write"):
+            _check_level_sum(bad)
 
 
 class TestDiffCommand:

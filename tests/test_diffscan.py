@@ -8,7 +8,10 @@ from ptdep.diffscan import (
     p_diff,
     pairwise_scan,
 )
-from ptdep.errors import VarMismatch
+from ptdep import engine
+from ptdep.engine import PartitionConfig
+from ptdep.errors import DegenerateSample, VarMismatch
+from ptdep.transforms import PairedSample
 
 
 def _matrix(rng, n_samples, names, dependent_pair=None):
@@ -189,3 +192,45 @@ class TestDiffScan:
         m_a = ExpressionMatrix(values=values, var_names=("a", "b"))
         m_b = _matrix(rng, 50, ["a", "b"], dependent_pair=(0, 1))
         assert diff_scan(m_a, m_b, threshold=0.0) == []
+
+
+class TestMapOnceScan:
+    def _assert_equals_per_pair(self, m, cfg=None):
+        out = pairwise_scan(m, cfg)
+        k = 0
+        for i in range(m.n_vars):
+            for j in range(i + 1, m.n_vars):
+                pr = out[k]
+                k += 1
+                assert (pr.var_a, pr.var_b) == (m.var_names[i], m.var_names[j])
+                sample = PairedSample(x=m.values[:, i], y=m.values[:, j])
+                try:
+                    want = engine.test_dependence(sample, cfg)
+                except DegenerateSample as exc:
+                    assert pr.result is None and pr.error == str(exc)
+                    continue
+                assert pr.error is None
+                assert pr.result == want
+        assert k == len(out)
+
+    def test_equals_per_pair_test(self):
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal((120, 7))
+        values[:, 3] = values[:, 1] ** 2 + 0.1 * rng.standard_normal(120)
+        values[:, 5] = 2.5  # constant column
+        values[:10, 6] = values[:10, 0]  # ties across columns
+        m = ExpressionMatrix(values=values, var_names=tuple("abcdefg"))
+        self._assert_equals_per_pair(m)
+        self._assert_equals_per_pair(m, PartitionConfig(c=0.5, depth_cap=6, prior_odds=2.0))
+
+    def test_many_pairs_over_several_calls(self):
+        rng = np.random.default_rng(14)
+        m = ExpressionMatrix(values=rng.standard_normal((300, 12)),
+                             var_names=tuple(f"v{i}" for i in range(12)))
+        self._assert_equals_per_pair(m)
+
+    def test_one_row_matrix_gives_prior(self):
+        m = ExpressionMatrix(values=[[1.0, 2.0, 2.0]], var_names=("a", "b", "c"))
+        out = pairwise_scan(m)
+        assert [p.result.p_dependent for p in out] == [0.5, 0.5, 0.5]
+        assert all(p.result.n == 1 and p.error is None for p in out)

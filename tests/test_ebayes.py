@@ -4,7 +4,7 @@ import pytest
 from ptdep import engine
 from ptdep.ebayes import ShiftSearchConfig, delta_candidates, ebayes_test
 from ptdep.errors import DegenerateSample
-from ptdep.transforms import PairedSample
+from ptdep.transforms import PairedSample, ShiftSpec, shift_wrap
 
 
 class TestDeltaCandidates:
@@ -130,3 +130,56 @@ class TestEbayesTest:
     def test_degenerate_propagates(self):
         with pytest.raises(DegenerateSample):
             ebayes_test(PairedSample(x=[1.0, 1.0], y=[2.0, 3.0]))
+
+
+def _looped_ebayes(sample, cfg, scfg):
+    """The centering search one candidate at a time through ``_evaluate``."""
+    best, best_delta, best_axis = None, None, None
+    if scfg.include_no_shift:
+        best = engine._evaluate(sample, cfg)
+    for axis in ("x",) if scfg.axis_policy == "x" else ("x", "y"):
+        grid = delta_candidates(sample.x if axis == "x" else sample.y, scfg)
+        for delta in grid[1:] if scfg.include_no_shift else grid:
+            try:
+                res = engine._evaluate(shift_wrap(sample, ShiftSpec(float(delta), axis)), cfg)
+            except DegenerateSample:
+                continue
+            if best is None or res.log_bf < best.log_bf:
+                best, best_delta, best_axis = res, float(delta), axis
+    return best, best_delta, best_axis
+
+
+class TestBatchedCandidates:
+    @pytest.mark.parametrize("scfg", [
+        ShiftSearchConfig(),
+        ShiftSearchConfig(axis_policy="xy", grid_size=9),
+        ShiftSearchConfig(grid="midpoints", axis_policy="xy"),
+        ShiftSearchConfig(grid="midpoints", include_no_shift=False),
+    ])
+    def test_equals_per_candidate_loop(self, scfg):
+        rng = np.random.default_rng(21)
+        for n in (3, 40, 700):
+            x = rng.normal(size=n)
+            y = np.sin(2.0 * x) + 0.3 * rng.normal(size=n)
+            sample = PairedSample(x=x, y=y)
+            cfg = engine.PartitionConfig(c=1.0)
+            got = ebayes_test(sample, cfg, scfg)
+            best, delta, axis = _looped_ebayes(sample, cfg, scfg)
+            assert got.level_contributions == best.level_contributions
+            assert (got.log_bf, got.p_dependent, got.truncated) == \
+                (best.log_bf, best.p_dependent, best.truncated)
+            assert (got.delta_star, got.shift_axis) == (delta, axis)
+
+    def test_degenerate_candidates_skipped(self):
+        # wrapping a two-valued margin at its midpoint makes it constant
+        x = np.array([0.0, 1.0] * 10)
+        y = np.arange(20.0)
+        scfg = ShiftSearchConfig(grid="midpoints", axis_policy="xy")
+        got = ebayes_test(PairedSample(x=x, y=y), scfg=scfg)
+        best, delta, axis = _looped_ebayes(PairedSample(x=x, y=y), engine.PartitionConfig(), scfg)
+        assert (got.log_bf, got.delta_star, got.shift_axis) == (best.log_bf, delta, axis)
+
+    def test_constant_fixed_margin_without_baseline(self):
+        scfg = ShiftSearchConfig(grid="midpoints", include_no_shift=False)
+        with pytest.raises(DegenerateSample, match="no usable centering candidate"):
+            ebayes_test(PairedSample(x=[1.0, 2.0, 3.0], y=[5.0, 5.0, 5.0]), scfg=scfg)

@@ -204,6 +204,13 @@ class TestTestDependence:
             assert len(res.level_contributions) == levels.size
             np.testing.assert_allclose(res.level_contributions, levels, atol=1e-9)
 
+    def test_log_bf_is_exact_sum_of_levels(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 50, 3000):
+            x = rng.normal(size=n)
+            res = engine.test_dependence(PairedSample(x=x, y=x + rng.normal(size=n)))
+            assert res.log_bf == math.fsum(res.level_contributions)
+
     def test_swap_symmetry(self):
         rng = np.random.default_rng(8)
         sample = PairedSample(x=rng.normal(size=200), y=rng.normal(size=200))

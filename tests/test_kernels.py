@@ -1,76 +1,71 @@
-"""Backend equivalence: numba kernel, numpy fallback, explicit tree."""
+"""The sort-once kernel: against the explicit tree, and batch against single."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptdep.engine import HyperParams, log_bayes_factor
-from ptdep.kernels import HAVE_NUMBA, _logbf_numba, _logbf_numpy, logbf_levels
+from ptdep.kernels import CHUNK_POINTS, logbf_batch, logbf_levels
 from ptdep.transforms import UnitPoints
 from ptdep.tree import build_count_tree
-
-BACKENDS = [("numpy", _logbf_numpy)] + ([("numba", _logbf_numba)] if HAVE_NUMBA else [])
 
 
 def _random_points(rng, n):
     return rng.uniform(1e-9, 1 - 1e-9, n), rng.uniform(1e-9, 1 - 1e-9, n)
 
 
-@pytest.mark.parametrize("name,kernel", BACKENDS)
+def _single(u, v, depth_cap, c=5.0):
+    """One sample through the batch kernel: full level row, depth, flag."""
+    levels, depth, truncated = logbf_batch(u, v, depth_cap, c)
+    assert levels.shape == (1, depth_cap)
+    return levels[0], int(depth[0]), bool(truncated[0])
+
+
+def _assert_matches_tree(u, v, depth_cap=20):
+    levels, depth, truncated = _single(u, v, depth_cap)
+    tree = build_count_tree(UnitPoints(u=u, v=v), depth_cap)
+    _, tree_levels = log_bayes_factor(tree, HyperParams(c=5.0))
+    assert depth == tree_levels.size
+    assert truncated == tree.truncated
+    np.testing.assert_allclose(levels[:depth], tree_levels, atol=2e-9)
+    assert levels[depth:].sum() == 0.0
+    return truncated
+
+
 class TestKernelAgainstTree:
-    def test_matches_tree_totals(self, name, kernel):
+    def test_matches_tree_totals(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
             n = int(rng.integers(2, 500))
-            u, v = _random_points(rng, n)
-            levels, max_level, truncated = kernel(u, v, 20, 5.0)
-            tree = build_count_tree(UnitPoints(u=u, v=v), 20)
-            lb, tree_levels = log_bayes_factor(tree, HyperParams(c=5.0))
-            assert max_level == tree_levels.size
-            assert bool(truncated) == tree.truncated
-            np.testing.assert_allclose(levels[:max_level], tree_levels, atol=2e-9)
-            assert levels[max_level:].sum() == 0.0
+            _assert_matches_tree(*_random_points(rng, n))
 
-    def test_tiny_inputs(self, name, kernel):
-        levels, max_level, truncated = kernel(np.array([0.3]), np.array([0.3]), 20, 5.0)
-        assert max_level == 0 and not truncated
-        levels, max_level, truncated = kernel(
-            np.array([0.3, 0.3]), np.array([0.4, 0.4]), 5, 5.0
-        )
-        assert max_level == 5 and truncated
+    def test_tiny_inputs(self):
+        levels, depth, truncated = _single(np.array([0.3]), np.array([0.3]), 20)
+        assert depth == 0 and not truncated
+        levels, depth, truncated = _single(np.array([0.3, 0.3]), np.array([0.4, 0.4]), 5)
+        assert depth == 5 and truncated
 
-    def test_depth_cap_one(self, name, kernel):
+    def test_depth_cap_one(self):
         rng = np.random.default_rng(12)
         u, v = _random_points(rng, 50)
-        levels, max_level, truncated = kernel(u, v, 1, 5.0)
-        assert max_level == 1
+        levels, depth, truncated = _single(u, v, 1)
+        assert depth == 1
         assert truncated  # 50 points cannot all separate at depth 1
 
-
-class TestBackendsAgree:
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_same_grouping_and_close_sums(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            n = int(rng.integers(2, 1000))
-            u, v = _random_points(rng, n)
-            l1, m1, t1 = _logbf_numba(u, v, 20, 5.0)
-            l2, m2, t2 = _logbf_numpy(u, v, 20, 5.0)
-            assert m1 == m2
-            assert t1 == t2
-            np.testing.assert_allclose(l1, l2, atol=2e-9)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_agree_with_clustered_points(self):
+    def test_clustered_points(self):
         # heavy ties stress the run detection
         rng = np.random.default_rng(14)
         base = rng.uniform(0.2, 0.8, 10)
         u = np.repeat(base, 20)
         v = np.repeat(base[::-1], 20)
-        l1, m1, t1 = _logbf_numba(u, v, 20, 5.0)
-        l2, m2, t2 = _logbf_numpy(u, v, 20, 5.0)
-        assert (m1, t1) == (m2, t2)
-        assert t1  # coincident points hit the cap
-        np.testing.assert_allclose(l1, l2, atol=2e-9)
+        assert _assert_matches_tree(u, v)  # coincident points hit the cap
+
+    def test_full_depth_cap(self):
+        rng = np.random.default_rng(17)
+        u, v = _random_points(rng, 300)
+        v[:40] = u[:40]  # near-diagonal points separate late
+        _assert_matches_tree(u, v, depth_cap=30)
 
 
 class TestDispatch:
@@ -93,3 +88,64 @@ class TestDispatch:
         a, _ = logbf_levels(u, v, 20, 5.0)
         b, _ = logbf_levels(u, v, 20, 5.0)
         assert np.array_equal(a, b)
+
+
+def _assert_rows_are_singles(u, v, depth_cap, c):
+    levels, depth, truncated = logbf_batch(u, v, depth_cap, c)
+    u2, v2 = np.broadcast_arrays(np.atleast_2d(u), np.atleast_2d(v))
+    assert levels.shape == (u2.shape[0], depth_cap)
+    for b in range(u2.shape[0]):
+        one, one_truncated = logbf_levels(u2[b], v2[b], depth_cap, c)
+        assert levels[b, : depth[b]].tobytes() == one.tobytes()
+        assert not levels[b, depth[b]:].any()
+        assert bool(truncated[b]) == one_truncated
+    return depth, truncated
+
+
+@st.composite
+def _batches(draw):
+    """Rows on grids of different coarseness, so they tie, stop and truncate apart."""
+    n = draw(st.integers(2, 30))
+    rows = draw(st.integers(1, 6))
+    depth_cap = draw(st.sampled_from([1, 2, 4, 8, 20, 30]))
+    c = draw(st.sampled_from([0.1, 1.0, 5.0]))
+
+    def row():
+        cells = draw(st.sampled_from([2, 8, 64, 4096, 2**40]))
+        ks = np.array(draw(st.lists(st.integers(0, cells - 1), min_size=n, max_size=n)))
+        return (ks + 0.5) / cells
+
+    v = np.array([row() for _ in range(rows)])
+    u = row() if draw(st.booleans()) else np.array([row() for _ in range(rows)])
+    return u, v, depth_cap, c
+
+
+class TestBatchEqualsSingle:
+    @settings(max_examples=200, deadline=None)
+    @given(_batches())
+    def test_every_row_is_its_single_call(self, case):
+        _assert_rows_are_singles(*case)
+
+    def test_rows_stopping_and_truncating_apart(self):
+        rng = np.random.default_rng(18)
+        n = 40
+        u = rng.uniform(0.01, 0.99, n)
+        close = u + 1e-9  # (u[i], close[i]) and (u[j], close[j]) part late
+        u[::10] = 0.5
+        tied = rng.uniform(0.01, 0.99, n)
+        tied[::10] = 0.25  # four coincident points: truncates
+        v = np.stack([rng.uniform(0.01, 0.99, n), close, tied])
+        depth, truncated = _assert_rows_are_singles(u, v, 20, 5.0)
+        assert len(set(depth.tolist())) > 1
+        assert truncated.tolist() == [False, False, True]
+
+    def test_batch_longer_than_one_call(self):
+        rng = np.random.default_rng(19)
+        n = 97
+        rows = 3 * (CHUNK_POINTS // n) + 5
+        _assert_rows_are_singles(rng.uniform(0, 1, n), rng.uniform(0, 1, (rows, n)), 20, 5.0)
+
+    def test_row_longer_than_one_call(self):
+        rng = np.random.default_rng(20)
+        n = CHUNK_POINTS + 3
+        _assert_rows_are_singles(rng.uniform(0, 1, (2, n)), rng.uniform(0, 1, (2, n)), 20, 5.0)

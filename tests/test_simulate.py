@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ptdep.engine import PartitionConfig
+from ptdep.errors import DegenerateSample
 from ptdep.simulate import (
     SimModel,
     THETA_UNIT,
     abs_pearson,
+    default_statistic,
     empirical_quantile,
     generate,
     permutation_null,
@@ -204,3 +209,52 @@ class TestPowerExperiment:
     def test_invalid_threshold_source(self):
         with pytest.raises(ValueError):
             power_experiment(SimModel(kind="linear"), n=10, reps=2, threshold_source="magic")
+
+
+class TestBatchedNull:
+    @pytest.mark.parametrize("n", [2, 3, 150])
+    def test_equals_looped_default_statistic(self, n):
+        rng = np.random.default_rng(40 + n)
+        x = rng.normal(size=n)
+        sample = PairedSample(x=x, y=x + rng.normal(size=n))
+        cfg = PartitionConfig(c=2.0, prior_odds=1.5)
+        batched = permutation_null(sample, n_perm=120, cfg=cfg, seed=3)
+        looped = permutation_null(sample, n_perm=120, cfg=cfg, seed=3,
+                                  statistic=default_statistic(cfg))
+        assert batched.null_stats.tobytes() == looped.null_stats.tobytes()
+        assert batched.threshold == looped.threshold
+
+    def test_single_point_is_prior(self):
+        null = permutation_null(PairedSample(x=[1.0], y=[2.0]), n_perm=5)
+        assert null.null_stats.tolist() == [0.5] * 5
+
+    def test_degenerate_propagates(self):
+        with pytest.raises(DegenerateSample):
+            permutation_null(PairedSample(x=[1.0, 2.0, 3.0], y=[4.0, 4.0, 4.0]), n_perm=5)
+
+    def test_working_set_does_not_grow_with_n_perm(self):
+        rng = np.random.default_rng(41)
+        sample = PairedSample(x=rng.normal(size=150), y=rng.normal(size=150))
+
+        def peak(n_perm):
+            permutation_null(sample, n_perm=n_perm, seed=1)  # warm caches
+            tracemalloc.start()
+            try:
+                permutation_null(sample, n_perm=n_perm, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200), peak(2000)
+        # the null array itself grows by 14.4 KB; nothing else may
+        assert large <= small + 32 * 1024
+
+    def test_power_permutation_threshold_matches_statistic_route(self):
+        m = SimModel(kind="linear", sigma=2.0)
+        cfg = PartitionConfig()
+        kwargs = dict(n=40, reps=4, cfg=cfg, seed=5,
+                      threshold_source="permutation_quantile", n_perm=30)
+        batched = power_experiment(m, **kwargs)
+        looped = power_experiment(m, statistic=default_statistic(cfg), **kwargs)
+        assert (batched.tpr, batched.fpr, batched.threshold) == \
+            (looped.tpr, looped.fpr, looped.threshold)
