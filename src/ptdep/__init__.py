@@ -11,10 +11,8 @@ from .diffscan import (
 )
 from .ebayes import ShiftSearchConfig, delta_candidates, ebayes_test
 from .engine import (
-    HyperParams,
     PartitionConfig,
     TestResult,
-    log_bayes_factor,
     log_cell_evidence,
     posterior_dependence,
     test_dependence,
@@ -49,18 +47,14 @@ from .transforms import (
     shift_wrap,
     to_unit_square,
 )
-from .tree import CellCounts, CountTree, Rect, build_count_tree, quadrant_digit
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellCounts",
-    "CountTree",
     "DegenerateSample",
     "DiffEdge",
     "EmptyMatrix",
     "ExpressionMatrix",
-    "HyperParams",
     "PairResult",
     "PairedSample",
     "ParseError",
@@ -69,7 +63,6 @@ __all__ = [
     "PowerReport",
     "PtdepError",
     "RaggedRows",
-    "Rect",
     "ReplicateSummary",
     "RobustStats",
     "ShiftSearchConfig",
@@ -79,13 +72,11 @@ __all__ = [
     "UnitPoints",
     "VarMismatch",
     "abs_pearson",
-    "build_count_tree",
     "classify_edge",
     "delta_candidates",
     "diff_scan",
     "ebayes_test",
     "generate",
-    "log_bayes_factor",
     "log_cell_evidence",
     "normal_cdf",
     "p_diff",
@@ -93,7 +84,6 @@ __all__ = [
     "permutation_null",
     "posterior_dependence",
     "power_experiment",
-    "quadrant_digit",
     "replicate_experiment",
     "robust_location_scale",
     "run_replicates",

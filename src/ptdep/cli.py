@@ -10,9 +10,9 @@ power     true/false positive rates of the test under a model
 sweep-c   sensitivity of the result to the concentration constant
 
 Input matrices are UTF-8 CSV with a header row of variable names and one
-sample per row. Output is JSON or CSV with all numbers serialised to 17
-significant digits, so identical configurations produce byte-identical
-files and values round-trip exactly.
+sample per row; a leading byte-order mark is ignored. Output is JSON or CSV
+with all numbers serialised to 17 significant digits, so identical
+configurations produce byte-identical files and values round-trip exactly.
 
 Exit codes: 0 success, 2 input or validation error, 3 degenerate data in
 single-test mode.
@@ -27,15 +27,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diffscan import DiffEdge, ExpressionMatrix, PairResult, diff_scan, pairwise_scan
-from .ebayes import ShiftSearchConfig, ebayes_test
-from .engine import PartitionConfig, TestResult, test_dependence
-from .errors import DegenerateSample, EmptyMatrix, ParseError, PtdepError, RaggedRows, VarMismatch
+from .ebayes import METHODS, ShiftSearchConfig, run_test
+from .engine import PartitionConfig, TestResult
+from .errors import DegenerateSample, EmptyMatrix, ParseError, PtdepError, RaggedRows
 from .simulate import (
+    MODEL_KINDS,
     SimModel,
     THETA_FULL,
     THETA_UNIT,
@@ -58,14 +59,10 @@ DIFF_CSV_COLUMNS = ("var_a", "var_b", "p_dep_A", "p_dep_B", "p_diff", "class")
 class RunConfig:
     """Validated per-invocation settings shared by the command handlers."""
 
-    command: str
     partition: PartitionConfig
     method: str
     shift: ShiftSearchConfig
     seed: int
-    reps: int
-    perms: int
-    level: float
     workers: int
     out_format: str
     output: str | None
@@ -195,7 +192,7 @@ def write_result(payload, path: str | None, out_format: str = "json",
 def read_matrix(path: str) -> ExpressionMatrix:
     """Parse a CSV matrix: header of variable names, one sample per row."""
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc.strerror}") from exc
     with fh:
@@ -266,7 +263,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth-cap", type=int, default=20, help="partition depth cap (default 20)")
     p.add_argument("--prior-odds", type=float, default=1.0,
                    help="prior odds of independence over dependence (default 1)")
-    p.add_argument("--method", choices=("basic", "ebayes"), default="basic")
+    p.add_argument("--method", choices=METHODS, default="basic")
     p.add_argument("--grid", default="4",
                    help="shift grid: an integer quantile count or 'midpoints' (default 4)")
     p.add_argument("--wrap-axis", choices=("x", "xy"), default="x",
@@ -278,11 +275,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
 
-def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True,
-                   choices=("linear", "parabolic", "sinusoidal", "circular",
-                            "checkerboard", "independent"))
-    p.add_argument("--n", type=int, required=True, help="sample size per replicate")
+def _add_model(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--model", required=required, choices=MODEL_KINDS)
+    p.add_argument("--n", type=int, required=required, help="sample size per replicate")
     p.add_argument("--sigma", type=float, default=2.0)
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--x-min", type=float, default=None, help="lower end of the x range")
@@ -339,17 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--y-col", default="1")
     p_sweep.add_argument("--c-values", default=",".join(str(v) for v in DEFAULT_C_SWEEP),
                          help="comma-separated c values (default 0.1,1,5,10)")
-    p_sweep.add_argument("--model", default=None,
-                         choices=("linear", "parabolic", "sinusoidal", "circular",
-                                  "checkerboard", "independent"))
-    p_sweep.add_argument("--n", type=int, default=None)
-    p_sweep.add_argument("--sigma", type=float, default=2.0)
-    p_sweep.add_argument("--reps", type=int, default=100)
-    p_sweep.add_argument("--x-min", type=float, default=None)
-    p_sweep.add_argument("--x-max", type=float, default=None)
-    p_sweep.add_argument("--theta-variant", choices=("full", "unit"), default="full")
-    p_sweep.add_argument("--checker-pattern", choices=("verbatim", "balanced"),
-                         default="verbatim")
+    _add_model(p_sweep, required=False)
+    p_sweep.set_defaults(reps=100)
     _add_common(p_sweep)
 
     return parser
@@ -381,14 +367,10 @@ def _run_config(args) -> RunConfig:
         c=args.c, depth_cap=args.depth_cap, prior_odds=args.prior_odds
     )
     return RunConfig(
-        command=args.command,
         partition=partition,
         method=args.method,
         shift=shift,
         seed=_resolve_seed(args),
-        reps=getattr(args, "reps", 0),
-        perms=getattr(args, "perms", 500),
-        level=getattr(args, "level", 0.05),
         workers=args.workers,
         out_format=args.out_format,
         output=args.output,
@@ -402,14 +384,17 @@ def _sim_model(args) -> SimModel:
             raise ParseError("--x-min and --x-max must be given together")
         kwargs["x_range"] = (args.x_min, args.x_max)
     kwargs["theta_range"] = THETA_FULL if args.theta_variant == "full" else THETA_UNIT
-    kwargs["checker_pattern"] = getattr(args, "checker_pattern", "verbatim")
+    kwargs["checker_pattern"] = args.checker_pattern
     return SimModel(**kwargs)
 
 
-def _run_single(sample: PairedSample, rc: RunConfig) -> TestResult:
-    if rc.method == "ebayes":
-        return ebayes_test(sample, rc.partition, rc.shift)
-    return test_dependence(sample, rc.partition)
+def _read_pair(args) -> PairedSample:
+    """The two columns ``--x-col`` and ``--y-col`` of the input file."""
+    m = read_matrix(args.input)
+    return PairedSample(
+        x=_pick_column(m, args.x_col, "--x-col"),
+        y=_pick_column(m, args.y_col, "--y-col"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,19 +402,12 @@ def _run_single(sample: PairedSample, rc: RunConfig) -> TestResult:
 
 
 def _cmd_test(args, rc: RunConfig) -> int:
-    m = read_matrix(args.input)
-    sample = PairedSample(
-        x=_pick_column(m, args.x_col, "--x-col"),
-        y=_pick_column(m, args.y_col, "--y-col"),
-    )
-    res = _run_single(sample, rc)
+    res = run_test(_read_pair(args), rc.method, rc.partition, rc.shift)
     _check_level_sum(res)
     d = result_to_dict(res)
     if rc.out_format == "csv":
-        row = {k: v for k, v in d.items() if k != "levels"}
-        write_result([row], rc.output, "csv", tuple(row.keys()))
-    else:
-        write_result(d, rc.output, "json")
+        d = {k: v for k, v in d.items() if k != "levels"}
+    write_result(d, rc.output, rc.out_format)
     return 0
 
 
@@ -462,7 +440,7 @@ def _cmd_simulate(args, rc: RunConfig) -> int:
             model, args.n, args.reps, rc.partition, rc.seed,
             method=rc.method, scfg=rc.shift, workers=rc.workers,
         )
-        rows = []
+        payload = []
         for r, res in enumerate(results):
             row = {
                 "rep": r, "seed": rc.seed + r, "p_dependent": res.p_dependent,
@@ -470,24 +448,21 @@ def _cmd_simulate(args, rc: RunConfig) -> int:
             }
             for k in range(1, 6):
                 row[f"B_{k}"] = res.level_contribution(k)
-            rows.append(row)
-        write_result(rows, rc.output, "csv", tuple(rows[0].keys()))
+            payload.append(row)
     else:
         summary = replicate_experiment(
             model, args.n, args.reps, rc.partition, rc.seed,
             method=rc.method, scfg=rc.shift, workers=rc.workers,
         )
-        write_result(
-            {
-                "model": summary.model, "n": summary.n, "sigma": summary.sigma,
-                "reps": summary.reps, "method": summary.method,
-                "percentiles": {
-                    "p5": summary.p5, "p25": summary.p25, "p50": summary.p50,
-                    "p75": summary.p75, "p95": summary.p95,
-                },
+        payload = {
+            "model": summary.model, "n": summary.n, "sigma": summary.sigma,
+            "reps": summary.reps, "method": summary.method,
+            "percentiles": {
+                "p5": summary.p5, "p25": summary.p25, "p50": summary.p50,
+                "p75": summary.p75, "p95": summary.p95,
             },
-            rc.output, "json",
-        )
+        }
+    write_result(payload, rc.output, rc.out_format)
     return 0
 
 
@@ -505,8 +480,7 @@ def _cmd_power(args, rc: RunConfig) -> int:
         "fpr": report.fpr, "threshold": report.threshold,
         "threshold_source": report.threshold_source,
     }
-    write_result(row if rc.out_format == "json" else [row],
-                 rc.output, rc.out_format, tuple(row.keys()))
+    write_result(row, rc.output, rc.out_format)
     return 0
 
 
@@ -519,16 +493,9 @@ def _cmd_sweep_c(args, rc: RunConfig) -> int:
         raise ParseError("--c-values is empty")
     rows = []
     if args.input is not None:
-        m = read_matrix(args.input)
-        sample = PairedSample(
-            x=_pick_column(m, args.x_col, "--x-col"),
-            y=_pick_column(m, args.y_col, "--y-col"),
-        )
+        sample = _read_pair(args)
         for c in c_values:
-            cfg = PartitionConfig(c=c, depth_cap=rc.partition.depth_cap,
-                                  prior_odds=rc.partition.prior_odds)
-            res = ebayes_test(sample, cfg, rc.shift) if rc.method == "ebayes" \
-                else test_dependence(sample, cfg)
+            res = run_test(sample, rc.method, replace(rc.partition, c=c), rc.shift)
             rows.append({
                 "c": c, "n": res.n, "log_bf": res.log_bf,
                 "p_dependent": res.p_dependent, "p_independent": res.p_independent,
@@ -538,10 +505,8 @@ def _cmd_sweep_c(args, rc: RunConfig) -> int:
             raise ParseError("sweep-c needs an input file or --model and --n")
         model = _sim_model(args)
         for c in c_values:
-            cfg = PartitionConfig(c=c, depth_cap=rc.partition.depth_cap,
-                                  prior_odds=rc.partition.prior_odds)
             s = replicate_experiment(
-                model, args.n, args.reps, cfg, rc.seed,
+                model, args.n, args.reps, replace(rc.partition, c=c), rc.seed,
                 method=rc.method, scfg=rc.shift, workers=rc.workers,
             )
             rows.append({
@@ -549,7 +514,7 @@ def _cmd_sweep_c(args, rc: RunConfig) -> int:
                 "reps": s.reps, "p5": s.p5, "p25": s.p25, "p50": s.p50,
                 "p75": s.p75, "p95": s.p95,
             })
-    write_result(rows, rc.output, rc.out_format, tuple(rows[0].keys()))
+    write_result(rows, rc.output, rc.out_format)
     return 0
 
 
@@ -573,10 +538,7 @@ def run(argv=None) -> int:
     except DegenerateSample as exc:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, VarMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PtdepError as exc:
+    except (PtdepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,14 +13,13 @@ them while output order stays fixed (lexicographic by column indices).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .ebayes import ShiftSearchConfig, ebayes_test
-from .engine import PartitionConfig, TestResult, evaluate_rows, test_dependence
+from .ebayes import ShiftSearchConfig, run_test
+from .engine import PartitionConfig, TestResult, evaluate_rows, ordered_map
 from .errors import DegenerateSample, VarMismatch
 from .transforms import PairedSample, to_unit_interval
 
@@ -97,21 +96,9 @@ def _run_pair(m: ExpressionMatrix, i: int, j: int, cfg, scfg, method) -> PairRes
     name_a, name_b = m.var_names[i], m.var_names[j]
     try:
         sample = PairedSample(x=m.values[:, i], y=m.values[:, j])
-        if method == "ebayes":
-            res = ebayes_test(sample, cfg, scfg)
-        else:
-            res = test_dependence(sample, cfg)
-        return PairResult(var_a=name_a, var_b=name_b, result=res)
+        return PairResult(var_a=name_a, var_b=name_b, result=run_test(sample, method, cfg, scfg))
     except DegenerateSample as exc:
         return PairResult(var_a=name_a, var_b=name_b, result=None, error=str(exc))
-
-
-def _ordered_map(fn, items: list, workers: int) -> list:
-    """``[fn(item) for item in items]``, on ``workers`` threads when above one."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _basic_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
@@ -140,7 +127,7 @@ def _basic_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
         v = np.stack([units[j] for _, j in block])
         return evaluate_rows(u, v, cfg)
 
-    scored = dict(zip(usable, (res for out in _ordered_map(score, blocks, workers)
+    scored = dict(zip(usable, (res for out in ordered_map(score, blocks, workers)
                                for res in out)))
     return [
         PairResult(var_a=m.var_names[i], var_b=m.var_names[j], result=scored.get((i, j)),
@@ -165,13 +152,11 @@ def pairwise_scan(
     """
     if m.n_vars < 2:
         raise ValueError("need at least two variables to scan")
-    if method not in ("basic", "ebayes"):
-        raise ValueError(f"method must be 'basic' or 'ebayes', got {method!r}")
     cfg = cfg or PartitionConfig()
     pairs = [(i, j) for i in range(m.n_vars) for j in range(i + 1, m.n_vars)]
     if method == "basic" and m.n_samples > 1:
         return _basic_scan(m, pairs, cfg, workers)
-    return _ordered_map(lambda ij: _run_pair(m, *ij, cfg, scfg, method), pairs, workers)
+    return ordered_map(lambda ij: _run_pair(m, *ij, cfg, scfg, method), pairs, workers)
 
 
 def classify_edge(p_a: float, p_b: float) -> str:

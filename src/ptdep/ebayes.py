@@ -15,14 +15,17 @@ many pairs, not as a calibrated posterior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .engine import PartitionConfig, TestResult, _evaluate, evaluate_rows
+from .engine import PartitionConfig, TestResult, _evaluate, evaluate_rows, test_dependence
 from .errors import DegenerateSample
 from .transforms import PairedSample, ShiftSpec, shift_wrap, to_unit_interval
+
+# The tests a caller can name: the basic test and the ebayes-centred one.
+METHODS = ("basic", "ebayes")
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,7 @@ def ebayes_test(
     scfg = scfg or ShiftSearchConfig()
 
     if sample.n == 1:
-        base = _evaluate(sample, cfg)
-        return _as_ebayes(base, None, None)
+        return replace(_evaluate(sample, cfg), method="ebayes")
 
     best: TestResult | None = None
     best_delta: float | None = None
@@ -123,7 +125,7 @@ def ebayes_test(
         raise DegenerateSample(
             "no usable centering candidate: enable include_no_shift or widen the grid"
         )
-    return _as_ebayes(best, best_delta, best_axis)
+    return replace(best, method="ebayes", delta_star=best_delta, shift_axis=best_axis)
 
 
 def _score_axis(sample: PairedSample, axis: str, grid: np.ndarray, cfg: PartitionConfig):
@@ -156,15 +158,11 @@ def _score_axis(sample: PairedSample, axis: str, grid: np.ndarray, cfg: Partitio
         yield from zip(deltas, evaluate_rows(u, v, cfg))
 
 
-def _as_ebayes(res: TestResult, delta: float | None, axis: str | None) -> TestResult:
-    return TestResult(
-        log_bf=res.log_bf,
-        p_dependent=res.p_dependent,
-        level_contributions=res.level_contributions,
-        n=res.n,
-        truncated=res.truncated,
-        method="ebayes",
-        config=res.config,
-        delta_star=delta,
-        shift_axis=axis,
-    )
+def run_test(sample: PairedSample, method: str, cfg: PartitionConfig | None = None,
+             scfg: ShiftSearchConfig | None = None) -> TestResult:
+    """The test that ``method`` names, one of :data:`METHODS`, on one sample."""
+    if method == "ebayes":
+        return ebayes_test(sample, cfg, scfg)
+    if method == "basic":
+        return test_dependence(sample, cfg)
+    raise ValueError(f"method must be one of {METHODS}, got {method!r}")

@@ -1,4 +1,4 @@
-"""Analytic dependence evidence from quadrant count trees.
+"""Analytic dependence evidence from recursive quadrant partitions.
 
 For every cell holding two or more points, the marginal likelihood under
 "margins branch independently" (two Beta-Binomial factors) is compared with
@@ -20,27 +20,13 @@ deterministic, cells being accumulated in a fixed address order.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .transforms import PairedSample, UnitPoints, to_unit_square
-from .tree import CountTree
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    """Concentration constant and prior odds of independence over dependence."""
-
-    c: float = 5.0
-    prior_odds: float = 1.0
-
-    def __post_init__(self):
-        if not (self.c > 0.0):
-            raise ValueError("c must be positive")
-        if not (self.prior_odds > 0.0):
-            raise ValueError("prior_odds must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,10 +45,6 @@ class PartitionConfig:
             raise ValueError("prior_odds must be positive")
         if not (1 <= self.depth_cap <= kernels.MAX_DEPTH_CAP):
             raise ValueError(f"depth_cap must be in [1, {kernels.MAX_DEPTH_CAP}]")
-
-    @property
-    def hyper(self) -> HyperParams:
-        return HyperParams(c=self.c, prior_odds=self.prior_odds)
 
 
 @dataclass(frozen=True)
@@ -95,30 +77,13 @@ class TestResult:
         return 0.0
 
 
-def _log_cell_evidence_raw(n0: int, n1: int, n2: int, n3: int, a: float) -> float:
-    lg = math.lgamma
-    return (
-        lg(n0 + n2 + 2.0 * a)
-        + lg(n1 + n3 + 2.0 * a)
-        + lg(n0 + n1 + 2.0 * a)
-        + lg(n2 + n3 + 2.0 * a)
-        - lg(n0 + n1 + n2 + n3 + 4.0 * a)
-        - lg(n0 + a)
-        - lg(n1 + a)
-        - lg(n2 + a)
-        - lg(n3 + a)
-        + lg(4.0 * a)
-        + 4.0 * lg(a)
-        - 4.0 * lg(2.0 * a)
-    )
-
-
 def log_cell_evidence(counts, a: float) -> float:
     """Log evidence term of a single cell split, in log-gamma space.
 
     ``counts`` are the four quadrant occupancies and ``a`` the per-quadrant
     concentration. Cells with at most one point are short-circuited to an
-    exact 0.0 (their term cancels analytically).
+    exact 0.0 (their term cancels analytically); others are scored by
+    :func:`ptdep.kernels.cell_log_evidence`.
     """
     n0, n1, n2, n3 = (int(c) for c in counts)
     if min(n0, n1, n2, n3) < 0:
@@ -127,25 +92,7 @@ def log_cell_evidence(counts, a: float) -> float:
         raise ValueError("a must be positive")
     if n0 + n1 + n2 + n3 <= 1:
         return 0.0
-    return _log_cell_evidence_raw(n0, n1, n2, n3, a)
-
-
-def log_bayes_factor(tree: CountTree, hp: HyperParams) -> tuple[float, np.ndarray]:
-    """Total log Bayes factor and per-level sums for an explicit count tree.
-
-    The total accumulates over cells in stored address order, independently
-    of the per-level aggregation, so the level-sum identity is a real check
-    rather than a tautology.
-    """
-    max_level = max((cell.level for cell in tree.cells), default=0)
-    levels = np.zeros(max_level, dtype=np.float64)
-    total = 0.0
-    for cell in tree.cells:
-        a = hp.c * cell.level * cell.level
-        term = log_cell_evidence(cell.counts, a)
-        total += term
-        levels[cell.level - 1] += term
-    return total, levels
+    return float(kernels.cell_log_evidence(n0, n1, n2, n3, a))
 
 
 def posterior_dependence(log_bf: float, prior_odds: float = 1.0) -> float:
@@ -218,3 +165,16 @@ def _evaluate(sample: PairedSample, cfg: PartitionConfig) -> TestResult:
     pts = unit_points(sample, cfg)
     levels, truncated = kernels.logbf_levels(pts.u, pts.v, cfg.depth_cap, cfg.c)
     return _result(levels, truncated, sample.n, cfg)
+
+
+def ordered_map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``, on ``workers`` threads when above one.
+
+    Results keep the order of ``items`` whatever the worker count.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

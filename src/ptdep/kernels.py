@@ -55,6 +55,37 @@ def _addresses(u: np.ndarray, v: np.ndarray, depth_cap: int) -> np.ndarray:
     return np.sort(ax | (ay << 1), axis=-1)
 
 
+def cell_log_evidence(n0, n1, n2, n3, a: float):
+    """Log evidence of independence over dependence for cells split into quadrants.
+
+    ``n0``..``n3`` are the quadrant counts (integers or integer arrays of one
+    shape) and ``a`` the per-quadrant concentration. This is the one copy of
+    the closed-form cell term: two Beta-Binomial margins over one
+    Dirichlet-multinomial, all in log-gamma space. Counts are integers, so
+    each log-gamma argument is looked up in a table holding the same float
+    the direct evaluation would form.
+    """
+    total = n0 + n1 + n2 + n3
+    m = np.arange(np.max(total) + 1, dtype=np.float64)
+    g1 = gammaln(m + a)
+    g2 = gammaln(m + 2.0 * a)
+    g4 = gammaln(m + 4.0 * a)
+    return (
+        g2[n0 + n2]
+        + g2[n1 + n3]
+        + g2[n0 + n1]
+        + g2[n2 + n3]
+        - g4[total]
+        - g1[n0]
+        - g1[n1]
+        - g1[n2]
+        - g1[n3]
+        + gammaln(4.0 * a)
+        + 4.0 * gammaln(a)
+        - 4.0 * gammaln(2.0 * a)
+    )
+
+
 def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, truncated) -> None:
     """Fill the level sums, depths and truncation flags of a block of sorted rows."""
     rows, n = addr.shape
@@ -75,29 +106,7 @@ def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, trun
         run_parent = np.cumsum(start[runs]) - 1
         counts = np.zeros((parent_row.size, 4), dtype=np.int64)
         counts[run_parent, cell[runs] & 3] = size
-        n0, n1, n2, n3 = counts.T
-        total = n0 + n1 + n2 + n3
-        # Counts are integers, so each log-gamma argument is looked up in a
-        # table holding the same float the direct evaluation would form.
-        ka = c * k * k
-        m = np.arange(total.max() + 1, dtype=np.float64)
-        g1 = gammaln(m + ka)
-        g2 = gammaln(m + 2.0 * ka)
-        g4 = gammaln(m + 4.0 * ka)
-        terms = (
-            g2[n0 + n2]
-            + g2[n1 + n3]
-            + g2[n0 + n1]
-            + g2[n2 + n3]
-            - g4[total]
-            - g1[n0]
-            - g1[n1]
-            - g1[n2]
-            - g1[n3]
-            + gammaln(4.0 * ka)
-            + 4.0 * gammaln(ka)
-            - 4.0 * gammaln(2.0 * ka)
-        )
+        terms = cell_log_evidence(*counts.T, c * k * k)
         # Every parent holds two or more points (lone points were dropped),
         # so each is a retained cell; a row's level sum runs over a segment.
         new_row = np.empty(parent_row.size, dtype=bool)

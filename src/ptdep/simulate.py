@@ -29,15 +29,14 @@ seed = base_seed + r.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
-from .ebayes import ShiftSearchConfig, ebayes_test
-from .engine import PartitionConfig, TestResult, evaluate_rows, test_dependence, unit_points
+from .ebayes import ShiftSearchConfig, run_test
+from .engine import PartitionConfig, TestResult, evaluate_rows, ordered_map, unit_points
 from .transforms import PairedSample
 
 MODEL_KINDS = ("linear", "parabolic", "sinusoidal", "circular", "checkerboard", "independent")
@@ -166,14 +165,6 @@ def generate(model: SimModel, n: int, seed: int) -> PairedSample:
     return PairedSample(x=10.0 * (i_x + theta) + eta_x, y=10.0 * (i_y + theta) + eta_y)
 
 
-def _tester(method: str, cfg: PartitionConfig, scfg: ShiftSearchConfig | None):
-    if method == "basic":
-        return lambda s: test_dependence(s, cfg)
-    if method == "ebayes":
-        return lambda s: ebayes_test(s, cfg, scfg)
-    raise ValueError(f"method must be 'basic' or 'ebayes', got {method!r}")
-
-
 def run_replicates(
     model: SimModel,
     n: int,
@@ -188,15 +179,8 @@ def run_replicates(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     cfg = cfg or PartitionConfig()
-    run = _tester(method, cfg, scfg)
-
-    def one(r: int) -> TestResult:
-        return run(generate(model, n, seed + r))
-
-    if workers <= 1:
-        return [one(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(reps)))
+    return ordered_map(lambda r: run_test(generate(model, n, seed + r), method, cfg, scfg),
+                       range(reps), workers)
 
 
 def replicate_experiment(
@@ -230,8 +214,7 @@ def replicate_experiment(
 def default_statistic(cfg: PartitionConfig, method: str = "basic",
                       scfg: ShiftSearchConfig | None = None) -> Callable[[PairedSample], float]:
     """The shipped dependence statistic: posterior probability of dependence."""
-    run = _tester(method, cfg, scfg)
-    return lambda s: run(s).p_dependent
+    return lambda s: run_test(s, method, cfg, scfg).p_dependent
 
 
 def abs_pearson(sample: PairedSample) -> float:
@@ -353,11 +336,7 @@ def power_experiment(
         return value > perm.threshold, perm.threshold
 
     def sweep(sim: SimModel, base: int) -> tuple[float, float]:
-        if workers <= 1:
-            hits = [detect(sim, base, r) for r in range(reps)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                hits = list(pool.map(lambda r: detect(sim, base, r), range(reps)))
+        hits = ordered_map(lambda r: detect(sim, base, r), range(reps), workers)
         rate = sum(1 for h, _ in hits if h) / reps
         thr = sum(t for _, t in hits) / reps
         return rate, thr

@@ -5,16 +5,26 @@ is evaluated with exact big-integer factorials, the normal CDF with
 adaptive quadrature of the density and with the asymptotic tail series,
 and the one-dimensional marginal likelihood with Beta-function identities
 checked against numerical integration.
+
+The reference quadrant tree lives here too. It builds every retained cell
+by explicit recursion over rectangles, so it checks the kernel's counting
+route; it scores cells through ``ptdep.log_cell_evidence``, whose formula
+is checked against the factorial oracle above.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from dataclasses import dataclass
 from math import factorial
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+
+from ptdep import log_cell_evidence
+from ptdep.transforms import UnitPoints
 
 
 def exact_log_cell_evidence(counts, a: int) -> float:
@@ -121,8 +131,8 @@ def quantile_type1(values, p: float) -> float:
 def brute_force_quadrant_counts(u, v, depth_cap: int):
     """All retained cells by direct per-point address enumeration.
 
-    Independent of the tree module: computes each point's digit path with
-    plain arithmetic and groups with a dict.
+    Independent of :func:`build_count_tree`: computes each point's digit
+    path with plain arithmetic and groups with a dict.
     """
     u = np.asarray(u)
     v = np.asarray(v)
@@ -146,3 +156,128 @@ def brute_force_quadrant_counts(u, v, depth_cap: int):
                 counts = tuple(digits.count(d) for d in range(4))
                 cells[address] = counts
     return cells
+
+
+# ---------------------------------------------------------------------------
+# reference quadrant tree
+#
+# Each cell splits into four equal quadrants addressed by digits 0..3
+# (0 bottom-left, 1 bottom-right, 2 top-left, 3 top-right). A cell is
+# retained when it holds at least two points; its record stores how those
+# points distribute over the four children. Recursion stops at single-point
+# cells or at the depth cap.
+
+Rect = namedtuple("Rect", ["x_lo", "y_lo", "x_hi", "y_hi"])
+
+UNIT_SQUARE = Rect(0.0, 0.0, 1.0, 1.0)
+
+
+@dataclass(frozen=True)
+class CellCounts:
+    """Quadrant occupancy of one retained cell.
+
+    ``address`` is the quaternary digit path from the root (empty tuple);
+    the split of this cell happens at level ``len(address) + 1``.
+    """
+
+    address: tuple[int, ...]
+    counts: tuple[int, int, int, int]
+
+    @property
+    def level(self) -> int:
+        return len(self.address) + 1
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
+
+
+@dataclass(frozen=True)
+class CountTree:
+    """All retained cells in depth-first address order."""
+
+    cells: tuple[CellCounts, ...]
+    depth_cap: int
+    truncated: bool
+    n_points: int
+
+
+def quadrant_digit(u: float, v: float, rect: Rect = UNIT_SQUARE) -> int:
+    """Quadrant index of a point inside ``rect``.
+
+    Half-open midpoint rule: a coordinate below the midpoint goes to the
+    low side, at or above it to the high side.
+    """
+    xm = 0.5 * (rect.x_lo + rect.x_hi)
+    ym = 0.5 * (rect.y_lo + rect.y_hi)
+    return (1 if u >= xm else 0) | ((1 if v >= ym else 0) << 1)
+
+
+def _child_rect(rect: Rect, digit: int) -> Rect:
+    xm = 0.5 * (rect.x_lo + rect.x_hi)
+    ym = 0.5 * (rect.y_lo + rect.y_hi)
+    if digit & 1:
+        x_lo, x_hi = xm, rect.x_hi
+    else:
+        x_lo, x_hi = rect.x_lo, xm
+    if digit & 2:
+        y_lo, y_hi = ym, rect.y_hi
+    else:
+        y_lo, y_hi = rect.y_lo, ym
+    return Rect(x_lo, y_lo, x_hi, y_hi)
+
+
+def build_count_tree(points: UnitPoints, depth_cap: int) -> CountTree:
+    """Recursively count quadrant occupancies for every cell with >= 2 points.
+
+    ``truncated`` is set when some depth-cap cell still holds two or more
+    points (coincident points always do this, since they never separate).
+    """
+    if depth_cap < 1:
+        raise ValueError("depth_cap must be >= 1")
+    u = np.asarray(points.u, dtype=np.float64)
+    v = np.asarray(points.v, dtype=np.float64)
+    cells: list[CellCounts] = []
+    truncated = False
+
+    def visit(idx: np.ndarray, rect: Rect, address: tuple[int, ...]) -> None:
+        nonlocal truncated
+        if idx.size < 2:
+            return
+        if len(address) >= depth_cap:
+            truncated = True
+            return
+        xm = 0.5 * (rect.x_lo + rect.x_hi)
+        ym = 0.5 * (rect.y_lo + rect.y_hi)
+        digits = (u[idx] >= xm).astype(np.int64) | ((v[idx] >= ym).astype(np.int64) << 1)
+        counts = tuple(int(np.count_nonzero(digits == d)) for d in range(4))
+        cells.append(CellCounts(address=address, counts=counts))
+        for d in range(4):
+            visit(idx[digits == d], _child_rect(rect, d), address + (d,))
+
+    visit(np.arange(u.size), UNIT_SQUARE, ())
+    return CountTree(
+        cells=tuple(cells),
+        depth_cap=depth_cap,
+        truncated=truncated,
+        n_points=int(u.size),
+    )
+
+
+def log_bayes_factor(tree: CountTree, c: float) -> tuple[float, np.ndarray]:
+    """Total log Bayes factor and per-level sums for an explicit count tree.
+
+    A cell split at level k has concentration ``c * k**2``. The total
+    accumulates over cells in stored address order, independently of the
+    per-level aggregation, so the level-sum identity is a real check rather
+    than a tautology.
+    """
+    max_level = max((cell.level for cell in tree.cells), default=0)
+    levels = np.zeros(max_level, dtype=np.float64)
+    total = 0.0
+    for cell in tree.cells:
+        a = c * cell.level * cell.level
+        term = log_cell_evidence(cell.counts, a)
+        total += term
+        levels[cell.level - 1] += term
+    return total, levels

@@ -58,6 +58,20 @@ class TestReadMatrix:
             read_matrix(matrix_file("a,b\n1,x\n"))
         assert err.value.column == 2
 
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        text = "a,b\n1,2\n2,3.5\n3,1\n4,4\n5,4.5\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_matrix(str(bom)).var_names == ("a", "b")
+        outputs = []
+        for path in (plain, bom):
+            assert run(["test", str(path), "--x-col", "a", "--y-col", "b"]) == 0
+            assert run(["scan", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
     def test_missing_file(self):
         with pytest.raises(ParseError):
             read_matrix("/nonexistent/file.csv")
@@ -165,6 +179,13 @@ class TestScanCommand:
         assert run(["scan", path, "--workers", "1", "--output", out1]) == 0
         assert run(["scan", path, "--workers", "8", "--output", out8]) == 0
         assert open(out1, "rb").read() == open(out8, "rb").read()
+
+    def test_workers_below_one_exits_2(self, matrix_file, capsys):
+        path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n")
+        assert run(["scan", path, "--workers", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "workers must be >= 1" in captured.err
 
     def test_scan_csv_columns(self, matrix_file, capsys):
         rng = np.random.default_rng(7)

@@ -116,6 +116,12 @@ class TestPairwiseScan:
             assert a.result.log_bf == b.result.log_bf
             assert a.result.p_dependent == b.result.p_dependent
 
+    @pytest.mark.parametrize("method", ["basic", "ebayes"])
+    def test_workers_below_one_rejected(self, method):
+        m = _matrix(np.random.default_rng(5), 30, ["a", "b", "c"])
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            pairwise_scan(m, method=method, workers=0)
+
     def test_needs_two_vars(self):
         with pytest.raises(ValueError):
             pairwise_scan(ExpressionMatrix(values=[[1.0], [2.0]], var_names=("a",)))

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from ptdep import engine
-from ptdep.ebayes import ShiftSearchConfig, delta_candidates, ebayes_test
+from ptdep.diffscan import ExpressionMatrix, diff_scan, pairwise_scan
+from ptdep.ebayes import METHODS, ShiftSearchConfig, delta_candidates, ebayes_test
 from ptdep.errors import DegenerateSample
+from ptdep.simulate import SimModel, default_statistic, power_experiment, run_replicates
 from ptdep.transforms import PairedSample, ShiftSpec, shift_wrap
 
 
@@ -183,3 +187,22 @@ class TestBatchedCandidates:
         scfg = ShiftSearchConfig(grid="midpoints", include_no_shift=False)
         with pytest.raises(DegenerateSample, match="no usable centering candidate"):
             ebayes_test(PairedSample(x=[1.0, 2.0, 3.0], y=[5.0, 5.0, 5.0]), scfg=scfg)
+
+
+_MATRIX = ExpressionMatrix(values=np.random.default_rng(9).standard_normal((20, 3)),
+                           var_names=("a", "b", "c"))
+_MODEL = SimModel(kind="linear")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pairwise_scan(_MATRIX, method="bogus"),
+    lambda: diff_scan(_MATRIX, _MATRIX, method="bogus"),
+    lambda: run_replicates(_MODEL, 20, 2, method="bogus"),
+    lambda: power_experiment(_MODEL, 20, 2, method="bogus"),
+    lambda: default_statistic(engine.PartitionConfig(), "bogus")(
+        PairedSample(x=[1.0, 2.0, 3.0], y=[3.0, 1.0, 2.0])),
+], ids=["pairwise_scan", "diff_scan", "run_replicates", "power_experiment",
+        "default_statistic"])
+def test_unknown_method_names_the_methods(call):
+    with pytest.raises(ValueError, match=re.escape(str(METHODS))):
+        call()

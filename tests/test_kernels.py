@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptdep.engine import HyperParams, log_bayes_factor
 from ptdep.kernels import CHUNK_POINTS, logbf_batch, logbf_levels
 from ptdep.transforms import UnitPoints
-from ptdep.tree import build_count_tree
+
+from oracles import build_count_tree, log_bayes_factor
 
 
 def _random_points(rng, n):
@@ -25,7 +25,7 @@ def _single(u, v, depth_cap, c=5.0):
 def _assert_matches_tree(u, v, depth_cap=20):
     levels, depth, truncated = _single(u, v, depth_cap)
     tree = build_count_tree(UnitPoints(u=u, v=v), depth_cap)
-    _, tree_levels = log_bayes_factor(tree, HyperParams(c=5.0))
+    _, tree_levels = log_bayes_factor(tree, 5.0)
     assert depth == tree_levels.size
     assert truncated == tree.truncated
     np.testing.assert_allclose(levels[:depth], tree_levels, atol=2e-9)

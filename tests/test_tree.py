@@ -1,10 +1,11 @@
+"""The reference quadrant tree in ``oracles``, against brute-force enumeration."""
+
 import numpy as np
 import pytest
 
 from ptdep.transforms import UnitPoints
-from ptdep.tree import Rect, build_count_tree, quadrant_digit
 
-from oracles import brute_force_quadrant_counts
+from oracles import Rect, brute_force_quadrant_counts, build_count_tree, quadrant_digit
 
 
 def _points(u, v):
