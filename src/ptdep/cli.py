@@ -354,6 +354,8 @@ def _resolve_seed(args) -> int:
 
 
 def _run_config(args) -> RunConfig:
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     grid_raw = str(args.grid).strip().lower()
     if grid_raw == "midpoints":
         shift = ShiftSearchConfig(axis_policy=args.wrap_axis, grid="midpoints")

@@ -10,6 +10,12 @@ neighbours, and the length of each run is one quadrant count of its parent
 cell. A point alone in its cell never shares a cell again and is dropped
 before the next level.
 
+Each level's cell terms need log-gamma at nine counts per parent cell. At
+the top levels a few cells hold many points, so those counts are evaluated
+directly; lower down many cells hold few points, so three small tables
+over ``0..max(total)`` are cheaper. :func:`cell_log_evidence` picks the
+route with fewer log-gamma evaluations, and both give the same floats.
+
 A batch is B samples of n points, given as ``u`` and ``v`` that broadcast
 to (B, n), so a margin shared by every sample is passed once. Samples never
 interact: each row's result is bit for bit what the row gives alone. A
@@ -61,25 +67,37 @@ def cell_log_evidence(n0, n1, n2, n3, a: float):
     ``n0``..``n3`` are the quadrant counts (integers or integer arrays of one
     shape) and ``a`` the per-quadrant concentration. This is the one copy of
     the closed-form cell term: two Beta-Binomial margins over one
-    Dirichlet-multinomial, all in log-gamma space. Counts are integers, so
-    each log-gamma argument is looked up in a table holding the same float
-    the direct evaluation would form.
+    Dirichlet-multinomial, all in log-gamma space.
+
+    The terms need log-gamma at 9 counts per cell, each offset by ``a``,
+    ``2a`` or ``4a``. When that is fewer evaluations than three tables over
+    ``0..max(total)``, each argument is evaluated directly; otherwise the
+    values are looked up in the tables. Counts are integers, so both routes
+    form the same float ``float(k) + s * a`` for every argument and give the
+    same terms bit for bit. Terms are formed one at a time, so only a few
+    arrays of one value per cell are alive at once.
     """
     total = n0 + n1 + n2 + n3
-    m = np.arange(np.max(total) + 1, dtype=np.float64)
-    g1 = gammaln(m + a)
-    g2 = gammaln(m + 2.0 * a)
-    g4 = gammaln(m + 4.0 * a)
+    top = int(np.max(total))
+    if 9 * np.size(total) < 3 * (top + 1):
+        def lg(k, s):
+            return gammaln(k + s * a)
+    else:
+        m = np.arange(top + 1, dtype=np.float64)
+        tables = {s: gammaln(m + s * a) for s in (1, 2, 4)}
+
+        def lg(k, s):
+            return tables[s][k]
     return (
-        g2[n0 + n2]
-        + g2[n1 + n3]
-        + g2[n0 + n1]
-        + g2[n2 + n3]
-        - g4[total]
-        - g1[n0]
-        - g1[n1]
-        - g1[n2]
-        - g1[n3]
+        lg(n0 + n2, 2)
+        + lg(n1 + n3, 2)
+        + lg(n0 + n1, 2)
+        + lg(n2 + n3, 2)
+        - lg(total, 4)
+        - lg(n0, 1)
+        - lg(n1, 1)
+        - lg(n2, 1)
+        - lg(n3, 1)
         + gammaln(4.0 * a)
         + 4.0 * gammaln(a)
         - 4.0 * gammaln(2.0 * a)
@@ -104,9 +122,10 @@ def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, trun
         np.subtract(runs[1:], runs[:-1], out=size[:-1])
         size[-1] = a.size - runs[-1]
         run_parent = np.cumsum(start[runs]) - 1
-        counts = np.zeros((parent_row.size, 4), dtype=np.int64)
-        counts[run_parent, cell[runs] & 3] = size
-        terms = cell_log_evidence(*counts.T, c * k * k)
+        # Row q of counts holds quadrant q of every parent.
+        counts = np.zeros((4, parent_row.size), dtype=np.int64)
+        counts.ravel()[(cell[runs] & 3) * parent_row.size + run_parent] = size
+        terms = cell_log_evidence(*counts, c * k * k)
         # Every parent holds two or more points (lone points were dropped),
         # so each is a retained cell; a row's level sum runs over a segment.
         new_row = np.empty(parent_row.size, dtype=bool)
@@ -125,7 +144,10 @@ def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, trun
         if not shared.any():
             break
         parent_row = run_row[shared]
-        keep = np.repeat(shared, size)
+        # A point is lone when both it and the point after it start a cell.
+        keep = cell_start.copy()
+        keep[:-1] &= cell_start[1:]
+        np.logical_not(keep, out=keep)
         a = a[keep]
         start = cell_start[keep]
 

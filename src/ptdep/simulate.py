@@ -35,8 +35,9 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .ebayes import ShiftSearchConfig, run_test
-from .engine import PartitionConfig, TestResult, evaluate_rows, ordered_map, unit_points
+from .ebayes import METHODS, ShiftSearchConfig, run_test
+from .engine import (PartitionConfig, TestResult, ordered_map, posterior_dependence,
+                     unit_points)
 from .transforms import PairedSample
 
 MODEL_KINDS = ("linear", "parabolic", "sinusoidal", "circular", "checkerboard", "independent")
@@ -273,18 +274,22 @@ def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig,
     """Null statistics of the default statistic, scored in batches.
 
     Re-pairing changes no margin, so the sample is mapped once and each
-    permutation re-pairs the mapped v through ``rng.permutation(n)``
-    indices: the same draws, and the same re-pairing, as
-    ``rng.permutation(sample.y)``. Only one batch of permutations is held
-    at a time.
+    permutation re-pairs the mapped v through permuted indices. Permuting
+    each row of a (B, n) index array draws what B ``rng.permutation(n)``
+    calls draw, so the re-pairing is that of ``rng.permutation(sample.y)``.
+    Each statistic is the posterior of the fsum of a level row, as in
+    :func:`~ptdep.engine.test_dependence`. Only one batch of permutations
+    is held at a time.
     """
     pts = unit_points(sample, cfg)
     null = np.empty(n_perm)
     step = kernels.rows_per_call(sample.n)
     for lo in range(0, n_perm, step):
         hi = min(lo + step, n_perm)
-        order = np.stack([rng.permutation(sample.n) for _ in range(lo, hi)])
-        null[lo:hi] = [res.p_dependent for res in evaluate_rows(pts.u, pts.v[order], cfg)]
+        order = rng.permuted(np.broadcast_to(np.arange(sample.n), (hi - lo, sample.n)), axis=1)
+        levels, depth, _ = kernels.logbf_batch(pts.u, pts.v[order], cfg.depth_cap, cfg.c)
+        null[lo:hi] = [posterior_dependence(math.fsum(row[:d]), cfg.prior_odds)
+                       for row, d in zip(levels, depth)]
     return null
 
 
@@ -315,6 +320,8 @@ def power_experiment(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if threshold_source not in ("posterior_0.5", "permutation_quantile"):
         raise ValueError(f"unknown threshold_source {threshold_source!r}")
     cfg = cfg or PartitionConfig()

@@ -217,6 +217,23 @@ class TestScanCommand:
         assert [(r["var_a"], r["var_b"], r["n"]) for r in rows] == [("a", "b", 4)]
 
 
+@pytest.mark.parametrize("command", [
+    ["test", "{m}"],
+    ["scan", "{m}"],
+    ["diff", "{m}", "{m}"],
+    ["simulate", "--model", "linear", "--n", "20", "--reps", "2"],
+    ["power", "--model", "linear", "--n", "20", "--reps", "2"],
+    ["sweep-c", "{m}"],
+], ids=lambda cmd: cmd[0])
+def test_every_command_rejects_workers_below_one(command, matrix_file, capsys):
+    path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+    argv = [arg.format(m=path) for arg in command]
+    assert run(argv + ["--workers", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "workers must be >= 1, got -3" in captured.err
+
+
 class TestLevelSumGuard:
     def test_exact_sum_accepted_where_naive_sum_drifts(self):
         # naive left-to-right summation loses the 1.0 entirely

@@ -7,7 +7,8 @@ from ptdep import engine
 from ptdep.diffscan import ExpressionMatrix, diff_scan, pairwise_scan
 from ptdep.ebayes import METHODS, ShiftSearchConfig, delta_candidates, ebayes_test
 from ptdep.errors import DegenerateSample
-from ptdep.simulate import SimModel, default_statistic, power_experiment, run_replicates
+from ptdep.simulate import (SimModel, abs_pearson, default_statistic, power_experiment,
+                            run_replicates)
 from ptdep.transforms import PairedSample, ShiftSpec, shift_wrap
 
 
@@ -199,10 +200,11 @@ _MODEL = SimModel(kind="linear")
     lambda: diff_scan(_MATRIX, _MATRIX, method="bogus"),
     lambda: run_replicates(_MODEL, 20, 2, method="bogus"),
     lambda: power_experiment(_MODEL, 20, 2, method="bogus"),
+    lambda: power_experiment(_MODEL, 20, 2, method="bogus", statistic=abs_pearson),
     lambda: default_statistic(engine.PartitionConfig(), "bogus")(
         PairedSample(x=[1.0, 2.0, 3.0], y=[3.0, 1.0, 2.0])),
 ], ids=["pairwise_scan", "diff_scan", "run_replicates", "power_experiment",
-        "default_statistic"])
+        "power_experiment_custom_statistic", "default_statistic"])
 def test_unknown_method_names_the_methods(call):
     with pytest.raises(ValueError, match=re.escape(str(METHODS))):
         call()

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import betaln, gammaln
@@ -86,6 +87,32 @@ class TestLogCellEvidence:
             ) - (4 * gammaln(a) - gammaln(4 * a))
             want = x_factor + y_factor - joint
             assert log_cell_evidence((n0, n1, n2, n3), a) == pytest.approx(want, abs=1e-10)
+
+    def test_array_call_equals_scalar_calls_bit_for_bit(self):
+        # A call on many small cells looks its log-gamma values up in
+        # tables, while one cell of three or more points alone evaluates
+        # them directly. A call on the three large cells evaluates directly,
+        # while the cell of one point alone uses tables.
+        rng = np.random.default_rng(4)
+        small = rng.integers(0, 12, (4, 300))
+        large = np.array([[10**6, 3, 0], [0, 2, 5000], [0, 0, 1], [1, 70000, 2]])
+        for counts in (small, large):
+            for a in (0.5, 5.0, 245.0):
+                got = kernels.cell_log_evidence(*counts, a)
+                want = [kernels.cell_log_evidence(*(int(k) for k in cell), a) for cell in counts.T]
+                assert got.tobytes() == np.array(want).tobytes()
+
+    def test_million_point_cell_matches_mpmath(self):
+        counts, a = (10**6, 0, 0, 1), 5.0
+        n0, n1, n2, n3 = counts
+        with mpmath.workdps(50):
+            def lg(k, scale):
+                return mpmath.loggamma(k + scale * mpmath.mpf(a))
+
+            want = (lg(n0 + n2, 2) + lg(n1 + n3, 2) + lg(n0 + n1, 2) + lg(n2 + n3, 2)
+                    - lg(n0 + n1 + n2 + n3, 4) - lg(n0, 1) - lg(n1, 1) - lg(n2, 1) - lg(n3, 1)
+                    + lg(0, 4) + 4 * lg(0, 1) - 4 * lg(0, 2))
+        assert log_cell_evidence(counts, a) == pytest.approx(float(want), rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):

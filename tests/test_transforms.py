@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from ptdep.errors import DegenerateSample
 from ptdep.transforms import (
     PairedSample,
+    _median,
     ShiftSpec,
     normal_cdf,
     robust_location_scale,
@@ -63,6 +66,30 @@ class TestRobustLocationScale:
     def test_scaling_flag(self):
         st = robust_location_scale([1, 2, 3, 4, 5], normal_consistent=False)
         assert st.scale == 1.0
+
+
+@st.composite
+def _median_inputs(draw):
+    """Vectors of any finite floats, or of a few values with many signed zeros."""
+    n = draw(st.integers(1, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+    pool = draw(st.lists(finite, min_size=1, max_size=3)) + [0.0, -0.0]
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_median_inputs())
+@example(np.array([-0.0]))
+@example(np.array([3.0, -1.0]))
+@example(np.array([0.0, -5e-324]))
+@example(np.array([2.0, 0.0, 0.0, -0.0, 0.0, 7.0]))
+def test_median_is_numpy_median_bit_for_bit(x):
+    with np.errstate(over="ignore"):
+        want = np.median(x)
+        got = _median(x)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestNormalCdf:
