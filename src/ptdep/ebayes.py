@@ -3,10 +3,12 @@
 The evidence depends on where the partition's central split falls. This
 module scans candidate cut points, re-standardises the wrapped data for
 each, and keeps the centering that maximises the evidence for dependence
-(equivalently, minimises the log Bayes factor of independence). Because
-the objective is piecewise constant in the cut point between consecutive
-data values, a grid over midpoints or empirical quantiles is exhaustive up
-to equivalence; no continuous optimiser is involved.
+(equivalently, minimises the log Bayes factor of independence). The first
+candidate is the unwrapped sample, so the basic test is always in the
+search. Because the objective is piecewise constant in the cut point
+between consecutive data values, a grid over midpoints or empirical
+quantiles is exhaustive up to equivalence, and cuts between the same two
+values are scored once; no continuous optimiser is involved.
 
 Maximising over centerings inflates the dependence probability, including
 for independent data. The selected probability is most useful for ranking
@@ -16,11 +18,13 @@ many pairs, not as a calibrated posterior.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
 from . import kernels
-from .engine import PartitionConfig, TestResult, _evaluate, evaluate_rows, test_dependence
+from .engine import (PartitionConfig, TestResult, _evaluate, evaluate_rows, test_dependence,
+                     unit_points)
 from .errors import DegenerateSample
 from .transforms import PairedSample, ShiftSpec, shift_wrap, to_unit_interval
 
@@ -36,7 +40,8 @@ class ShiftSearchConfig:
     quantiles strictly inside the data range) or "midpoints" (every
     midpoint between consecutive distinct values). ``axis_policy`` is "x"
     or "xy"; with "xy" the two axes are searched independently and the
-    better one-axis optimum wins.
+    better one-axis optimum wins. The no-shift baseline is always a
+    candidate.
 
     Every extra candidate is an extra draw at the null maximum, so the
     false positive rate of the optimised test grows with the grid. The
@@ -47,7 +52,6 @@ class ShiftSearchConfig:
     axis_policy: str = "x"
     grid: str = "quantile"
     grid_size: int = 4
-    include_no_shift: bool = True
 
     def __post_init__(self):
         if self.axis_policy not in ("x", "xy"):
@@ -61,8 +65,11 @@ class ShiftSearchConfig:
 def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:
     """Candidate cut points for one axis, ascending, sentinel first.
 
-    The no-shift sentinel is a value strictly below the data minimum; the
-    wrap transform leaves the sample untouched there.
+    The sentinel is a value strictly below the data minimum; the wrap
+    transform leaves the sample untouched there, so it stands for the
+    no-shift baseline, which :func:`ebayes_test` scores on the unwrapped
+    sample instead. Quantile cuts that wrap the same values are kept once,
+    at the first of them.
     """
     arr = np.asarray(values, dtype=np.float64)
     distinct = np.unique(arr)
@@ -74,11 +81,12 @@ def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:
     else:
         probs = np.arange(1, cfg.grid_size + 1) / (cfg.grid_size + 1.0)
         q = np.quantile(arr, probs)
-        q = np.unique(q)
-        cands = q[(q > lo) & (q < hi)]
-    if cfg.include_no_shift:
-        return np.concatenate(([lo - 1.0], cands))
-    return np.asarray(cands, dtype=np.float64)
+        q = q[(q > lo) & (q < hi)]
+        # a cut wraps the values <= it, so it is classed by how many distinct values those are
+        _, first = np.unique(np.searchsorted(distinct, q, side="right"), return_index=True)
+        cands = q[first]
+    # lo - 1.0 rounds back to lo once |lo| >= 2**53
+    return np.concatenate(([min(lo - 1.0, np.nextafter(lo, -np.inf))], cands))
 
 
 def ebayes_test(
@@ -88,14 +96,14 @@ def ebayes_test(
 ) -> TestResult:
     """Dependence test with empirically optimised partition centering.
 
-    Every candidate is a full re-score of the wrapped sample. A wrap along
-    one axis moves only that margin, so the other is mapped once per axis
-    and only the wrapped margin is re-standardised per candidate; the
-    candidates of an axis are scored in batches. The candidate with the
-    smallest log Bayes factor wins; ties go to the earliest candidate, so
-    the no-shift baseline is preferred when nothing beats it. With the
-    baseline in the grid the returned probability of dependence can never
-    fall below the basic test's.
+    The candidates form one table: the unwrapped sample first, which is the
+    basic test, then the cuts of axis x and, with "xy", those of axis y.
+    Both margins are mapped once; each cut re-standardises only its wrapped
+    margin, and the rows of an axis are scored in batches. The row with the
+    smallest log Bayes factor wins and ties go to the earliest, so the
+    baseline wins unless beaten, reported as ``delta_star = shift_axis =
+    None``, and the probability of dependence never falls below the basic
+    test's.
     """
     cfg = cfg or PartitionConfig()
     scfg = scfg or ShiftSearchConfig()
@@ -103,59 +111,44 @@ def ebayes_test(
     if sample.n == 1:
         return replace(_evaluate(sample, cfg), method="ebayes")
 
-    best: TestResult | None = None
-    best_delta: float | None = None
-    best_axis: str | None = None
-
-    if scfg.include_no_shift:
-        best = _evaluate(sample, cfg)
-
-    axes = ("x",) if scfg.axis_policy == "x" else ("x", "y")
-    for axis in axes:
-        values = sample.x if axis == "x" else sample.y
-        grid = delta_candidates(values, cfg=scfg)
-        if scfg.include_no_shift:
-            grid = grid[1:]  # baseline already evaluated once, axis-independent
-        for delta, res in _score_axis(sample, axis, grid, cfg):
-            if best is None or res.log_bf < best.log_bf:
-                best = res
-                best_delta = delta
-                best_axis = axis
-    if best is None:
-        raise DegenerateSample(
-            "no usable centering candidate: enable include_no_shift or widen the grid"
-        )
-    return replace(best, method="ebayes", delta_star=best_delta, shift_axis=best_axis)
+    pts = unit_points(sample, cfg)
+    x_rows = chain([(None, pts.u)], _wrapped_rows(sample, "x", scfg, cfg))
+    table = _score_axis("x", x_rows, pts.v, cfg)
+    if scfg.axis_policy == "xy":
+        table = chain(table, _score_axis("y", _wrapped_rows(sample, "y", scfg, cfg), pts.u, cfg))
+    delta, axis, best = min(table, key=lambda row: row[2].log_bf)
+    return replace(best, method="ebayes", delta_star=delta,
+                   shift_axis=None if delta is None else axis)
 
 
-def _score_axis(sample: PairedSample, axis: str, grid: np.ndarray, cfg: PartitionConfig):
-    """Yield ``(delta, result)`` for each usable cut of one axis, in grid order.
+def _wrapped_rows(sample: PairedSample, axis: str, scfg: ShiftSearchConfig,
+                  cfg: PartitionConfig):
+    """Yield ``(delta, mapped margin)`` for each usable cut of one axis, in grid order.
 
     A cut that collapses the wrapped margin onto too few values defines no
-    partition, so it cannot be the optimum and is skipped; so is every cut
-    when the fixed margin itself is degenerate.
+    partition, so it cannot be the optimum and is skipped.
     """
-    fixed = sample.y if axis == "x" else sample.x
-    try:
-        fixed_unit = to_unit_interval(fixed, normal_consistent=cfg.mad_normal_consistent)
-    except DegenerateSample:
-        return
-    step = kernels.rows_per_call(sample.n)
-    for lo in range(0, grid.size, step):
-        deltas, rows = [], []
-        for delta in grid[lo:lo + step]:
-            shifted = shift_wrap(sample, ShiftSpec(delta=float(delta), axis=axis))
-            try:
-                rows.append(to_unit_interval(shifted.x if axis == "x" else shifted.y,
-                                             normal_consistent=cfg.mad_normal_consistent))
-            except DegenerateSample:
-                continue
-            deltas.append(float(delta))
-        if not rows:
+    for delta in delta_candidates(sample.x if axis == "x" else sample.y, scfg)[1:]:
+        shifted = shift_wrap(sample, ShiftSpec(delta=float(delta), axis=axis))
+        try:
+            moving = to_unit_interval(shifted.x if axis == "x" else shifted.y,
+                                      normal_consistent=cfg.mad_normal_consistent)
+        except DegenerateSample:
             continue
-        moving = np.stack(rows)
-        u, v = (moving, fixed_unit) if axis == "x" else (fixed_unit, moving)
-        yield from zip(deltas, evaluate_rows(u, v, cfg))
+        yield float(delta), moving
+
+
+def _score_axis(axis: str, rows, fixed: np.ndarray, cfg: PartitionConfig):
+    """Yield ``(delta, axis, result)`` for each ``(delta, moving margin)`` row, in batches.
+
+    ``fixed`` is the other margin, mapped once.
+    """
+    rows = iter(rows)
+    while batch := list(islice(rows, kernels.rows_per_call(fixed.size))):
+        deltas, moving = zip(*batch)
+        u, v = (np.stack(moving), fixed) if axis == "x" else (fixed, np.stack(moving))
+        for delta, res in zip(deltas, evaluate_rows(u, v, cfg)):
+            yield delta, axis, res
 
 
 def run_test(sample: PairedSample, method: str, cfg: PartitionConfig | None = None,

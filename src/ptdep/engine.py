@@ -39,10 +39,12 @@ class PartitionConfig:
     mad_normal_consistent: bool = True
 
     def __post_init__(self):
-        if not (self.c > 0.0):
-            raise ValueError("c must be positive")
-        if not (self.prior_odds > 0.0):
-            raise ValueError("prior_odds must be positive")
+        for name in ("c", "prior_odds"):
+            value = getattr(self, name)
+            if not (value > 0.0):
+                raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (1 <= self.depth_cap <= kernels.MAX_DEPTH_CAP):
             raise ValueError(f"depth_cap must be in [1, {kernels.MAX_DEPTH_CAP}]")
 

@@ -302,7 +302,6 @@ def power_experiment(
     method: str = "basic",
     scfg: ShiftSearchConfig | None = None,
     statistic: Callable[[PairedSample], float] | None = None,
-    statistic_name: str | None = None,
     threshold_source: str = "posterior_0.5",
     level: float = 0.05,
     n_perm: int = 500,
@@ -326,7 +325,6 @@ def power_experiment(
         raise ValueError(f"unknown threshold_source {threshold_source!r}")
     cfg = cfg or PartitionConfig()
     stat = statistic or default_statistic(cfg, method, scfg)
-    name = statistic_name or (method if statistic is None else "custom")
     # The default basic statistic takes the batched null.
     null_stat = None if statistic is None and method == "basic" else stat
     null_model = SimModel(kind="independent", sigma=model.sigma)
@@ -355,7 +353,7 @@ def power_experiment(
         n=n,
         sigma=model.sigma,
         reps=reps,
-        method=name,
+        method=method if statistic is None else "custom",
         tpr=tpr,
         fpr=fpr,
         threshold=0.5 if threshold_source == "posterior_0.5" else 0.5 * (thr_dep + thr_null),

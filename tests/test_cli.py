@@ -178,7 +178,7 @@ class TestScanCommand:
         out8 = str(tmp_path / "w8.json")
         assert run(["scan", path, "--workers", "1", "--output", out1]) == 0
         assert run(["scan", path, "--workers", "8", "--output", out8]) == 0
-        assert open(out1, "rb").read() == open(out8, "rb").read()
+        assert Path(out1).read_bytes() == Path(out8).read_bytes()
 
     def test_workers_below_one_exits_2(self, matrix_file, capsys):
         path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n")
@@ -203,7 +203,7 @@ class TestScanCommand:
         short, long = str(tmp_path / "short.json"), str(tmp_path / "long.json")
         assert run(["scan", path, "-o", short]) == 0
         assert run(["scan", path, "--output", long]) == 0
-        assert open(short, "rb").read() == open(long, "rb").read()
+        assert Path(short).read_bytes() == Path(long).read_bytes()
 
     @pytest.mark.parametrize("module", ["ptdep", "ptdep.cli"])
     def test_python_m_runs_the_command(self, module, matrix_file, tmp_path):
@@ -232,6 +232,15 @@ def test_every_command_rejects_workers_below_one(command, matrix_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "workers must be >= 1, got -3" in captured.err
+
+
+@pytest.mark.parametrize("flag, field", [("--c", "c"), ("--prior-odds", "prior_odds")])
+def test_non_finite_config_exits_2_naming_the_field(flag, field, matrix_file, capsys):
+    path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+    assert run(["test", path, flag, "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be finite, got inf\n"
 
 
 class TestLevelSumGuard:
@@ -355,7 +364,7 @@ class TestDeterministicOutput:
         o1, o2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert run(["test", str(path), "--output", o1]) == 0
         assert run(["test", str(path), "--output", o2]) == 0
-        assert open(o1, "rb").read() == open(o2, "rb").read()
+        assert Path(o1).read_bytes() == Path(o2).read_bytes()
 
     def test_seventeen_digit_serialisation(self, capsys):
         write_result({"value": 1.0 / 3.0}, None, "json")

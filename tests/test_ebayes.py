@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptdep import engine
 from ptdep.diffscan import ExpressionMatrix, diff_scan, pairwise_scan
@@ -30,10 +32,11 @@ class TestDeltaCandidates:
         with pytest.raises(DegenerateSample):
             delta_candidates([4.0, 4.0, 4.0], ShiftSearchConfig())
 
-    def test_without_sentinel(self):
-        cands = delta_candidates([1.0, 2.0, 3.0],
-                                 ShiftSearchConfig(grid="midpoints", include_no_shift=False))
-        assert cands.tolist() == [1.5, 2.5]
+    def test_sentinel_below_huge_minimum(self):
+        # lo - 1.0 rounds back to lo once |lo| >= 2**53
+        cands = delta_candidates([1e17, 3e17, 2e17], ShiftSearchConfig(grid="midpoints"))
+        assert cands[0] < 1e17
+        assert cands[1:].tolist() == [1.5e17, 2.5e17]
 
     def test_candidates_interior(self):
         values = [0.0, 0.0, 0.0, 1.0, 5.0]
@@ -52,10 +55,26 @@ class TestEbayesTest:
             eb = ebayes_test(sample)
             assert eb.p_dependent >= basic.p_dependent
 
+    @pytest.mark.parametrize("two_valued", [False, True])
+    def test_huge_offset_baseline_equals_basic_bitwise(self, two_valued):
+        # x near 1e17, where lo - 1.0 == lo: the baseline must still wrap nothing
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=60)
+        x = 1e17 * (1.0 + (z > 0)) if two_valued else 1e17 + 1e4 * z
+        sample = PairedSample(x=x, y=z + 0.3 * rng.normal(size=60))
+        got = ebayes_test(sample)
+        basic = engine.test_dependence(sample)
+        assert (got.delta_star, got.shift_axis) == (None, None)
+        assert got.level_contributions == basic.level_contributions
+        assert (got.log_bf, got.p_dependent, got.truncated) == \
+            (basic.log_bf, basic.p_dependent, basic.truncated)
+        for scfg in _SEARCH_CONFIGS:
+            _assert_same_search(sample, engine.PartitionConfig(), scfg)
+
     def test_empty_extra_grid_equals_basic_bitwise(self):
         rng = np.random.default_rng(2)
-        # two distinct values: single midpoint; drop it by using include_no_shift
-        # with a grid that produces no interior candidates
+        # two distinct values: a grid that produces no interior candidates
+        # leaves only the baseline row, which is the basic test
         x = np.array([0.0, 1.0] * 25)
         sample = PairedSample(x=x, y=rng.normal(size=50))
         scfg = ShiftSearchConfig(grid="quantile", grid_size=2)
@@ -137,43 +156,97 @@ class TestEbayesTest:
             ebayes_test(PairedSample(x=[1.0, 1.0], y=[2.0, 3.0]))
 
 
+def _raw_cuts(values, scfg):
+    """Every cut of an axis's grid inside the data range, none merged."""
+    if scfg.grid == "midpoints":
+        distinct = np.unique(values)
+        return 0.5 * (distinct[:-1] + distinct[1:])
+    q = np.quantile(values, np.arange(1, scfg.grid_size + 1) / (scfg.grid_size + 1.0))
+    return q[(q > np.min(values)) & (q < np.max(values))]
+
+
 def _looped_ebayes(sample, cfg, scfg):
-    """The centering search one candidate at a time through ``_evaluate``."""
-    best, best_delta, best_axis = None, None, None
-    if scfg.include_no_shift:
-        best = engine._evaluate(sample, cfg)
+    """The centering search one raw cut at a time through ``_evaluate``."""
+    best, best_delta, best_axis = engine._evaluate(sample, cfg), None, None
     for axis in ("x",) if scfg.axis_policy == "x" else ("x", "y"):
-        grid = delta_candidates(sample.x if axis == "x" else sample.y, scfg)
-        for delta in grid[1:] if scfg.include_no_shift else grid:
+        for delta in _raw_cuts(sample.x if axis == "x" else sample.y, scfg):
             try:
                 res = engine._evaluate(shift_wrap(sample, ShiftSpec(float(delta), axis)), cfg)
             except DegenerateSample:
                 continue
-            if best is None or res.log_bf < best.log_bf:
+            if res.log_bf < best.log_bf:
                 best, best_delta, best_axis = res, float(delta), axis
     return best, best_delta, best_axis
 
 
+def _assert_same_search(sample, cfg, scfg):
+    try:
+        best, delta, axis = _looped_ebayes(sample, cfg, scfg)
+    except DegenerateSample as exc:
+        with pytest.raises(DegenerateSample, match=re.escape(str(exc))):
+            ebayes_test(sample, cfg, scfg)
+        return
+    got = ebayes_test(sample, cfg, scfg)
+    assert got.level_contributions == best.level_contributions
+    assert (got.log_bf, got.p_dependent, got.truncated) == \
+        (best.log_bf, best.p_dependent, best.truncated)
+    assert (got.delta_star, got.shift_axis) == (delta, axis)
+
+
+_SEARCH_CONFIGS = [
+    ShiftSearchConfig(),
+    ShiftSearchConfig(axis_policy="xy", grid_size=9),
+    ShiftSearchConfig(grid="midpoints", axis_policy="xy"),
+]
+
+
+@st.composite
+def _margins(draw, n):
+    kind = draw(st.sampled_from(["rounded", "two_valued", "zero_inflated"]))
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    if kind == "rounded":
+        z = np.round(z, 1)
+    elif kind == "two_valued":
+        z = (z > 0).astype(np.float64)
+    else:
+        z = np.where(z < 0.0, 0.0, np.exp(z))
+    # past 2**53, where lo - 1.0 == lo
+    return 1e17 + 1e4 * z if draw(st.booleans()) else z
+
+
+@st.composite
+def _samples(draw):
+    n = draw(st.integers(2, 60))
+    return PairedSample(x=draw(_margins(n)), y=draw(_margins(n)))
+
+
 class TestBatchedCandidates:
-    @pytest.mark.parametrize("scfg", [
-        ShiftSearchConfig(),
-        ShiftSearchConfig(axis_policy="xy", grid_size=9),
-        ShiftSearchConfig(grid="midpoints", axis_policy="xy"),
-        ShiftSearchConfig(grid="midpoints", include_no_shift=False),
-    ])
+    @pytest.mark.parametrize("scfg", _SEARCH_CONFIGS)
     def test_equals_per_candidate_loop(self, scfg):
         rng = np.random.default_rng(21)
         for n in (3, 40, 700):
             x = rng.normal(size=n)
             y = np.sin(2.0 * x) + 0.3 * rng.normal(size=n)
-            sample = PairedSample(x=x, y=y)
-            cfg = engine.PartitionConfig(c=1.0)
-            got = ebayes_test(sample, cfg, scfg)
-            best, delta, axis = _looped_ebayes(sample, cfg, scfg)
-            assert got.level_contributions == best.level_contributions
-            assert (got.log_bf, got.p_dependent, got.truncated) == \
-                (best.log_bf, best.p_dependent, best.truncated)
-            assert (got.delta_star, got.shift_axis) == (delta, axis)
+            _assert_same_search(PairedSample(x=x, y=y), engine.PartitionConfig(c=1.0), scfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_samples(), st.sampled_from(_SEARCH_CONFIGS + [ShiftSearchConfig(grid_size=200)]))
+    def test_property_equals_per_candidate_loop(self, sample, scfg):
+        _assert_same_search(sample, engine.PartitionConfig(c=1.0), scfg)
+
+    @pytest.mark.parametrize("seed, tied", [(22, False), (23, True)])
+    def test_grid_beyond_n_equals_every_raw_quantile_cut(self, seed, tied):
+        # 1000 quantile cuts at n = 40 fall into at most 39 distinct wraps
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-5, 5, 40)
+        if tied:
+            x = np.round(x)  # many cuts land on a data value, the winning one too
+        sample = PairedSample(x=x, y=np.sin(x) + 0.5 * rng.normal(size=40))
+        scfg = ShiftSearchConfig(grid_size=1000, axis_policy="xy")
+        assert delta_candidates(x, scfg).size <= np.unique(x).size
+        delta = _looped_ebayes(sample, engine.PartitionConfig(), scfg)[1]
+        assert delta is not None and (delta in x) == tied
+        _assert_same_search(sample, engine.PartitionConfig(), scfg)
 
     def test_degenerate_candidates_skipped(self):
         # wrapping a two-valued margin at its midpoint makes it constant
@@ -183,11 +256,6 @@ class TestBatchedCandidates:
         got = ebayes_test(PairedSample(x=x, y=y), scfg=scfg)
         best, delta, axis = _looped_ebayes(PairedSample(x=x, y=y), engine.PartitionConfig(), scfg)
         assert (got.log_bf, got.delta_star, got.shift_axis) == (best.log_bf, delta, axis)
-
-    def test_constant_fixed_margin_without_baseline(self):
-        scfg = ShiftSearchConfig(grid="midpoints", include_no_shift=False)
-        with pytest.raises(DegenerateSample, match="no usable centering candidate"):
-            ebayes_test(PairedSample(x=[1.0, 2.0, 3.0], y=[5.0, 5.0, 5.0]), scfg=scfg)
 
 
 _MATRIX = ExpressionMatrix(values=np.random.default_rng(9).standard_normal((20, 3)),

@@ -192,11 +192,10 @@ class TestPowerExperiment:
             reps=30,
             seed=2,
             statistic=abs_pearson,
-            statistic_name="abs_pearson",
             threshold_source="permutation_quantile",
             n_perm=99,
         )
-        assert report.method == "abs_pearson"
+        assert report.method == "custom"
         assert report.tpr >= 0.9
         assert report.fpr <= 0.2
 
