@@ -232,16 +232,6 @@ def read_matrix(path: str) -> ExpressionMatrix:
     return ExpressionMatrix(values=np.array(data, dtype=np.float64), var_names=tuple(names))
 
 
-def write_matrix(m: ExpressionMatrix, path: str | None) -> None:
-    """Inverse of read_matrix; 17-digit cells round-trip exactly."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(m.var_names)
-    for row in m.values:
-        writer.writerow([_fmt(v) for v in row])
-    _emit(buf.getvalue(), path)
-
-
 def _pick_column(m: ExpressionMatrix, spec: str, flag: str) -> np.ndarray:
     if spec in m.var_names:
         return m.column(spec)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .ebayes import ShiftSearchConfig, run_test
+from .ebayes import Segment, ShiftSearchConfig, best_candidates, cut_table, run_test
 from .engine import PartitionConfig, TestResult, evaluate_rows, ordered_map
 from .errors import DegenerateSample, VarMismatch
 from .transforms import PairedSample, to_unit_interval
@@ -101,6 +101,20 @@ def _run_pair(m: ExpressionMatrix, i: int, j: int, cfg, scfg, method) -> PairRes
         return PairResult(var_a=name_a, var_b=name_b, result=None, error=str(exc))
 
 
+def _column_maps(m: ExpressionMatrix, cfg: PartitionConfig):
+    """Each column, contiguous, with its map to the unit interval or its degenerate error."""
+    cols, units, errors = [], [], []
+    for j in range(m.n_vars):
+        cols.append(np.ascontiguousarray(m.values[:, j]))
+        try:
+            units.append(to_unit_interval(cols[j], normal_consistent=cfg.mad_normal_consistent))
+            errors.append(None)
+        except DegenerateSample as exc:
+            units.append(None)
+            errors.append(str(exc))
+    return cols, units, errors
+
+
 def _basic_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
                 workers: int) -> list[PairResult]:
     """Basic test of every pair, each column mapped once, pairs scored in batches.
@@ -108,16 +122,7 @@ def _basic_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
     A pair's result is bit for bit what ``test_dependence`` gives for it; a
     pair with a degenerate column carries that column's error.
     """
-    units: list[np.ndarray | None] = []
-    errors: list[str | None] = []
-    for j in range(m.n_vars):
-        try:
-            units.append(to_unit_interval(m.values[:, j],
-                                          normal_consistent=cfg.mad_normal_consistent))
-            errors.append(None)
-        except DegenerateSample as exc:
-            units.append(None)
-            errors.append(str(exc))
+    _, units, errors = _column_maps(m, cfg)
     usable = [(i, j) for i, j in pairs if errors[i] is None and errors[j] is None]
     step = kernels.rows_per_call(m.n_samples)
     blocks = [usable[lo:lo + step] for lo in range(0, len(usable), step)]
@@ -129,6 +134,49 @@ def _basic_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
 
     scored = dict(zip(usable, (res for out in ordered_map(score, blocks, workers)
                                for res in out)))
+    return _pair_results(m, pairs, scored, errors)
+
+
+def _ebayes_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
+                 scfg: ShiftSearchConfig, workers: int) -> list[PairResult]:
+    """Ebayes test of every pair, each column's cut rows built once.
+
+    Axis x is searched in a pass over each pair's first column, against
+    every later column; axis y in a pass over each pair's second column,
+    against every earlier one. So each worker holds one column's cut rows
+    at a time beside the columns' maps. A pair's result is bit for bit what
+    ``ebayes_test`` gives for it: a y-row wins only when strictly better,
+    and a pair with a degenerate column carries that column's error.
+    """
+    cols, units, errors = _column_maps(m, cfg)
+    ok = [e is None for e in errors]
+    later = [[j for j in range(i + 1, m.n_vars) if ok[i] and ok[j]] for i in range(m.n_vars)]
+    earlier = [[i for i in range(j) if ok[i] and ok[j]] for j in range(m.n_vars)]
+
+    def search(c: int, axis: str, partners: list) -> list[TestResult]:
+        """The winner of column c's cuts on ``axis`` against each partner column."""
+        if not partners:
+            return []
+        deltas, rows = cut_table(cols[c], scfg, cfg, units[c] if axis == "x" else None)
+        if not deltas:
+            return []
+        tables = ([Segment(axis, deltas, rows, units[p])] for p in partners)
+        return list(best_candidates(tables, cfg))
+
+    best: dict[tuple[int, int], TestResult] = {}
+    x_found = ordered_map(lambda i: search(i, "x", later[i]), range(m.n_vars), workers)
+    for i, found in enumerate(x_found):
+        best.update(zip(((i, j) for j in later[i]), found))
+    if scfg.axis_policy == "xy":
+        y_found = ordered_map(lambda j: search(j, "y", earlier[j]), range(m.n_vars), workers)
+        for j, found in enumerate(y_found):
+            for i, res in zip(earlier[j], found):
+                if res.log_bf < best[i, j].log_bf:
+                    best[i, j] = res
+    return _pair_results(m, pairs, best, errors)
+
+
+def _pair_results(m: ExpressionMatrix, pairs: list, scored: dict, errors: list) -> list[PairResult]:
     return [
         PairResult(var_a=m.var_names[i], var_b=m.var_names[j], result=scored.get((i, j)),
                    error=errors[i] or errors[j])
@@ -147,8 +195,9 @@ def pairwise_scan(
 
     Degenerate columns skip their pairs with a recorded reason instead of
     failing the scan. Output order is lexicographic by column indices and
-    does not depend on the worker count. The basic test maps each column
-    once and scores the pairs in batches.
+    does not depend on the worker count. Both methods map each column once
+    and score the pairs in batches; ebayes also builds each column's cut
+    rows once.
     """
     if m.n_vars < 2:
         raise ValueError("need at least two variables to scan")
@@ -156,6 +205,8 @@ def pairwise_scan(
     pairs = [(i, j) for i in range(m.n_vars) for j in range(i + 1, m.n_vars)]
     if method == "basic" and m.n_samples > 1:
         return _basic_scan(m, pairs, cfg, workers)
+    if method == "ebayes" and m.n_samples > 1:
+        return _ebayes_scan(m, pairs, cfg, scfg or ShiftSearchConfig(), workers)
     return ordered_map(lambda ij: _run_pair(m, *ij, cfg, scfg, method), pairs, workers)
 
 

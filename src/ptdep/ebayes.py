@@ -17,16 +17,17 @@ many pairs, not as a calibrated posterior.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .engine import (PartitionConfig, TestResult, _evaluate, evaluate_rows, test_dependence,
-                     unit_points)
+from .engine import PartitionConfig, TestResult, _evaluate, _result, test_dependence, unit_points
 from .errors import DegenerateSample
-from .transforms import PairedSample, ShiftSpec, shift_wrap, to_unit_interval
+from .transforms import PairedSample, to_unit_interval, wrap_at
 
 # The tests a caller can name: the basic test and the ebayes-centred one.
 METHODS = ("basic", "ebayes")
@@ -89,6 +90,110 @@ def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:
     return np.concatenate(([min(lo - 1.0, np.nextafter(lo, -np.inf))], cands))
 
 
+class Segment(NamedTuple):
+    """Candidate rows of one axis against the other margin, mapped.
+
+    ``rows[r]`` is a mapped margin of ``axis`` for cut ``deltas[r]`` (None
+    for the unwrapped margin) and ``fixed`` the other margin.
+    """
+
+    axis: str
+    deltas: list
+    rows: np.ndarray
+    fixed: np.ndarray
+
+
+def cut_rows(values: np.ndarray, scfg: ShiftSearchConfig, cfg: PartitionConfig):
+    """Yield ``(deltas, rows)`` blocks of one margin's usable cuts, in grid order.
+
+    Each row is the margin wrapped at one cut of the grid and mapped again;
+    a block holds the cuts of at most one kernel call. A cut that collapses
+    the wrapped margin onto too few values defines no partition, so it cannot
+    be the optimum and is skipped. The margin must not be constant.
+    """
+    cuts = delta_candidates(values, scfg)[1:]
+    step = kernels.rows_per_call(values.size)
+    for lo in range(0, cuts.size, step):
+        block = cuts[lo:lo + step]
+        deltas, rows = [], []
+        for delta, wrapped in zip(block.tolist(), wrap_at(values, block[:, None])):
+            try:
+                rows.append(to_unit_interval(wrapped, normal_consistent=cfg.mad_normal_consistent))
+            except DegenerateSample:
+                continue
+            deltas.append(delta)
+        if rows:
+            yield deltas, np.stack(rows)
+
+
+def cut_table(values: np.ndarray, scfg: ShiftSearchConfig, cfg: PartitionConfig,
+              mapped: np.ndarray | None = None) -> tuple[list, np.ndarray]:
+    """All of :func:`cut_rows` in one ``(deltas, rows)``, after ``mapped`` when given."""
+    deltas, rows = ([None], [mapped[None]]) if mapped is not None else ([], [])
+    for block_deltas, block in cut_rows(values, scfg, cfg):
+        deltas += block_deltas
+        rows.append(block)
+    return deltas, np.concatenate(rows) if rows else np.empty((0, values.size))
+
+
+def best_candidates(tables, cfg: PartitionConfig):
+    """Yield the winning candidate of each table, in order, as an ebayes result.
+
+    A table is a non-empty iterable of :class:`Segment`. Its winner is the
+    row with the smallest log Bayes factor, the earliest on ties, reported
+    with ``delta_star`` its cut and ``shift_axis`` its axis (both None for
+    an unwrapped row). Segments of one table or of consecutive tables share
+    kernel calls of up to :func:`ptdep.kernels.rows_per_call` rows; tables
+    are read as the calls fill, and one call's segments are held at a time.
+    """
+    best: dict[int, tuple] = {}
+    call, size, step, done = [], 0, 0, 0
+    for t, table in enumerate(tables):
+        for seg in table:
+            step = step or kernels.rows_per_call(seg.rows.shape[1])
+            if call and size + len(seg.rows) > step:
+                _score_call(call, cfg, best)
+                call, size = [], 0
+                while done < t:
+                    yield _winner(*best.pop(done), cfg)
+                    done += 1
+            call.append((t, seg))
+            size += len(seg.rows)
+    if call:
+        _score_call(call, cfg, best)
+    for t in sorted(best):
+        yield _winner(*best.pop(t), cfg)
+
+
+def _score_call(call, cfg: PartitionConfig, best: dict) -> None:
+    """Score the segments of one kernel call; keep each table's earliest best row."""
+    u, v = (_margin(call, axis) for axis in ("x", "y"))
+    levels, depth, truncated = kernels.logbf_batch(u, v, cfg.depth_cap, cfg.c)
+    log_bf = [math.fsum(row[:d]) for row, d in zip(levels.tolist(), depth.tolist())]
+    lo = 0
+    for t, seg in call:
+        hi = lo + len(seg.rows)
+        r = min(range(lo, hi), key=log_bf.__getitem__)
+        if t not in best or log_bf[r] < best[t][0]:
+            best[t] = (log_bf[r], seg.deltas[r - lo], seg.axis,
+                       levels[r, :depth[r]].copy(), truncated[r], u.shape[-1])
+        lo = hi
+
+
+def _margin(call, axis: str) -> np.ndarray:
+    """The call's coordinates on ``axis``: one vector when every segment holds it fixed."""
+    parts = [s.rows if s.axis == axis else s.fixed for _, s in call]
+    if all(p is parts[0] and p.ndim == 1 for p in parts):
+        return parts[0]
+    return np.concatenate([p if p.ndim == 2 else np.broadcast_to(p, s.rows.shape)
+                           for p, (_, s) in zip(parts, call)])
+
+
+def _winner(log_bf, delta, axis, levels, truncated, n, cfg: PartitionConfig) -> TestResult:
+    return replace(_result(levels, truncated, n, cfg), method="ebayes", delta_star=delta,
+                   shift_axis=None if delta is None else axis)
+
+
 def ebayes_test(
     sample: PairedSample,
     cfg: PartitionConfig | None = None,
@@ -99,11 +204,10 @@ def ebayes_test(
     The candidates form one table: the unwrapped sample first, which is the
     basic test, then the cuts of axis x and, with "xy", those of axis y.
     Both margins are mapped once; each cut re-standardises only its wrapped
-    margin, and the rows of an axis are scored in batches. The row with the
-    smallest log Bayes factor wins and ties go to the earliest, so the
-    baseline wins unless beaten, reported as ``delta_star = shift_axis =
-    None``, and the probability of dependence never falls below the basic
-    test's.
+    margin, and the rows are scored in batches. The row with the smallest
+    log Bayes factor wins and ties go to the earliest, so the baseline wins
+    unless beaten, reported as ``delta_star = shift_axis = None``, and the
+    probability of dependence never falls below the basic test's.
     """
     cfg = cfg or PartitionConfig()
     scfg = scfg or ShiftSearchConfig()
@@ -112,43 +216,11 @@ def ebayes_test(
         return replace(_evaluate(sample, cfg), method="ebayes")
 
     pts = unit_points(sample, cfg)
-    x_rows = chain([(None, pts.u)], _wrapped_rows(sample, "x", scfg, cfg))
-    table = _score_axis("x", x_rows, pts.v, cfg)
+    table = chain([Segment("x", [None], pts.u[None], pts.v)],
+                  (Segment("x", d, r, pts.v) for d, r in cut_rows(sample.x, scfg, cfg)))
     if scfg.axis_policy == "xy":
-        table = chain(table, _score_axis("y", _wrapped_rows(sample, "y", scfg, cfg), pts.u, cfg))
-    delta, axis, best = min(table, key=lambda row: row[2].log_bf)
-    return replace(best, method="ebayes", delta_star=delta,
-                   shift_axis=None if delta is None else axis)
-
-
-def _wrapped_rows(sample: PairedSample, axis: str, scfg: ShiftSearchConfig,
-                  cfg: PartitionConfig):
-    """Yield ``(delta, mapped margin)`` for each usable cut of one axis, in grid order.
-
-    A cut that collapses the wrapped margin onto too few values defines no
-    partition, so it cannot be the optimum and is skipped.
-    """
-    for delta in delta_candidates(sample.x if axis == "x" else sample.y, scfg)[1:]:
-        shifted = shift_wrap(sample, ShiftSpec(delta=float(delta), axis=axis))
-        try:
-            moving = to_unit_interval(shifted.x if axis == "x" else shifted.y,
-                                      normal_consistent=cfg.mad_normal_consistent)
-        except DegenerateSample:
-            continue
-        yield float(delta), moving
-
-
-def _score_axis(axis: str, rows, fixed: np.ndarray, cfg: PartitionConfig):
-    """Yield ``(delta, axis, result)`` for each ``(delta, moving margin)`` row, in batches.
-
-    ``fixed`` is the other margin, mapped once.
-    """
-    rows = iter(rows)
-    while batch := list(islice(rows, kernels.rows_per_call(fixed.size))):
-        deltas, moving = zip(*batch)
-        u, v = (np.stack(moving), fixed) if axis == "x" else (fixed, np.stack(moving))
-        for delta, res in zip(deltas, evaluate_rows(u, v, cfg)):
-            yield delta, axis, res
+        table = chain(table, (Segment("y", d, r, pts.u) for d, r in cut_rows(sample.y, scfg, cfg)))
+    return next(best_candidates([table], cfg))
 
 
 def run_test(sample: PairedSample, method: str, cfg: PartitionConfig | None = None,

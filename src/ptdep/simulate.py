@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .ebayes import METHODS, ShiftSearchConfig, run_test
+from .ebayes import METHODS, Segment, ShiftSearchConfig, best_candidates, cut_table, run_test
 from .engine import (PartitionConfig, TestResult, ordered_map, posterior_dependence,
                      unit_points)
 from .transforms import PairedSample
@@ -249,16 +249,26 @@ def permutation_null(
     exactly). The detection threshold is the type-1 empirical
     ``1 - level`` quantile of the null statistics.
     """
+    return _permutation_null(sample, n_perm, cfg or PartitionConfig(), seed, statistic, level,
+                             "basic", None)
+
+
+def _permutation_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, seed: int,
+                      statistic, level: float, method: str,
+                      scfg: ShiftSearchConfig | None) -> PermutationNull:
+    """:func:`permutation_null`; without a ``statistic``, that of ``method``."""
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    cfg = cfg or PartitionConfig()
     rng = np.random.default_rng(seed)
     if statistic is None and sample.n > 1:
-        null = _default_null(sample, n_perm, cfg, rng)
+        if method == "basic":
+            null = _default_null(sample, n_perm, cfg, rng)
+        else:
+            null = _ebayes_null(sample, n_perm, cfg, scfg or ShiftSearchConfig(), rng)
     else:
-        stat = statistic or default_statistic(cfg)
+        stat = statistic or default_statistic(cfg, method, scfg)
         null = np.empty(n_perm)
         for i in range(n_perm):
             null[i] = stat(PairedSample(x=sample.x, y=rng.permutation(sample.y)))
@@ -269,15 +279,24 @@ def permutation_null(
     )
 
 
+def _orders(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` permutations of ``range(n)``, the draws of as many ``rng.permutation(n)`` calls.
+
+    Permuting each row of a (count, n) index array draws what ``count``
+    ``rng.permutation(n)`` calls draw, and those permute a vector of n values
+    as ``rng.permutation`` of the vector does.
+    """
+    return rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
+
+
 def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig,
                   rng: np.random.Generator) -> np.ndarray:
     """Null statistics of the default statistic, scored in batches.
 
     Re-pairing changes no margin, so the sample is mapped once and each
-    permutation re-pairs the mapped v through permuted indices. Permuting
-    each row of a (B, n) index array draws what B ``rng.permutation(n)``
-    calls draw, so the re-pairing is that of ``rng.permutation(sample.y)``.
-    Each statistic is the posterior of the fsum of a level row, as in
+    permutation re-pairs the mapped v through permuted indices, drawn by
+    :func:`_orders` as ``rng.permutation(sample.y)`` would draw them. Each
+    statistic is the posterior of the fsum of a level row, as in
     :func:`~ptdep.engine.test_dependence`. Only one batch of permutations
     is held at a time.
     """
@@ -286,10 +305,34 @@ def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig,
     step = kernels.rows_per_call(sample.n)
     for lo in range(0, n_perm, step):
         hi = min(lo + step, n_perm)
-        order = rng.permuted(np.broadcast_to(np.arange(sample.n), (hi - lo, sample.n)), axis=1)
+        order = _orders(rng, hi - lo, sample.n)
         levels, depth, _ = kernels.logbf_batch(pts.u, pts.v[order], cfg.depth_cap, cfg.c)
         null[lo:hi] = [posterior_dependence(math.fsum(row[:d]), cfg.prior_odds)
                        for row, d in zip(levels, depth)]
+    return null
+
+
+def _ebayes_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig,
+                 scfg: ShiftSearchConfig, rng: np.random.Generator) -> np.ndarray:
+    """Null statistics of the default ebayes statistic, scored in batches.
+
+    Axis x's candidate rows depend only on x, so they are built once. Wrapping
+    and mapping y commute with re-pairing it, so each permutation re-pairs
+    y's mapped margin and, with "xy", y's cut rows through permuted indices,
+    drawn as in :func:`_default_null`. Only one batch of permutations is
+    held at a time.
+    """
+    pts = unit_points(sample, cfg)
+    x_deltas, x_rows = cut_table(sample.x, scfg, cfg, pts.u)
+    y_deltas, y_rows = cut_table(sample.y, scfg, cfg) if scfg.axis_policy == "xy" else ([], None)
+    null = np.empty(n_perm)
+    step = max(1, kernels.rows_per_call(sample.n) // (len(x_deltas) + len(y_deltas)))
+    for lo in range(0, n_perm, step):
+        hi = min(lo + step, n_perm)
+        tables = ([Segment("x", x_deltas, x_rows, pts.v[p])]
+                  + ([Segment("y", y_deltas, y_rows[:, p], pts.u)] if y_deltas else [])
+                  for p in _orders(rng, hi - lo, sample.n))
+        null[lo:hi] = [res.p_dependent for res in best_candidates(tables, cfg)]
     return null
 
 
@@ -325,8 +368,6 @@ def power_experiment(
         raise ValueError(f"unknown threshold_source {threshold_source!r}")
     cfg = cfg or PartitionConfig()
     stat = statistic or default_statistic(cfg, method, scfg)
-    # The default basic statistic takes the batched null.
-    null_stat = None if statistic is None and method == "basic" else stat
     null_model = SimModel(kind="independent", sigma=model.sigma)
 
     def detect(sim: SimModel, base: int, r: int) -> tuple[bool, float]:
@@ -334,10 +375,8 @@ def power_experiment(
         value = stat(sample)
         if threshold_source == "posterior_0.5":
             return value > 0.5, 0.5
-        perm = permutation_null(
-            sample, n_perm=n_perm, cfg=cfg, seed=base + _PERM_SEED_OFFSET + r,
-            statistic=null_stat, level=level,
-        )
+        perm = _permutation_null(sample, n_perm, cfg, base + _PERM_SEED_OFFSET + r,
+                                 statistic, level, method, scfg)
         return value > perm.threshold, perm.threshold
 
     def sweep(sim: SimModel, base: int) -> tuple[float, float]:

@@ -177,17 +177,24 @@ def to_unit_square(sample: PairedSample, *, normal_consistent: bool = True) -> U
     )
 
 
-def shift_wrap(sample: PairedSample, spec: ShiftSpec) -> PairedSample:
-    """Cut the chosen axis at ``spec.delta`` and wrap the low piece above the top.
+def wrap_at(values: np.ndarray, delta) -> np.ndarray:
+    """Cut a margin at ``delta`` and wrap the low piece above the top.
 
-    Values ``<= delta`` become ``(max - min) + value``; everything else,
-    including the other axis, is untouched. Statistics must be recomputed on
-    the result, since the wrap moves the median.
+    Values ``<= delta`` become ``(max - min) + value``; the others are
+    untouched. A column of cuts, shape (k, 1), gives one wrapped row per cut.
     """
-    values = sample.x if spec.axis == "x" else sample.y
     lo = float(values.min())
     hi = float(values.max())
-    wrapped = np.where(values <= spec.delta, (hi - lo) + values, values)
+    return np.where(values <= delta, (hi - lo) + values, values)
+
+
+def shift_wrap(sample: PairedSample, spec: ShiftSpec) -> PairedSample:
+    """Wrap the chosen axis at ``spec.delta`` with :func:`wrap_at`.
+
+    The other axis is untouched. Statistics must be recomputed on the
+    result, since the wrap moves the median.
+    """
+    wrapped = wrap_at(sample.x if spec.axis == "x" else sample.y, spec.delta)
     if spec.axis == "x":
         return PairedSample(x=wrapped, y=sample.y)
     return PairedSample(x=sample.x, y=wrapped)

@@ -1,10 +1,10 @@
 """Independent oracles used to pin expected values.
 
 These deliberately avoid the library's log-gamma code paths: cell evidence
-is evaluated with exact big-integer factorials, the normal CDF with
-adaptive quadrature of the density and with the asymptotic tail series,
-and the one-dimensional marginal likelihood with Beta-function identities
-checked against numerical integration.
+is evaluated as an exact ratio of big-integer rising factorials, the
+normal CDF with adaptive quadrature of the density and with the asymptotic
+tail series, and the one-dimensional marginal likelihood with
+Beta-function identities checked against numerical integration.
 
 The reference quadrant tree lives here too. It builds every retained cell
 by explicit recursion over rectangles, so it checks the kernel's counting
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from math import factorial
 
 import mpmath
 import numpy as np
@@ -27,37 +26,34 @@ from ptdep import log_cell_evidence
 from ptdep.transforms import UnitPoints
 
 
-def exact_log_cell_evidence(counts, a: int) -> float:
-    """Cell evidence via exact integer factorials (requires integer a >= 1).
+def exact_log_cell_evidence(counts, a: float) -> float:
+    """Cell evidence as an exact ratio of integers, for any positive float ``a``.
 
-    Every Gamma argument is a positive integer, so the ratio is an exact
-    rational; its log is taken at 60 decimal digits.
+    Every Gamma ratio in the cell term is a rising factorial,
+    Gamma(x + m) / Gamma(x) = x (x + 1) ... (x + m - 1), so the evidence is
+
+        prod_pairs (2a)^(m) / ((4a)^(N) prod_i a^(n_i)),
+
+    with m running over the four pair sums and N the total. A float is the
+    exact rational p / q, and the powers of q cancel between numerator and
+    denominator, so both are products of the integers ``s * p + i * q``.
+    For an integer ``a`` this is the ratio of factorials of the closed form.
+    Its log is taken at 60 decimal digits.
     """
-    if int(a) != a or a < 1:
-        raise ValueError("oracle requires integer a >= 1")
-    a = int(a)
+    if not (a > 0.0):
+        raise ValueError("oracle requires a > 0")
+    p, q = float(a).as_integer_ratio()
     n0, n1, n2, n3 = (int(c) for c in counts)
-    total = n0 + n1 + n2 + n3
 
-    def gamma_int(m: int) -> int:
-        return factorial(m - 1)
+    def rising(s: int, m: int) -> int:
+        out = 1
+        for i in range(m):
+            out *= s * p + i * q
+        return out
 
-    num = (
-        gamma_int(n0 + n2 + 2 * a)
-        * gamma_int(n1 + n3 + 2 * a)
-        * gamma_int(n0 + n1 + 2 * a)
-        * gamma_int(n2 + n3 + 2 * a)
-        * gamma_int(4 * a)
-        * gamma_int(a) ** 4
-    )
-    den = (
-        gamma_int(total + 4 * a)
-        * gamma_int(n0 + a)
-        * gamma_int(n1 + a)
-        * gamma_int(n2 + a)
-        * gamma_int(n3 + a)
-        * gamma_int(2 * a) ** 4
-    )
+    num = rising(2, n0 + n2) * rising(2, n1 + n3) * rising(2, n0 + n1) * rising(2, n2 + n3)
+    den = (rising(4, n0 + n1 + n2 + n3) * rising(1, n0) * rising(1, n1) * rising(1, n2)
+           * rising(1, n3))
     with mpmath.workdps(60):
         return float(mpmath.log(mpmath.mpf(num)) - mpmath.log(mpmath.mpf(den)))
 

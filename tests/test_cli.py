@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import ptdep
 from ptdep import engine
-from ptdep.cli import _check_level_sum, read_matrix, run, write_matrix, write_result
+from ptdep.cli import _check_level_sum, read_matrix, run, write_result
 from ptdep.diffscan import ExpressionMatrix
 from ptdep.errors import EmptyMatrix, ParseError, RaggedRows
 from ptdep.transforms import PairedSample
@@ -77,6 +78,14 @@ class TestReadMatrix:
             read_matrix("/nonexistent/file.csv")
 
 
+def _write_matrix(m: ExpressionMatrix, path: str) -> None:
+    """Inverse of read_matrix; 17-digit cells round-trip exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(m.var_names)
+        writer.writerows([format(float(v), ".17g") for v in row] for row in m.values)
+
+
 class TestMatrixRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -84,7 +93,7 @@ class TestMatrixRoundTrip:
             values=rng.standard_normal((20, 3)) * 1e3, var_names=("a", "b", "c")
         )
         path = str(tmp_path / "round.csv")
-        write_matrix(m, path)
+        _write_matrix(m, path)
         back = read_matrix(path)
         assert back.var_names == m.var_names
         assert np.array_equal(back.values, m.values)
@@ -241,6 +250,14 @@ def test_non_finite_config_exits_2_naming_the_field(flag, field, matrix_file, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {field} must be finite, got inf\n"
+
+
+def test_c_outside_range_exits_2_naming_the_range(matrix_file, capsys):
+    path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+    assert run(["test", path, "--c", "1e15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: c must lie in [1e-300, 10000], got 1e+15\n"
 
 
 class TestLevelSumGuard:

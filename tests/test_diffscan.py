@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ptdep import diffscan
 from ptdep.diffscan import (
     ExpressionMatrix,
     classify_edge,
@@ -9,6 +12,7 @@ from ptdep.diffscan import (
     pairwise_scan,
 )
 from ptdep import engine
+from ptdep.ebayes import ShiftSearchConfig
 from ptdep.engine import PartitionConfig
 from ptdep.errors import DegenerateSample, VarMismatch
 from ptdep.transforms import PairedSample
@@ -240,3 +244,29 @@ class TestMapOnceScan:
         out = pairwise_scan(m)
         assert [p.result.p_dependent for p in out] == [0.5, 0.5, 0.5]
         assert all(p.result.n == 1 and p.error is None for p in out)
+
+
+def test_ebayes_midpoint_scan_holds_one_columns_cut_rows(monkeypatch):
+    n, n_vars = 200, 6
+    m = _matrix(np.random.default_rng(15), n, [f"v{i}" for i in range(n_vars)])
+    scfg = ShiftSearchConfig(grid="midpoints", axis_policy="xy")
+    one_column = n * (n - 1) * 8  # bytes of one column's midpoint cut rows
+    held = []  # traced bytes just before each column's cut rows are built
+    build = diffscan.cut_table
+
+    def spy(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return build(*args)
+
+    monkeypatch.setattr(diffscan, "cut_table", spy)
+    pairwise_scan(m, method="ebayes", scfg=scfg)  # warm caches
+    held.clear()
+    tracemalloc.start()
+    try:
+        pairwise_scan(m, method="ebayes", scfg=scfg)
+    finally:
+        tracemalloc.stop()
+    # axis x builds columns 0..4, axis y columns 1..5; no earlier column's
+    # rows may still be held when the next are built
+    assert len(held) == 2 * (n_vars - 1)
+    assert max(held) - held[0] < one_column // 4

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptdep import engine
-from ptdep.diffscan import ExpressionMatrix, diff_scan, pairwise_scan
-from ptdep.ebayes import METHODS, ShiftSearchConfig, delta_candidates, ebayes_test
+from ptdep import engine, simulate
+from ptdep.diffscan import ExpressionMatrix, diff_scan, p_diff, pairwise_scan
+from ptdep.ebayes import METHODS, ShiftSearchConfig, delta_candidates, ebayes_test, run_test
 from ptdep.errors import DegenerateSample
 from ptdep.simulate import (SimModel, abs_pearson, default_statistic, power_experiment,
                             run_replicates)
@@ -256,6 +256,110 @@ class TestBatchedCandidates:
         got = ebayes_test(PairedSample(x=x, y=y), scfg=scfg)
         best, delta, axis = _looped_ebayes(PairedSample(x=x, y=y), engine.PartitionConfig(), scfg)
         assert (got.log_bf, got.delta_star, got.shift_axis) == (best.log_bf, delta, axis)
+
+
+def _assert_same_result(got, want):
+    assert got.level_contributions == want.level_contributions
+    assert (got.log_bf, got.p_dependent, got.truncated, got.n, got.method) == \
+        (want.log_bf, want.p_dependent, want.truncated, want.n, want.method)
+    assert (got.delta_star, got.shift_axis) == (want.delta_star, want.shift_axis)
+
+
+def _assert_scan_equals_per_pair(m, cfg, scfg):
+    out = pairwise_scan(m, cfg, method="ebayes", scfg=scfg)
+    pairs = [(i, j) for i in range(m.n_vars) for j in range(i + 1, m.n_vars)]
+    assert [(p.var_a, p.var_b) for p in out] == [(m.var_names[i], m.var_names[j])
+                                                 for i, j in pairs]
+    for pr, (i, j) in zip(out, pairs):
+        sample = PairedSample(x=m.values[:, i], y=m.values[:, j])
+        try:
+            want = run_test(sample, "ebayes", cfg, scfg)
+        except DegenerateSample as exc:
+            assert pr.result is None and pr.error == str(exc)
+            continue
+        assert pr.error is None
+        _assert_same_result(pr.result, want)
+
+
+def _ebayes_matrix(rng, n):
+    """Continuous, rounded, two-valued, constant and zero-inflated columns."""
+    z = rng.normal(size=(n, 6))
+    values = np.column_stack([z[:, 0], np.sin(2.0 * z[:, 0]) + 0.3 * z[:, 1], np.round(z[:, 2]),
+                              (z[:, 3] > 0).astype(float), np.full(n, 2.5),
+                              np.where(z[:, 5] < 0.0, 0.0, np.exp(z[:, 5]))])
+    return ExpressionMatrix(values=values, var_names=tuple("abcdef"))
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("scfg", _SEARCH_CONFIGS + [ShiftSearchConfig(grid="midpoints")])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 250])
+    def test_equals_per_pair_run_test(self, n, scfg):
+        m = _ebayes_matrix(np.random.default_rng(30 + n), n)
+        _assert_scan_equals_per_pair(m, engine.PartitionConfig(), scfg)
+
+    def test_other_config_equals_per_pair_run_test(self):
+        m = _ebayes_matrix(np.random.default_rng(31), 60)
+        cfg = engine.PartitionConfig(c=0.5, depth_cap=6, prior_odds=2.0)
+        _assert_scan_equals_per_pair(m, cfg, ShiftSearchConfig(axis_policy="xy", grid_size=9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.lists(_margins(n), min_size=2, max_size=4)),
+           st.sampled_from(_SEARCH_CONFIGS))
+    def test_property_equals_per_pair_run_test(self, columns, scfg):
+        m = ExpressionMatrix(values=np.column_stack(columns),
+                             var_names=tuple(f"v{i}" for i in range(len(columns))))
+        _assert_scan_equals_per_pair(m, engine.PartitionConfig(c=1.0), scfg)
+
+    @pytest.mark.parametrize("scfg", _SEARCH_CONFIGS[:2])
+    def test_diff_scan_equals_per_pair_run_test(self, scfg):
+        rng = np.random.default_rng(32)
+        m_a, m_b = _ebayes_matrix(rng, 80), _ebayes_matrix(rng, 50)
+        edges = diff_scan(m_a, m_b, threshold=0.0, method="ebayes", scfg=scfg)
+        want = []
+        for i in range(m_a.n_vars):
+            for j in range(i + 1, m_a.n_vars):
+                try:
+                    p = [run_test(PairedSample(x=mat.values[:, i], y=mat.values[:, j]),
+                                  "ebayes", scfg=scfg).p_dependent for mat in (m_a, m_b)]
+                except DegenerateSample:
+                    continue
+                want.append((m_a.var_names[i], m_a.var_names[j], *p, p_diff(*p)))
+        assert [(e.var_a, e.var_b, e.p_dep_a, e.p_dep_b, e.p_diff) for e in edges] == want
+
+
+class TestBatchedNull:
+    @pytest.mark.parametrize("scfg", _SEARCH_CONFIGS)
+    @pytest.mark.parametrize("n, n_perm, kind", [(2, 30, "continuous"), (3, 30, "continuous"),
+                                                 (40, 400, "continuous"), (60, 50, "tied"),
+                                                 (60, 50, "two_valued")])
+    def test_equals_looped_statistic_with_the_same_draws(self, n, n_perm, kind, scfg):
+        rng = np.random.default_rng(33 + n)
+        x = rng.normal(size=n)
+        y = np.sin(2.0 * x) + 0.5 * rng.normal(size=n)
+        if kind == "tied":
+            x, y = np.round(x), np.where(y < 0.0, 0.0, np.round(y, 1))
+        elif kind == "two_valued":
+            y = (y > 0).astype(float)
+        sample = PairedSample(x=x, y=y)
+        cfg = engine.PartitionConfig(c=2.0, prior_odds=1.5)
+        stat = default_statistic(cfg, "ebayes", scfg)
+        batched_rng, looped_rng = np.random.default_rng(7), np.random.default_rng(7)
+        batched = simulate._ebayes_null(sample, n_perm, cfg, scfg, batched_rng)
+        looped = np.array([stat(PairedSample(x=x, y=looped_rng.permutation(y)))
+                           for _ in range(n_perm)])
+        assert batched.tobytes() == looped.tobytes()
+        assert batched_rng.random(3).tobytes() == looped_rng.random(3).tobytes()
+
+    @pytest.mark.parametrize("scfg", _SEARCH_CONFIGS[:2])
+    def test_power_permutation_threshold_matches_statistic_route(self, scfg):
+        cfg = engine.PartitionConfig()
+        kwargs = dict(n=40, reps=3, cfg=cfg, seed=5, scfg=scfg,
+                      threshold_source="permutation_quantile", n_perm=30)
+        batched = power_experiment(SimModel(kind="sinusoidal"), method="ebayes", **kwargs)
+        looped = power_experiment(SimModel(kind="sinusoidal"),
+                                  statistic=default_statistic(cfg, "ebayes", scfg), **kwargs)
+        assert (batched.tpr, batched.fpr, batched.threshold) == \
+            (looped.tpr, looped.fpr, looped.threshold)
 
 
 _MATRIX = ExpressionMatrix(values=np.random.default_rng(9).standard_normal((20, 3)),

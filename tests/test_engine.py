@@ -265,10 +265,43 @@ class TestTestDependence:
         assert r1.level_contributions == r2.level_contributions
 
 
+# Count patterns the c bounds were set on: balanced, one-sided, diagonal and
+# crowded cells, totals up to 200.
+_BOUND_COUNTS = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 0, 1), (5, 3, 2, 7), (20, 1, 0, 3),
+                 (50, 50, 50, 50), (150, 0, 0, 0), (100, 0, 0, 100)]
+
+
+def _worst_cell_error(c: float) -> float:
+    """Largest distance of the kernel's cell term from the exact oracle at this c."""
+    worst = 0.0
+    for k in (1, 20, kernels.MAX_DEPTH_CAP):
+        a = c * k * k
+        for counts in _BOUND_COUNTS:
+            got = float(kernels.cell_log_evidence(*counts, a))
+            worst = max(worst, abs(got - exact_log_cell_evidence(counts, a)))
+    return worst
+
+
 class TestConfigValidation:
     def test_bad_c(self):
         with pytest.raises(ValueError):
             PartitionConfig(c=0.0)
+
+    @pytest.mark.parametrize("c", engine.C_RANGE)
+    def test_c_bounds_keep_cells_within_tolerance(self, c):
+        PartitionConfig(c=c)
+        assert _worst_cell_error(c) <= 1e-6
+
+    def test_c_past_upper_bound_breaks_tolerance_and_is_rejected(self):
+        c = 10.0 * engine.C_RANGE[1]
+        assert _worst_cell_error(c) > 1e-6
+        with pytest.raises(ValueError, match=r"c must lie in \[1e-300, 10000\], got 100000"):
+            PartitionConfig(c=c)
+
+    @pytest.mark.parametrize("c", [1e15, 1e-320])
+    def test_extreme_c_rejected(self, c):
+        with pytest.raises(ValueError, match="c must lie in"):
+            PartitionConfig(c=c)
 
     def test_bad_depth(self):
         with pytest.raises(ValueError):

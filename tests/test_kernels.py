@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptdep import kernels
 from ptdep.kernels import CHUNK_POINTS, logbf_batch, logbf_levels
 from ptdep.transforms import UnitPoints
 
@@ -138,6 +139,18 @@ class TestBatchEqualsSingle:
         depth, truncated = _assert_rows_are_singles(u, v, 20, 5.0)
         assert len(set(depth.tolist())) > 1
         assert truncated.tolist() == [False, False, True]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_batches())
+    def test_any_call_size_gives_the_same_bits(self, case):
+        u, v, depth_cap, c = case
+        n = np.shape(v)[-1]
+        results = []
+        for points in (1, n - 1, n, 3 * n + 1, CHUNK_POINTS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "CHUNK_POINTS", points)
+                results.append([a.tobytes() for a in logbf_batch(u, v, depth_cap, c)])
+        assert all(r == results[0] for r in results)
 
     def test_batch_longer_than_one_call(self):
         rng = np.random.default_rng(19)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ptdep import kernels
 from ptdep.engine import PartitionConfig
 from ptdep.errors import DegenerateSample
 from ptdep.simulate import (
@@ -244,8 +245,10 @@ class TestBatchedNull:
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(200), peak(2000)
-        # the null array itself grows by 14.4 KB; nothing else may
+        # both nulls fill whole kernel calls; the null array itself grows by
+        # 14.4 KB between them, and nothing else may
+        full = 2 * kernels.rows_per_call(sample.n)
+        small, large = peak(full), peak(full + 1800)
         assert large <= small + 32 * 1024
 
     def test_power_permutation_threshold_matches_statistic_route(self):
