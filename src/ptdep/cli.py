@@ -63,7 +63,6 @@ class RunConfig:
     method: str
     shift: ShiftSearchConfig
     seed: int
-    workers: int
     out_format: str
     output: str | None
 
@@ -260,7 +259,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="axes searched by the ebayes centering (default x)")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (falls back to env PTDEP_SEED, then 0)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility and checked to be at least 1; "
+                        "has no effect, every command runs on one thread")
     p.add_argument("--format", dest="out_format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
@@ -363,7 +364,6 @@ def _run_config(args) -> RunConfig:
         method=args.method,
         shift=shift,
         seed=_resolve_seed(args),
-        workers=args.workers,
         out_format=args.out_format,
         output=args.output,
     )
@@ -405,9 +405,7 @@ def _cmd_test(args, rc: RunConfig) -> int:
 
 def _cmd_scan(args, rc: RunConfig) -> int:
     m = read_matrix(args.input)
-    results = pairwise_scan(
-        m, rc.partition, method=rc.method, scfg=rc.shift, workers=rc.workers
-    )
+    results = pairwise_scan(m, rc.partition, method=rc.method, scfg=rc.shift)
     rows = [pair_to_row(pr) for pr in results]
     write_result(rows, rc.output, rc.out_format, SCAN_CSV_COLUMNS)
     return 0
@@ -416,10 +414,8 @@ def _cmd_scan(args, rc: RunConfig) -> int:
 def _cmd_diff(args, rc: RunConfig) -> int:
     m_a = read_matrix(args.input_a)
     m_b = read_matrix(args.input_b)
-    edges = diff_scan(
-        m_a, m_b, rc.partition, threshold=args.edge_threshold,
-        method=rc.method, scfg=rc.shift, workers=rc.workers,
-    )
+    edges = diff_scan(m_a, m_b, rc.partition, threshold=args.edge_threshold,
+                      method=rc.method, scfg=rc.shift)
     rows = [edge_to_row(e) for e in edges]
     write_result(rows, rc.output, rc.out_format, DIFF_CSV_COLUMNS)
     return 0
@@ -428,10 +424,8 @@ def _cmd_diff(args, rc: RunConfig) -> int:
 def _cmd_simulate(args, rc: RunConfig) -> int:
     model = _sim_model(args)
     if rc.out_format == "csv":
-        results = run_replicates(
-            model, args.n, args.reps, rc.partition, rc.seed,
-            method=rc.method, scfg=rc.shift, workers=rc.workers,
-        )
+        results = run_replicates(model, args.n, args.reps, rc.partition, rc.seed,
+                                 method=rc.method, scfg=rc.shift)
         payload = []
         for r, res in enumerate(results):
             row = {
@@ -442,10 +436,8 @@ def _cmd_simulate(args, rc: RunConfig) -> int:
                 row[f"B_{k}"] = res.level_contribution(k)
             payload.append(row)
     else:
-        summary = replicate_experiment(
-            model, args.n, args.reps, rc.partition, rc.seed,
-            method=rc.method, scfg=rc.shift, workers=rc.workers,
-        )
+        summary = replicate_experiment(model, args.n, args.reps, rc.partition, rc.seed,
+                                       method=rc.method, scfg=rc.shift)
         payload = {
             "model": summary.model, "n": summary.n, "sigma": summary.sigma,
             "reps": summary.reps, "method": summary.method,
@@ -464,7 +456,7 @@ def _cmd_power(args, rc: RunConfig) -> int:
     report = power_experiment(
         model, args.n, args.reps, rc.partition, rc.seed,
         method=rc.method, scfg=rc.shift, threshold_source=source,
-        level=args.level, n_perm=args.perms, workers=rc.workers,
+        level=args.level, n_perm=args.perms,
     )
     row = {
         "model": report.model, "n": report.n, "sigma": report.sigma,
@@ -499,7 +491,7 @@ def _cmd_sweep_c(args, rc: RunConfig) -> int:
         for c in c_values:
             s = replicate_experiment(
                 model, args.n, args.reps, replace(rc.partition, c=c), rc.seed,
-                method=rc.method, scfg=rc.shift, workers=rc.workers,
+                method=rc.method, scfg=rc.shift,
             )
             rows.append({
                 "c": c, "model": s.model, "n": s.n, "sigma": s.sigma,

@@ -7,8 +7,7 @@ probability that a pair's dependence status changed:
     p_diff = pA * (1 - pB) + pB * (1 - pA)
 
 which is largest when one condition shows dependence and the other does
-not. Pairs are independent work items; a worker-count knob parallelises
-them while output order stays fixed (lexicographic by column indices).
+not. Output order is fixed: lexicographic by column indices.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .ebayes import Segment, ShiftSearchConfig, best_candidates, cut_table, run_test
-from .engine import PartitionConfig, TestResult, evaluate_rows, ordered_map
+from .ebayes import Segment, ShiftSearchConfig, best_candidates, cut_table, run_tests
+from .engine import PartitionConfig, TestResult, evaluate_rows
 from .errors import DegenerateSample, VarMismatch
 from .transforms import PairedSample, to_unit_interval
 
@@ -92,15 +91,6 @@ def p_diff(p_a: float, p_b: float) -> float:
     return p_a * (1.0 - p_b) + p_b * (1.0 - p_a)
 
 
-def _run_pair(m: ExpressionMatrix, i: int, j: int, cfg, scfg, method) -> PairResult:
-    name_a, name_b = m.var_names[i], m.var_names[j]
-    try:
-        sample = PairedSample(x=m.values[:, i], y=m.values[:, j])
-        return PairResult(var_a=name_a, var_b=name_b, result=run_test(sample, method, cfg, scfg))
-    except DegenerateSample as exc:
-        return PairResult(var_a=name_a, var_b=name_b, result=None, error=str(exc))
-
-
 def _column_maps(m: ExpressionMatrix, cfg: PartitionConfig):
     """Each column, contiguous, with its map to the unit interval or its degenerate error."""
     cols, units, errors = [], [], []
@@ -115,8 +105,7 @@ def _column_maps(m: ExpressionMatrix, cfg: PartitionConfig):
     return cols, units, errors
 
 
-def _basic_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
-                workers: int) -> list[PairResult]:
+def _basic_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig) -> list[PairResult]:
     """Basic test of every pair, each column mapped once, pairs scored in batches.
 
     A pair's result is bit for bit what ``test_dependence`` gives for it; a
@@ -125,26 +114,23 @@ def _basic_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
     _, units, errors = _column_maps(m, cfg)
     usable = [(i, j) for i, j in pairs if errors[i] is None and errors[j] is None]
     step = kernels.rows_per_call(m.n_samples)
-    blocks = [usable[lo:lo + step] for lo in range(0, len(usable), step)]
-
-    def score(block):
+    scored = {}
+    for lo in range(0, len(usable), step):
+        block = usable[lo:lo + step]
         u = np.stack([units[i] for i, _ in block])
         v = np.stack([units[j] for _, j in block])
-        return evaluate_rows(u, v, cfg)
-
-    scored = dict(zip(usable, (res for out in ordered_map(score, blocks, workers)
-                               for res in out)))
+        scored.update(zip(block, evaluate_rows(u, v, cfg)))
     return _pair_results(m, pairs, scored, errors)
 
 
 def _ebayes_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
-                 scfg: ShiftSearchConfig, workers: int) -> list[PairResult]:
+                 scfg: ShiftSearchConfig) -> list[PairResult]:
     """Ebayes test of every pair, each column's cut rows built once.
 
     Axis x is searched in a pass over each pair's first column, against
     every later column; axis y in a pass over each pair's second column,
-    against every earlier one. So each worker holds one column's cut rows
-    at a time beside the columns' maps. A pair's result is bit for bit what
+    against every earlier one. So the scan holds one column's cut rows at a
+    time beside the columns' maps. A pair's result is bit for bit what
     ``ebayes_test`` gives for it: a y-row wins only when strictly better,
     and a pair with a degenerate column carries that column's error.
     """
@@ -164,13 +150,11 @@ def _ebayes_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
         return list(best_candidates(tables, cfg))
 
     best: dict[tuple[int, int], TestResult] = {}
-    x_found = ordered_map(lambda i: search(i, "x", later[i]), range(m.n_vars), workers)
-    for i, found in enumerate(x_found):
-        best.update(zip(((i, j) for j in later[i]), found))
+    for i in range(m.n_vars):
+        best.update(zip(((i, j) for j in later[i]), search(i, "x", later[i])))
     if scfg.axis_policy == "xy":
-        y_found = ordered_map(lambda j: search(j, "y", earlier[j]), range(m.n_vars), workers)
-        for j, found in enumerate(y_found):
-            for i, res in zip(earlier[j], found):
+        for j in range(m.n_vars):
+            for i, res in zip(earlier[j], search(j, "y", earlier[j])):
                 if res.log_bf < best[i, j].log_bf:
                     best[i, j] = res
     return _pair_results(m, pairs, best, errors)
@@ -189,25 +173,26 @@ def pairwise_scan(
     cfg: PartitionConfig | None = None,
     method: str = "basic",
     scfg: ShiftSearchConfig | None = None,
-    workers: int = 1,
 ) -> list[PairResult]:
     """Dependence test for every unordered column pair.
 
     Degenerate columns skip their pairs with a recorded reason instead of
-    failing the scan. Output order is lexicographic by column indices and
-    does not depend on the worker count. Both methods map each column once
-    and score the pairs in batches; ebayes also builds each column's cut
-    rows once.
+    failing the scan. Output order is lexicographic by column indices. Both
+    methods map each column once and score the pairs in batches; ebayes
+    also builds each column's cut rows once.
     """
     if m.n_vars < 2:
         raise ValueError("need at least two variables to scan")
     cfg = cfg or PartitionConfig()
     pairs = [(i, j) for i in range(m.n_vars) for j in range(i + 1, m.n_vars)]
     if method == "basic" and m.n_samples > 1:
-        return _basic_scan(m, pairs, cfg, workers)
+        return _basic_scan(m, pairs, cfg)
     if method == "ebayes" and m.n_samples > 1:
-        return _ebayes_scan(m, pairs, cfg, scfg or ShiftSearchConfig(), workers)
-    return ordered_map(lambda ij: _run_pair(m, *ij, cfg, scfg, method), pairs, workers)
+        return _ebayes_scan(m, pairs, cfg, scfg or ShiftSearchConfig())
+    # one sample row, or a method run_tests rejects: no column is mapped
+    samples = (PairedSample(x=m.values[:, i], y=m.values[:, j]) for i, j in pairs)
+    return _pair_results(m, pairs, dict(zip(pairs, run_tests(samples, method, cfg, scfg))),
+                         [None] * m.n_vars)
 
 
 def classify_edge(p_a: float, p_b: float) -> str:
@@ -226,7 +211,6 @@ def diff_scan(
     threshold: float = 0.95,
     method: str = "basic",
     scfg: ShiftSearchConfig | None = None,
-    workers: int = 1,
 ) -> list[DiffEdge]:
     """Pairs whose dependence status changed between two conditions.
 
@@ -241,8 +225,8 @@ def diff_scan(
         order = [m_b.var_names.index(n) for n in m_a.var_names]
         m_b = ExpressionMatrix(values=m_b.values[:, order], var_names=m_a.var_names)
 
-    res_a = pairwise_scan(m_a, cfg, method=method, scfg=scfg, workers=workers)
-    res_b = pairwise_scan(m_b, cfg, method=method, scfg=scfg, workers=workers)
+    res_a = pairwise_scan(m_a, cfg, method=method, scfg=scfg)
+    res_b = pairwise_scan(m_b, cfg, method=method, scfg=scfg)
     edges: list[DiffEdge] = []
     for pa, pb in zip(res_a, res_b):
         if pa.result is None or pb.result is None:

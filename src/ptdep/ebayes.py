@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .engine import PartitionConfig, TestResult, _evaluate, _result, test_dependence, unit_points
+from .engine import PartitionConfig, TestResult, _evaluate, _result, evaluate_rows, unit_points
 from .errors import DegenerateSample
 from .transforms import PairedSample, to_unit_interval, wrap_at
 
@@ -109,14 +109,19 @@ def cut_rows(values: np.ndarray, scfg: ShiftSearchConfig, cfg: PartitionConfig):
     Each row is the margin wrapped at one cut of the grid and mapped again;
     a block holds the cuts of at most one kernel call. A cut that collapses
     the wrapped margin onto too few values defines no partition, so it cannot
-    be the optimum and is skipped. The margin must not be constant.
+    be the optimum and is skipped; so is a cut whose wrap overflows the float
+    range, on a margin spanning more than it. The margin must not be constant.
     """
     cuts = delta_candidates(values, scfg)[1:]
     step = kernels.rows_per_call(values.size)
     for lo in range(0, cuts.size, step):
         block = cuts[lo:lo + step]
         deltas, rows = [], []
-        for delta, wrapped in zip(block.tolist(), wrap_at(values, block[:, None])):
+        with np.errstate(over="ignore"):
+            wrapped_rows = wrap_at(values, block[:, None])
+        for delta, wrapped in zip(block.tolist(), wrapped_rows):
+            if not np.isfinite(wrapped).all():
+                continue
             try:
                 rows.append(to_unit_interval(wrapped, normal_consistent=cfg.mad_normal_consistent))
             except DegenerateSample:
@@ -194,6 +199,19 @@ def _winner(log_bf, delta, axis, levels, truncated, n, cfg: PartitionConfig) -> 
                    shift_axis=None if delta is None else axis)
 
 
+def candidate_table(sample: PairedSample, cfg: PartitionConfig, scfg: ShiftSearchConfig):
+    """The segments of one sample's search, lazily: the unwrapped sample (the
+    basic test), the cuts of axis x and, with "xy", of axis y. Both margins
+    are mapped once; each cut re-standardises only its wrapped margin.
+    """
+    pts = unit_points(sample, cfg)
+    table = chain([Segment("x", [None], pts.u[None], pts.v)],
+                  (Segment("x", d, r, pts.v) for d, r in cut_rows(sample.x, scfg, cfg)))
+    if scfg.axis_policy == "xy":
+        table = chain(table, (Segment("y", d, r, pts.u) for d, r in cut_rows(sample.y, scfg, cfg)))
+    return table
+
+
 def ebayes_test(
     sample: PairedSample,
     cfg: PartitionConfig | None = None,
@@ -201,33 +219,54 @@ def ebayes_test(
 ) -> TestResult:
     """Dependence test with empirically optimised partition centering.
 
-    The candidates form one table: the unwrapped sample first, which is the
-    basic test, then the cuts of axis x and, with "xy", those of axis y.
-    Both margins are mapped once; each cut re-standardises only its wrapped
-    margin, and the rows are scored in batches. The row with the smallest
-    log Bayes factor wins and ties go to the earliest, so the baseline wins
+    The winner of the sample's :func:`candidate_table` is the row with the
+    smallest log Bayes factor, the earliest on ties. So the baseline wins
     unless beaten, reported as ``delta_star = shift_axis = None``, and the
     probability of dependence never falls below the basic test's.
     """
+    return next(run_tests([sample], "ebayes", cfg, scfg))
+
+
+def run_tests(samples, method: str, cfg: PartitionConfig | None = None,
+              scfg: ShiftSearchConfig | None = None):
+    """Yield the :func:`run_test` result of each sample of one size, in order.
+
+    Samples are read as the kernel calls fill: basic ones mapped in blocks of
+    :func:`ptdep.kernels.rows_per_call`, ebayes ones as candidate tables
+    sharing the calls of :func:`best_candidates`. Each result is bit for bit
+    the sample's alone; a single point's is the prior.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     cfg = cfg or PartitionConfig()
-    scfg = scfg or ShiftSearchConfig()
+    samples = iter(samples)
+    first = next(samples, None)
+    if first is None:
+        return
+    samples = _same_size(first, samples)
+    if first.n == 1:
+        for sample in samples:
+            yield replace(_evaluate(sample, cfg), method=method)
+    elif method == "ebayes":
+        scfg = scfg or ShiftSearchConfig()
+        yield from best_candidates((candidate_table(s, cfg, scfg) for s in samples), cfg)
+    else:
+        step = kernels.rows_per_call(first.n)
+        while block := [unit_points(s, cfg) for s in islice(samples, step)]:
+            yield from evaluate_rows(np.stack([p.u for p in block]),
+                                     np.stack([p.v for p in block]), cfg)
 
-    if sample.n == 1:
-        return replace(_evaluate(sample, cfg), method="ebayes")
 
-    pts = unit_points(sample, cfg)
-    table = chain([Segment("x", [None], pts.u[None], pts.v)],
-                  (Segment("x", d, r, pts.v) for d, r in cut_rows(sample.x, scfg, cfg)))
-    if scfg.axis_policy == "xy":
-        table = chain(table, (Segment("y", d, r, pts.u) for d, r in cut_rows(sample.y, scfg, cfg)))
-    return next(best_candidates([table], cfg))
+def _same_size(first: PairedSample, rest):
+    """``first``, then ``rest``, each checked to have the size of ``first``."""
+    yield first
+    for sample in rest:
+        if sample.n != first.n:
+            raise ValueError(f"samples must share one size, got {first.n} and {sample.n}")
+        yield sample
 
 
 def run_test(sample: PairedSample, method: str, cfg: PartitionConfig | None = None,
              scfg: ShiftSearchConfig | None = None) -> TestResult:
     """The test that ``method`` names, one of :data:`METHODS`, on one sample."""
-    if method == "ebayes":
-        return ebayes_test(sample, cfg, scfg)
-    if method == "basic":
-        return test_dependence(sample, cfg)
-    raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    return next(run_tests([sample], method, cfg, scfg))

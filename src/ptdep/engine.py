@@ -20,7 +20,6 @@ deterministic, cells being accumulated in a fixed address order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,16 +181,3 @@ def _evaluate(sample: PairedSample, cfg: PartitionConfig) -> TestResult:
     pts = unit_points(sample, cfg)
     levels, truncated = kernels.logbf_levels(pts.u, pts.v, cfg.depth_cap, cfg.c)
     return _result(levels, truncated, sample.n, cfg)
-
-
-def ordered_map(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, on ``workers`` threads when above one.
-
-    Results keep the order of ``items`` whatever the worker count.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import tee
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
-from .ebayes import METHODS, Segment, ShiftSearchConfig, best_candidates, cut_table, run_test
-from .engine import (PartitionConfig, TestResult, ordered_map, posterior_dependence,
-                     unit_points)
+from .ebayes import (METHODS, Segment, ShiftSearchConfig, best_candidates, cut_table, run_test,
+                     run_tests)
+from .engine import PartitionConfig, TestResult, posterior_dependence, unit_points
 from .transforms import PairedSample
 
 MODEL_KINDS = ("linear", "parabolic", "sinusoidal", "circular", "checkerboard", "independent")
@@ -174,14 +175,15 @@ def run_replicates(
     seed: int = 0,
     method: str = "basic",
     scfg: ShiftSearchConfig | None = None,
-    workers: int = 1,
 ) -> list[TestResult]:
-    """Full test results for ``reps`` independent generations of the model."""
+    """Full test results for ``reps`` independent generations of the model.
+
+    Replicates are generated as :func:`~ptdep.ebayes.run_tests` reads them.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    cfg = cfg or PartitionConfig()
-    return ordered_map(lambda r: run_test(generate(model, n, seed + r), method, cfg, scfg),
-                       range(reps), workers)
+    samples = (generate(model, n, seed + r) for r in range(reps))
+    return list(run_tests(samples, method, cfg, scfg))
 
 
 def replicate_experiment(
@@ -192,24 +194,12 @@ def replicate_experiment(
     seed: int = 0,
     method: str = "basic",
     scfg: ShiftSearchConfig | None = None,
-    workers: int = 1,
 ) -> ReplicateSummary:
     """Percentile summary (5/25/50/75/95) of p_dependent over replicates."""
-    results = run_replicates(model, n, reps, cfg, seed, method, scfg, workers)
+    results = run_replicates(model, n, reps, cfg, seed, method, scfg)
     p = np.array([r.p_dependent for r in results])
     q = np.percentile(p, [5, 25, 50, 75, 95])
-    return ReplicateSummary(
-        model=model.kind,
-        n=n,
-        sigma=model.sigma,
-        reps=reps,
-        method=method,
-        p5=float(q[0]),
-        p25=float(q[1]),
-        p50=float(q[2]),
-        p75=float(q[3]),
-        p95=float(q[4]),
-    )
+    return ReplicateSummary(model.kind, n, model.sigma, reps, method, *map(float, q))
 
 
 def default_statistic(cfg: PartitionConfig, method: str = "basic",
@@ -348,7 +338,6 @@ def power_experiment(
     threshold_source: str = "posterior_0.5",
     level: float = 0.05,
     n_perm: int = 500,
-    workers: int = 1,
 ) -> PowerReport:
     """True/false positive rates of a dependence statistic.
 
@@ -358,7 +347,9 @@ def power_experiment(
     probability statistic; ``permutation_quantile`` recalibrates the
     threshold per replicate from ``n_perm`` re-pairings (the reported
     threshold is then the mean across replicates). A custom ``statistic``
-    callable plugs any scalar dependence measure into the same harness.
+    callable plugs any scalar dependence measure into the same harness;
+    without one, the replicates are scored in batches by
+    :func:`~ptdep.ebayes.run_tests`.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -367,23 +358,23 @@ def power_experiment(
     if threshold_source not in ("posterior_0.5", "permutation_quantile"):
         raise ValueError(f"unknown threshold_source {threshold_source!r}")
     cfg = cfg or PartitionConfig()
-    stat = statistic or default_statistic(cfg, method, scfg)
     null_model = SimModel(kind="independent", sigma=model.sigma)
 
-    def detect(sim: SimModel, base: int, r: int) -> tuple[bool, float]:
-        sample = generate(sim, n, base + r)
-        value = stat(sample)
-        if threshold_source == "posterior_0.5":
-            return value > 0.5, 0.5
-        perm = _permutation_null(sample, n_perm, cfg, base + _PERM_SEED_OFFSET + r,
-                                 statistic, level, method, scfg)
-        return value > perm.threshold, perm.threshold
-
     def sweep(sim: SimModel, base: int) -> tuple[float, float]:
-        hits = ordered_map(lambda r: detect(sim, base, r), range(reps), workers)
-        rate = sum(1 for h, _ in hits if h) / reps
-        thr = sum(t for _, t in hits) / reps
-        return rate, thr
+        samples, scored = tee(generate(sim, n, base + r) for r in range(reps))
+        if statistic is None:
+            values = (res.p_dependent for res in run_tests(scored, method, cfg, scfg))
+        else:
+            values = map(statistic, scored)
+        hits, thr = 0, 0
+        for r, (sample, value) in enumerate(zip(samples, values)):
+            t = 0.5
+            if threshold_source == "permutation_quantile":
+                t = _permutation_null(sample, n_perm, cfg, base + _PERM_SEED_OFFSET + r,
+                                      statistic, level, method, scfg).threshold
+            hits += bool(value > t)
+            thr += t
+        return hits / reps, thr / reps
 
     tpr, thr_dep = sweep(model, seed)
     fpr, thr_null = sweep(null_model, seed + _NULL_SEED_OFFSET)

@@ -143,7 +143,8 @@ def robust_location_scale(values, *, normal_consistent: bool = True) -> RobustSt
     fallback = False
     if scale == 0.0:
         fallback = True
-        scale = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+        # over the sorted values, so the scale depends on the multiset only
+        scale = float(np.std(np.sort(arr), ddof=1)) if arr.size > 1 else 0.0
         if not np.isfinite(scale) or scale == 0.0:
             raise DegenerateSample("margin has zero spread (all values identical)")
     return RobustStats(location=location, scale=scale, fallback_used=fallback)

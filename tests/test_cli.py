@@ -260,6 +260,17 @@ def test_c_outside_range_exits_2_naming_the_range(matrix_file, capsys):
     assert captured.err == "error: c must lie in [1e-300, 10000], got 1e+15\n"
 
 
+@pytest.mark.parametrize("command", [["test"], ["scan", "--wrap-axis", "xy"]], ids=lambda c: c[0])
+def test_ebayes_runs_on_a_margin_spanning_more_than_the_float_range(command, matrix_file, capsys):
+    # every wrap of x overflows; those cuts are skipped, not an error about the input
+    path = matrix_file("x,y\n-1e308,1\n0,2\n1e308,0.5\n5,3\n-3,-1\n2,4\n")
+    assert run([command[0], path, "--method", "ebayes", *command[1:]]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert (out if command[0] == "test" else out[0])["n"] == 6
+
+
 class TestLevelSumGuard:
     def test_exact_sum_accepted_where_naive_sum_drifts(self):
         # naive left-to-right summation loses the 1.0 entirely

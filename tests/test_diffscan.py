@@ -110,22 +110,6 @@ class TestPairwiseScan:
         assert by_pair[("a", "a_copy")].result.p_dependent > 0.99
         assert by_pair[("a", "noise")].result.p_dependent < 0.5
 
-    def test_workers_do_not_change_results(self):
-        rng = np.random.default_rng(3)
-        m = _matrix(rng, 80, [f"v{i}" for i in range(6)])
-        seq = pairwise_scan(m, workers=1)
-        par = pairwise_scan(m, workers=8)
-        assert [(p.var_a, p.var_b) for p in seq] == [(p.var_a, p.var_b) for p in par]
-        for a, b in zip(seq, par):
-            assert a.result.log_bf == b.result.log_bf
-            assert a.result.p_dependent == b.result.p_dependent
-
-    @pytest.mark.parametrize("method", ["basic", "ebayes"])
-    def test_workers_below_one_rejected(self, method):
-        m = _matrix(np.random.default_rng(5), 30, ["a", "b", "c"])
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            pairwise_scan(m, method=method, workers=0)
-
     def test_needs_two_vars(self):
         with pytest.raises(ValueError):
             pairwise_scan(ExpressionMatrix(values=[[1.0], [2.0]], var_names=("a",)))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptdep import engine, simulate
+from ptdep import engine, kernels, simulate
 from ptdep.diffscan import ExpressionMatrix, diff_scan, p_diff, pairwise_scan
-from ptdep.ebayes import METHODS, ShiftSearchConfig, delta_candidates, ebayes_test, run_test
+from ptdep.ebayes import (METHODS, ShiftSearchConfig, delta_candidates, ebayes_test, run_test,
+                          run_tests)
 from ptdep.errors import DegenerateSample
 from ptdep.simulate import (SimModel, abs_pearson, default_statistic, power_experiment,
                             run_replicates)
@@ -380,3 +381,113 @@ _MODEL = SimModel(kind="linear")
 def test_unknown_method_names_the_methods(call):
     with pytest.raises(ValueError, match=re.escape(str(METHODS))):
         call()
+
+
+def _single(sample, method, cfg, scfg):
+    """A sample's result through the method's own one-sample route."""
+    if method == "ebayes":
+        return ebayes_test(sample, cfg, scfg)
+    return engine.test_dependence(sample, cfg)
+
+
+@st.composite
+def _batches(draw):
+    """Same-size samples with continuous, tied, zero-inflated or constant margins."""
+    n = draw(st.sampled_from([1, 2, 3, 60]))
+    count = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["continuous", "tied", "zero_inflated"])
+    samples = []
+    for _ in range(count):
+        x, y = rng.normal(size=(2, n))
+        y = np.sin(2.0 * x) + draw(st.sampled_from([0.3, 3.0])) * y
+        for name, z in (("x", x), ("y", y)):
+            kind = draw(kinds)
+            if kind == "tied":
+                z[:] = np.round(z)
+            elif kind == "zero_inflated":
+                z[:] = np.where(z < 0.5, 0.0, z)
+        samples.append(PairedSample(x=x, y=y))
+    if draw(st.integers(0, 5)) == 0:
+        samples.insert(draw(st.integers(0, count)), PairedSample(x=np.arange(n), y=np.full(n, 2.0)))
+    return samples
+
+
+class TestRunTests:
+    @settings(max_examples=120, deadline=None)
+    @given(_batches(), st.sampled_from(METHODS), st.sampled_from(_SEARCH_CONFIGS),
+           st.sampled_from([1, 2, 7, None]))
+    def test_batch_equals_single_calls(self, samples, method, scfg, rows):
+        cfg = engine.PartitionConfig(c=2.0, prior_odds=0.5)
+        n = samples[0].n
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:  # calls of a few rows, so the batch spans several
+                mp.setattr(kernels, "CHUNK_POINTS", rows * n)
+            try:
+                want = [_single(s, method, cfg, scfg) for s in samples]
+            except DegenerateSample as exc:
+                with pytest.raises(DegenerateSample, match=re.escape(str(exc))):
+                    list(run_tests(samples, method, cfg, scfg))
+                return
+            got = list(run_tests(samples, method, cfg, scfg))
+            singles = [run_test(s, method, cfg, scfg) for s in samples]
+        assert len(got) == len(want) == len(singles)
+        for g, w, s in zip(got, want, singles):
+            _assert_same_result(g, w)
+            _assert_same_result(s, w)
+
+    def test_lazy_input_read_as_calls_fill(self):
+        # basic reads one call's samples beyond what it has yielded, no more
+        drawn = []
+
+        def samples():
+            for r in range(1000):
+                drawn.append(r)
+                yield simulate.generate(SimModel(kind="linear"), 300, r)
+
+        out = run_tests(samples(), "basic")
+        next(out)
+        assert len(drawn) == kernels.rows_per_call(300)
+
+    def test_sizes_must_match(self):
+        samples = [PairedSample(x=[1.0, 2.0, 3.0], y=[2.0, 1.0, 3.0]),
+                   PairedSample(x=[1.0, 2.0], y=[2.0, 1.0])]
+        for method in METHODS:
+            with pytest.raises(ValueError, match="samples must share one size, got 3 and 2"):
+                list(run_tests(samples, method))
+
+    def test_empty_input_yields_nothing(self):
+        assert list(run_tests([], "ebayes")) == []
+
+
+# x spans more than the float range, so every wrap of x overflows
+_HUGE_X = [-1e308, 0.0, 1e308, 5.0, -3.0, 2.0]
+_HUGE_Y = [1.0, 2.0, 0.5, 3.0, -1.0, 4.0]
+
+
+class TestHugeRangeMargin:
+    def test_overflowing_cuts_are_skipped(self):
+        sample = PairedSample(x=_HUGE_X, y=_HUGE_Y)
+        got = ebayes_test(sample, scfg=ShiftSearchConfig(grid="midpoints"))
+        want = engine.test_dependence(sample)
+        assert (got.level_contributions, got.log_bf, got.delta_star) == \
+            (want.level_contributions, want.log_bf, None)
+        # the other axis is still searched
+        xy = ebayes_test(PairedSample(x=_HUGE_Y, y=_HUGE_X), scfg=ShiftSearchConfig(axis_policy="xy"))
+        assert xy.shift_axis == "x" and xy.log_bf < want.log_bf
+
+    def test_scan(self):
+        m = ExpressionMatrix(values=np.column_stack([_HUGE_X, _HUGE_Y, _HUGE_X[::-1]]),
+                             var_names=("a", "b", "c"))
+        _assert_scan_equals_per_pair(m, engine.PartitionConfig(), ShiftSearchConfig(axis_policy="xy"))
+        assert all(p.result is not None for p in pairwise_scan(m, method="ebayes"))
+
+    @pytest.mark.parametrize("scfg", _SEARCH_CONFIGS)
+    def test_permutation_null(self, scfg):
+        sample = PairedSample(x=_HUGE_X * 3, y=_HUGE_Y * 3)
+        cfg = engine.PartitionConfig()
+        batched = simulate._ebayes_null(sample, 40, cfg, scfg, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        stat = default_statistic(cfg, "ebayes", scfg)
+        looped = [stat(PairedSample(x=sample.x, y=rng.permutation(sample.y))) for _ in range(40)]
+        assert batched.tolist() == looped

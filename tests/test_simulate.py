@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ptdep import kernels
+from ptdep.ebayes import ShiftSearchConfig
 from ptdep.engine import PartitionConfig
 from ptdep.errors import DegenerateSample
 from ptdep.simulate import (
@@ -105,12 +106,6 @@ class TestReplicates:
 
         for res, sample in zip(results, expected):
             assert res.log_bf == test_dependence(sample).log_bf
-
-    def test_workers_preserve_order(self):
-        m = SimModel(kind="linear")
-        seq = run_replicates(m, n=60, reps=8, seed=7, workers=1)
-        par = run_replicates(m, n=60, reps=8, seed=7, workers=4)
-        assert [r.log_bf for r in seq] == [r.log_bf for r in par]
 
 
 class TestEmpiricalQuantile:
@@ -260,3 +255,36 @@ class TestBatchedNull:
         looped = power_experiment(m, statistic=default_statistic(cfg), **kwargs)
         assert (batched.tpr, batched.fpr, batched.threshold) == \
             (looped.tpr, looped.fpr, looped.threshold)
+
+
+class TestBatchedReplicates:
+    @pytest.mark.parametrize("source", ["posterior_0.5", "permutation_quantile"])
+    @pytest.mark.parametrize("method", ["basic", "ebayes"])
+    def test_power_default_statistic_equals_statistic_route(self, method, source):
+        cfg = PartitionConfig(c=2.0)
+        scfg = ShiftSearchConfig(axis_policy="xy")
+        kwargs = dict(n=40, reps=7, cfg=cfg, seed=9, method=method, scfg=scfg,
+                      threshold_source=source, n_perm=25)
+        for kind in ("circular", "independent"):
+            batched = power_experiment(SimModel(kind=kind), **kwargs)
+            looped = power_experiment(SimModel(kind=kind),
+                                      statistic=default_statistic(cfg, method, scfg), **kwargs)
+            assert (batched.tpr, batched.fpr, batched.threshold) == \
+                (looped.tpr, looped.fpr, looped.threshold)
+
+    def test_working_set_does_not_grow_with_reps(self):
+        m = SimModel(kind="circular")
+
+        def working_set(reps):
+            run_replicates(m, 300, reps)  # warm caches
+            tracemalloc.start()
+            try:
+                results = run_replicates(m, 300, reps)
+                current, peak = tracemalloc.get_traced_memory()
+                return peak - current  # above the results the call returns
+            finally:
+                del results
+                tracemalloc.stop()
+
+        full = 2 * kernels.rows_per_call(300)
+        assert working_set(2000) <= working_set(full) + 32 * 1024

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -12,6 +12,7 @@ from ptdep.transforms import (
     normal_cdf,
     robust_location_scale,
     shift_wrap,
+    to_unit_interval,
     to_unit_square,
 )
 
@@ -90,6 +91,29 @@ def test_median_is_numpy_median_bit_for_bit(x):
         want = np.median(x)
         got = _median(x)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@st.composite
+def _zero_mad_margins(draw):
+    """Zero-inflated or heavily tied margins, most with a zero MAD."""
+    n = draw(st.integers(5, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=n)
+    if draw(st.booleans()):
+        share = draw(st.floats(0.5, 0.95))
+        return np.where(rng.random(n) < share, 0.0, np.exp(z))
+    return np.round(z, draw(st.integers(0, 1))) * draw(st.sampled_from([1.0, 0.1, 1e9]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_zero_mad_margins(), st.integers(0, 2**32 - 1))
+def test_unit_interval_depends_on_the_multiset_only(y, seed):
+    # the mapped-once permutation nulls re-pair a margin mapped once
+    assume(np.unique(y).size > 1)
+    mapped = to_unit_interval(y)
+    for p in np.random.default_rng(seed).permuted(np.broadcast_to(np.arange(y.size),
+                                                                  (20, y.size)), axis=1):
+        assert to_unit_interval(y[p]).tobytes() == mapped[p].tobytes()
 
 
 class TestNormalCdf:
