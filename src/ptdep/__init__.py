@@ -1,5 +1,16 @@
 """Analytic Bayesian nonparametric dependence testing on recursive quadrant partitions."""
 
+# first: scipy.special, which it imports, loads slower under deeper import nesting
+from .transforms import (
+    PairedSample,
+    RobustStats,
+    ShiftSpec,
+    UnitPoints,
+    normal_cdf,
+    robust_location_scale,
+    shift_wrap,
+    to_unit_square,
+)
 from .diffscan import (
     DiffEdge,
     ExpressionMatrix,
@@ -37,17 +48,6 @@ from .simulate import (
     replicate_experiment,
     run_replicates,
 )
-from .transforms import (
-    PairedSample,
-    RobustStats,
-    ShiftSpec,
-    UnitPoints,
-    normal_cdf,
-    robust_location_scale,
-    shift_wrap,
-    to_unit_square,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [

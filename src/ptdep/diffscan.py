@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .ebayes import Segment, ShiftSearchConfig, best_candidates, cut_table, run_tests
-from .engine import PartitionConfig, TestResult, evaluate_rows
+from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_table, run_tests,
+                     shift_search, winner_result)
+from .engine import PartitionConfig, TestResult
 from .errors import DegenerateSample, VarMismatch
 from .transforms import PairedSample, to_unit_interval
 
@@ -105,59 +105,25 @@ def _column_maps(m: ExpressionMatrix, cfg: PartitionConfig):
     return cols, units, errors
 
 
-def _basic_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig) -> list[PairResult]:
-    """Basic test of every pair, each column mapped once, pairs scored in batches.
+def _search(cols: list, units: list, partners: list, axis: str,
+            search: ShiftSearchConfig | None, cfg: PartitionConfig) -> dict:
+    """The winning row of each pair on ``axis``, keyed by its column indices.
 
-    A pair's result is bit for bit what ``test_dependence`` gives for it; a
-    pair with a degenerate column carries that column's error.
+    Column c is one segment: its candidate rows on ``axis`` against the
+    stacked maps of ``partners[c]``. One column's cut rows are held at a time.
     """
-    _, units, errors = _column_maps(m, cfg)
-    usable = [(i, j) for i, j in pairs if errors[i] is None and errors[j] is None]
-    step = kernels.rows_per_call(m.n_samples)
-    scored = {}
-    for lo in range(0, len(usable), step):
-        block = usable[lo:lo + step]
-        u = np.stack([units[i] for i, _ in block])
-        v = np.stack([units[j] for _, j in block])
-        scored.update(zip(block, evaluate_rows(u, v, cfg)))
-    return _pair_results(m, pairs, scored, errors)
+    keys = []
 
-
-def _ebayes_scan(m: ExpressionMatrix, pairs: list, cfg: PartitionConfig,
-                 scfg: ShiftSearchConfig) -> list[PairResult]:
-    """Ebayes test of every pair, each column's cut rows built once.
-
-    Axis x is searched in a pass over each pair's first column, against
-    every later column; axis y in a pass over each pair's second column,
-    against every earlier one. So the scan holds one column's cut rows at a
-    time beside the columns' maps. A pair's result is bit for bit what
-    ``ebayes_test`` gives for it: a y-row wins only when strictly better,
-    and a pair with a degenerate column carries that column's error.
-    """
-    cols, units, errors = _column_maps(m, cfg)
-    ok = [e is None for e in errors]
-    later = [[j for j in range(i + 1, m.n_vars) if ok[i] and ok[j]] for i in range(m.n_vars)]
-    earlier = [[i for i in range(j) if ok[i] and ok[j]] for j in range(m.n_vars)]
-
-    def search(c: int, axis: str, partners: list) -> list[TestResult]:
-        """The winner of column c's cuts on ``axis`` against each partner column."""
-        if not partners:
-            return []
-        deltas, rows = cut_table(cols[c], scfg, cfg, units[c] if axis == "x" else None)
+    def block(c: int) -> list:
+        deltas, rows = cut_table(cols[c], search, cfg, units[c] if axis == "x" else None)
         if not deltas:
             return []
-        tables = ([Segment(axis, deltas, rows, units[p])] for p in partners)
-        return list(best_candidates(tables, cfg))
+        first = len(keys)
+        keys.extend((c, p) if axis == "x" else (p, c) for p in partners[c])
+        return [Segment(first, axis, deltas, rows, np.stack([units[p] for p in partners[c]]))]
 
-    best: dict[tuple[int, int], TestResult] = {}
-    for i in range(m.n_vars):
-        best.update(zip(((i, j) for j in later[i]), search(i, "x", later[i])))
-    if scfg.axis_policy == "xy":
-        for j in range(m.n_vars):
-            for i, res in zip(earlier[j], search(j, "y", earlier[j])):
-                if res.log_bf < best[i, j].log_bf:
-                    best[i, j] = res
-    return _pair_results(m, pairs, best, errors)
+    winners = list(best_candidates((block(c) for c, ps in enumerate(partners) if ps), cfg))
+    return dict(zip(keys, winners))
 
 
 def _pair_results(m: ExpressionMatrix, pairs: list, scored: dict, errors: list) -> list[PairResult]:
@@ -177,22 +143,33 @@ def pairwise_scan(
     """Dependence test for every unordered column pair.
 
     Degenerate columns skip their pairs with a recorded reason instead of
-    failing the scan. Output order is lexicographic by column indices. Both
-    methods map each column once and score the pairs in batches; ebayes
-    also builds each column's cut rows once.
+    failing the scan. Output order is lexicographic by column indices.
+
+    Each column is mapped once. Axis x is searched over each pair's first
+    column against every later one; for ebayes with "xy", axis y over the
+    second column against every earlier one, where a y-row wins only when
+    strictly better. A pair's result is bit for bit its ``run_test``.
     """
     if m.n_vars < 2:
         raise ValueError("need at least two variables to scan")
+    search = shift_search(method, scfg)
     cfg = cfg or PartitionConfig()
     pairs = [(i, j) for i in range(m.n_vars) for j in range(i + 1, m.n_vars)]
-    if method == "basic" and m.n_samples > 1:
-        return _basic_scan(m, pairs, cfg)
-    if method == "ebayes" and m.n_samples > 1:
-        return _ebayes_scan(m, pairs, cfg, scfg or ShiftSearchConfig())
-    # one sample row, or a method run_tests rejects: no column is mapped
-    samples = (PairedSample(x=m.values[:, i], y=m.values[:, j]) for i, j in pairs)
-    return _pair_results(m, pairs, dict(zip(pairs, run_tests(samples, method, cfg, scfg))),
-                         [None] * m.n_vars)
+    if m.n_samples == 1:  # no column can be mapped; each pair gives the prior
+        samples = (PairedSample(x=m.values[:, i], y=m.values[:, j]) for i, j in pairs)
+        return _pair_results(m, pairs, dict(zip(pairs, run_tests(samples, method, cfg, scfg))),
+                             [None] * m.n_vars)
+    cols, units, errors = _column_maps(m, cfg)
+    ok = [e is None for e in errors]
+    later = [[j for j in range(i + 1, m.n_vars) if ok[i] and ok[j]] for i in range(m.n_vars)]
+    best = _search(cols, units, later, "x", search, cfg)
+    if search is not None and search.axis_policy == "xy":
+        earlier = [[i for i in range(j) if ok[i] and ok[j]] for j in range(m.n_vars)]
+        for pair, winner in _search(cols, units, earlier, "y", search, cfg).items():
+            if winner[0] < best[pair][0]:
+                best[pair] = winner
+    scored = {pair: winner_result(w, m.n_samples, cfg, method) for pair, w in best.items()}
+    return _pair_results(m, pairs, scored, errors)
 
 
 def classify_edge(p_a: float, p_b: float) -> str:

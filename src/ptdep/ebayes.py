@@ -5,7 +5,9 @@ module scans candidate cut points, re-standardises the wrapped data for
 each, and keeps the centering that maximises the evidence for dependence
 (equivalently, minimises the log Bayes factor of independence). The first
 candidate is the unwrapped sample, so the basic test is always in the
-search. Because the objective is piecewise constant in the cut point
+search; the basic test is the search with no cuts. Both methods score
+through :func:`best_candidates` and differ only in the candidate rows a
+margin contributes. Because the objective is piecewise constant in the cut point
 between consecutive data values, a grid over midpoints or empirical
 quantiles is exhaustive up to equivalence, and cuts between the same two
 values are scored once; no continuous optimiser is involved.
@@ -18,14 +20,14 @@ many pairs, not as a calibrated posterior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import chain, islice
+from dataclasses import dataclass
+from itertools import count, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .engine import PartitionConfig, TestResult, _evaluate, _result, evaluate_rows, unit_points
+from .engine import PartitionConfig, TestResult, _evaluate, _result, unit_points
 from .errors import DegenerateSample
 from .transforms import PairedSample, to_unit_interval, wrap_at
 
@@ -90,17 +92,40 @@ def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:
     return np.concatenate(([min(lo - 1.0, np.nextafter(lo, -np.inf))], cands))
 
 
-class Segment(NamedTuple):
-    """Candidate rows of one axis against the other margin, mapped.
+def shift_search(method: str, scfg: ShiftSearchConfig | None) -> ShiftSearchConfig | None:
+    """The cut search ``method`` runs: None for "basic", ``scfg`` or the default for "ebayes"."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    return (scfg or ShiftSearchConfig()) if method == "ebayes" else None
 
-    ``rows[r]`` is a mapped margin of ``axis`` for cut ``deltas[r]`` (None
-    for the unwrapped margin) and ``fixed`` the other margin.
+
+class Segment(NamedTuple):
+    """Mapped candidate rows of one axis for tables ``first`` to ``first + B - 1``.
+
+    ``rows`` holds the margin of ``axis`` mapped for each cut of ``deltas``
+    (None: unwrapped), (R, n) shared by the B tables or (B, R, n); ``fixed``
+    is the other margin, (n,) shared or (B, n). Row ``b * R + r`` is
+    candidate r of table ``first + b``.
     """
 
+    first: int
     axis: str
     deltas: list
     rows: np.ndarray
     fixed: np.ndarray
+
+    @property
+    def tables(self) -> int:
+        """B: one unless ``rows`` or ``fixed`` holds one entry per table."""
+        if self.rows.ndim == 3:
+            return len(self.rows)
+        return len(self.fixed) if self.fixed.ndim == 2 else 1
+
+    def cut(self, lo: int, hi: int) -> Segment:
+        """Its tables ``lo`` to ``hi - 1``, as a segment of their own."""
+        return Segment(self.first + lo, self.axis, self.deltas,
+                       self.rows[lo:hi] if self.rows.ndim == 3 else self.rows,
+                       self.fixed[lo:hi] if self.fixed.ndim == 2 else self.fixed)
 
 
 def cut_rows(values: np.ndarray, scfg: ShiftSearchConfig, cfg: PartitionConfig):
@@ -131,95 +156,126 @@ def cut_rows(values: np.ndarray, scfg: ShiftSearchConfig, cfg: PartitionConfig):
             yield deltas, np.stack(rows)
 
 
-def cut_table(values: np.ndarray, scfg: ShiftSearchConfig, cfg: PartitionConfig,
+def cut_table(values: np.ndarray, search: ShiftSearchConfig | None, cfg: PartitionConfig,
               mapped: np.ndarray | None = None) -> tuple[list, np.ndarray]:
-    """All of :func:`cut_rows` in one ``(deltas, rows)``, after ``mapped`` when given."""
+    """One margin's candidate rows as ``(deltas, rows)``: ``mapped`` (unwrapped) when
+    given, then the usable cuts of ``search``, none for the basic test's None."""
     deltas, rows = ([None], [mapped[None]]) if mapped is not None else ([], [])
-    for block_deltas, block in cut_rows(values, scfg, cfg):
+    for block_deltas, block in cut_rows(values, search, cfg) if search else ():
         deltas += block_deltas
         rows.append(block)
     return deltas, np.concatenate(rows) if rows else np.empty((0, values.size))
 
 
-def best_candidates(tables, cfg: PartitionConfig):
-    """Yield the winning candidate of each table, in order, as an ebayes result.
+def best_candidates(blocks, cfg: PartitionConfig):
+    """Yield ``(log_bf, delta, axis, levels, truncated)`` of each table's winner, in order.
 
-    A table is a non-empty iterable of :class:`Segment`. Its winner is the
-    row with the smallest log Bayes factor, the earliest on ties, reported
-    with ``delta_star`` its cut and ``shift_axis`` its axis (both None for
-    an unwrapped row). Segments of one table or of consecutive tables share
-    kernel calls of up to :func:`ptdep.kernels.rows_per_call` rows; tables
-    are read as the calls fill, and one call's segments are held at a time.
+    ``blocks`` yields iterables of :class:`Segment` holding all rows of their
+    tables, in candidate order; tables are numbered from 0, each with a row.
+    The winner has the smallest log Bayes factor, the earliest on ties.
+    Segments are cut between tables to fill kernel calls of
+    :func:`ptdep.kernels.rows_per_call` rows, a call is scored once full, and
+    a table larger than a call is a call of its own, which the kernel splits.
+    Blocks are read as calls fill, and one call's segments are held at a time.
     """
     best: dict[int, tuple] = {}
-    call, size, step, done = [], 0, 0, 0
-    for t, table in enumerate(tables):
-        for seg in table:
-            step = step or kernels.rows_per_call(seg.rows.shape[1])
-            if call and size + len(seg.rows) > step:
-                _score_call(call, cfg, best)
-                call, size = [], 0
-                while done < t:
-                    yield _winner(*best.pop(done), cfg)
-                    done += 1
-            call.append((t, seg))
-            size += len(seg.rows)
+    call, size, low, step, done, end = [], 0, 0, 0, 0, 0  # low: smallest table in the call
+    for block in blocks:
+        for seg in block:
+            step = step or kernels.rows_per_call(seg.rows.shape[-1])
+            per_table, tables = len(seg.deltas), seg.tables
+            end = max(end, seg.first + tables)
+            lo = 0
+            while lo < tables:
+                take = min(tables - lo, (step - size) // per_table)
+                if call and not take:  # not one more table fits
+                    _score_call(call, size, cfg, best)
+                    call, size = [], 0
+                    continue
+                take = max(take, 1)  # a table larger than a call is a call of its own
+                low = min(low, seg.first + lo) if call else seg.first + lo
+                call.append(seg if take == tables else seg.cut(lo, lo + take))
+                size, lo = size + take * per_table, lo + take
+                if size >= step:
+                    _score_call(call, size, cfg, best)
+                    call, size = [], 0
+        seg = block = None  # hold no scored rows while the next block is built
+        ready = low if call else end
+        while done < ready:
+            yield best.pop(done)
+            done += 1
     if call:
-        _score_call(call, cfg, best)
-    for t in sorted(best):
-        yield _winner(*best.pop(t), cfg)
+        _score_call(call, size, cfg, best)
+    yield from (best.pop(t) for t in range(done, end))
 
 
-def _score_call(call, cfg: PartitionConfig, best: dict) -> None:
-    """Score the segments of one kernel call; keep each table's earliest best row."""
-    u, v = (_margin(call, axis) for axis in ("x", "y"))
+def _score_call(call, size: int, cfg: PartitionConfig, best: dict) -> None:
+    """Score the ``size`` rows of one kernel call; keep each table's earliest best row."""
+    u, v = (_margin(call, size, axis) for axis in ("x", "y"))
     levels, depth, truncated = kernels.logbf_batch(u, v, cfg.depth_cap, cfg.c)
-    log_bf = [math.fsum(row[:d]) for row, d in zip(levels.tolist(), depth.tolist())]
+    levels = [row[:d] for row, d in zip(levels.tolist(), depth.tolist())]
+    log_bf, truncated = list(map(math.fsum, levels)), truncated.tolist()
     lo = 0
-    for t, seg in call:
-        hi = lo + len(seg.rows)
-        r = min(range(lo, hi), key=log_bf.__getitem__)
-        if t not in best or log_bf[r] < best[t][0]:
-            best[t] = (log_bf[r], seg.deltas[r - lo], seg.axis,
-                       levels[r, :depth[r]].copy(), truncated[r], u.shape[-1])
-        lo = hi
+    for seg in call:
+        per_table = len(seg.deltas)
+        for t in range(seg.first, seg.first + seg.tables):
+            hi = lo + per_table
+            r = lo if per_table == 1 else min(range(lo, hi), key=log_bf.__getitem__)
+            if (held := best.get(t)) is None or log_bf[r] < held[0]:
+                best[t] = (log_bf[r], seg.deltas[r - lo], seg.axis, levels[r], truncated[r])
+            lo = hi
 
 
-def _margin(call, axis: str) -> np.ndarray:
-    """The call's coordinates on ``axis``: one vector when every segment holds it fixed."""
-    parts = [s.rows if s.axis == axis else s.fixed for _, s in call]
-    if all(p is parts[0] and p.ndim == 1 for p in parts):
-        return parts[0]
-    return np.concatenate([p if p.ndim == 2 else np.broadcast_to(p, s.rows.shape)
-                           for p, (_, s) in zip(parts, call)])
+def _margin(call, size: int, axis: str) -> np.ndarray:
+    """The call's coordinates on ``axis``, in a shape that broadcasts to its rows.
 
-
-def _winner(log_bf, delta, axis, levels, truncated, n, cfg: PartitionConfig) -> TestResult:
-    return replace(_result(levels, truncated, n, cfg), method="ebayes", delta_star=delta,
-                   shift_axis=None if delta is None else axis)
-
-
-def candidate_table(sample: PairedSample, cfg: PartitionConfig, scfg: ShiftSearchConfig):
-    """The segments of one sample's search, lazily: the unwrapped sample (the
-    basic test), the cuts of axis x and, with "xy", of axis y. Both margins
-    are mapped once; each cut re-standardises only its wrapped margin.
+    A lone segment's margin holding one row or every row in order, or the
+    other margin of a table that owns every row, is passed as it is; else
+    each segment's coordinates are laid out row by row.
     """
-    pts = unit_points(sample, cfg)
-    table = chain([Segment("x", [None], pts.u[None], pts.v)],
-                  (Segment("x", d, r, pts.v) for d, r in cut_rows(sample.x, scfg, cfg)))
-    if scfg.axis_policy == "xy":
-        table = chain(table, (Segment("y", d, r, pts.u) for d, r in cut_rows(sample.y, scfg, cfg)))
-    return table
+    first = call[0]
+    part = first.rows if first.axis == axis else first.fixed
+    n = part.shape[-1]
+    lone = len(call) == 1 and part.size in (n, size * n)
+    if lone or all(s.axis != axis and s.first == first.first and s.tables == 1 for s in call):
+        return part.reshape(-1, n)
+    out, lo = np.empty((size, n)), 0
+    for seg in call:
+        tables, per_table = seg.tables, len(seg.deltas)
+        # ``fixed`` gives one row per table, repeated over its candidates
+        part = seg.rows if seg.axis == axis else seg.fixed.reshape(-1, 1, n)
+        out[lo:lo + tables * per_table].reshape(tables, per_table, n)[...] = part
+        lo += tables * per_table
+    return out
 
 
-def ebayes_test(
-    sample: PairedSample,
-    cfg: PartitionConfig | None = None,
-    scfg: ShiftSearchConfig | None = None,
-) -> TestResult:
+def winner_result(winner, n: int, cfg: PartitionConfig, method: str) -> TestResult:
+    """The ``method`` result of n points whose winning candidate row is ``winner``."""
+    _, delta, axis, levels, truncated = winner
+    return _result(levels, truncated, n, cfg, method, delta, None if delta is None else axis)
+
+
+def candidate_tables(t: int, samples: list, cfg: PartitionConfig,
+                     search: ShiftSearchConfig | None):
+    """The segments of samples' tables t, t + 1, ..., lazily: one of their unwrapped
+    rows, then for a ``search`` each sample's cuts of x and, with "xy", of y."""
+    pts = [unit_points(s, cfg) for s in samples]
+    u, v = np.stack([p.u for p in pts]), np.stack([p.v for p in pts])
+    yield Segment(t, "x", [None], u[:, None], v)
+    if search is None:
+        return
+    for b, sample in enumerate(samples):
+        for deltas, rows in cut_rows(sample.x, search, cfg):
+            yield Segment(t + b, "x", deltas, rows, v[b])
+        for deltas, rows in cut_rows(sample.y, search, cfg) if search.axis_policy == "xy" else ():
+            yield Segment(t + b, "y", deltas, rows, u[b])
+
+
+def ebayes_test(sample: PairedSample, cfg: PartitionConfig | None = None,
+                scfg: ShiftSearchConfig | None = None) -> TestResult:
     """Dependence test with empirically optimised partition centering.
 
-    The winner of the sample's :func:`candidate_table` is the row with the
+    The winner of the sample's :func:`candidate_tables` is the row with the
     smallest log Bayes factor, the earliest on ties. So the baseline wins
     unless beaten, reported as ``delta_star = shift_axis = None``, and the
     probability of dependence never falls below the basic test's.
@@ -231,13 +287,12 @@ def run_tests(samples, method: str, cfg: PartitionConfig | None = None,
               scfg: ShiftSearchConfig | None = None):
     """Yield the :func:`run_test` result of each sample of one size, in order.
 
-    Samples are read as the kernel calls fill: basic ones mapped in blocks of
-    :func:`ptdep.kernels.rows_per_call`, ebayes ones as candidate tables
-    sharing the calls of :func:`best_candidates`. Each result is bit for bit
-    the sample's alone; a single point's is the prior.
+    Each sample is a table of the cuts ``method`` searches, built for one
+    call's worth of samples at a time by :func:`candidate_tables` and scored
+    by :func:`best_candidates`. Each result is bit for bit the sample's
+    alone; a single point's is the prior.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    search = shift_search(method, scfg)
     cfg = cfg or PartitionConfig()
     samples = iter(samples)
     first = next(samples, None)
@@ -246,15 +301,13 @@ def run_tests(samples, method: str, cfg: PartitionConfig | None = None,
     samples = _same_size(first, samples)
     if first.n == 1:
         for sample in samples:
-            yield replace(_evaluate(sample, cfg), method=method)
-    elif method == "ebayes":
-        scfg = scfg or ShiftSearchConfig()
-        yield from best_candidates((candidate_table(s, cfg, scfg) for s in samples), cfg)
-    else:
-        step = kernels.rows_per_call(first.n)
-        while block := [unit_points(s, cfg) for s in islice(samples, step)]:
-            yield from evaluate_rows(np.stack([p.u for p in block]),
-                                     np.stack([p.v for p in block]), cfg)
+            yield _evaluate(sample, cfg, method)
+        return
+    step = kernels.rows_per_call(first.n)
+    blocks = iter(lambda: list(islice(samples, step)), [])
+    tables = (candidate_tables(t, block, cfg, search) for t, block in zip(count(0, step), blocks))
+    for winner in best_candidates(tables, cfg):
+        yield winner_result(winner, first.n, cfg, method)
 
 
 def _same_size(first: PairedSample, rest):

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
 from .transforms import PairedSample, UnitPoints, to_unit_square
 
@@ -117,7 +115,7 @@ def posterior_dependence(log_bf: float, prior_odds: float = 1.0) -> float:
     Evaluates ``1 / (1 + prior_odds * exp(log_bf))`` through the stable
     sigmoid branches, so saturation at huge |log_bf| cannot overflow.
     """
-    if not np.isfinite(log_bf):
+    if not math.isfinite(log_bf):
         raise ValueError("log_bf must be finite")
     if not (prior_odds > 0.0):
         raise ValueError("prior_odds must be positive")
@@ -144,13 +142,14 @@ def unit_points(sample: PairedSample, cfg: PartitionConfig) -> UnitPoints:
     return to_unit_square(sample, normal_consistent=cfg.mad_normal_consistent)
 
 
-def _result(levels: np.ndarray, truncated: bool, n: int, cfg: PartitionConfig) -> TestResult:
-    """A basic-test result from one sample's trimmed level sums.
+def _result(levels: list, truncated: bool, n: int, cfg: PartitionConfig, method: str = "basic",
+            delta_star: float | None = None, shift_axis: str | None = None) -> TestResult:
+    """A test result from one sample's trimmed level sums.
 
     The total is the exactly rounded sum of the level sums, so the level-sum
     identity holds to the last digit at any sample size.
     """
-    level_sums = tuple(levels.tolist())
+    level_sums = tuple(levels)
     log_bf = math.fsum(level_sums)
     return TestResult(
         log_bf=log_bf,
@@ -158,26 +157,16 @@ def _result(levels: np.ndarray, truncated: bool, n: int, cfg: PartitionConfig) -
         level_contributions=level_sums,
         n=n,
         truncated=bool(truncated),
-        method="basic",
+        method=method,
         config=cfg,
+        delta_star=delta_star,
+        shift_axis=shift_axis,
     )
 
 
-def evaluate_rows(u, v, cfg: PartitionConfig) -> list[TestResult]:
-    """Basic-test results for a batch of mapped samples, in row order.
-
-    ``u`` and ``v`` hold unit-square coordinates that broadcast to (B, n),
-    so a margin shared by every sample is passed once. Each result is bit
-    for bit what :func:`test_dependence` gives for that row's sample.
-    """
-    levels, depth, truncated = kernels.logbf_batch(u, v, cfg.depth_cap, cfg.c)
-    n = np.broadcast_shapes(np.shape(u), np.shape(v))[-1]
-    return [_result(row[:d], t, n, cfg) for row, d, t in zip(levels, depth, truncated)]
-
-
-def _evaluate(sample: PairedSample, cfg: PartitionConfig) -> TestResult:
+def _evaluate(sample: PairedSample, cfg: PartitionConfig, method: str = "basic") -> TestResult:
     if sample.n == 1:
-        return _result(np.zeros(0), False, 1, cfg)
+        return _result([], False, 1, cfg, method)
     pts = unit_points(sample, cfg)
     levels, truncated = kernels.logbf_levels(pts.u, pts.v, cfg.depth_cap, cfg.c)
-    return _result(levels, truncated, sample.n, cfg)
+    return _result(levels.tolist(), truncated, sample.n, cfg, method)

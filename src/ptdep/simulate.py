@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .ebayes import (METHODS, Segment, ShiftSearchConfig, best_candidates, cut_table, run_test,
-                     run_tests)
+                     run_tests, shift_search)
 from .engine import PartitionConfig, TestResult, posterior_dependence, unit_points
 from .transforms import PairedSample
 
@@ -253,10 +253,7 @@ def _permutation_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, s
         raise ValueError("level must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     if statistic is None and sample.n > 1:
-        if method == "basic":
-            null = _default_null(sample, n_perm, cfg, rng)
-        else:
-            null = _ebayes_null(sample, n_perm, cfg, scfg or ShiftSearchConfig(), rng)
+        null = _default_null(sample, n_perm, cfg, method, scfg, rng)
     else:
         stat = statistic or default_statistic(cfg, method, scfg)
         null = np.empty(n_perm)
@@ -279,51 +276,32 @@ def _orders(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
 
 
-def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Null statistics of the default statistic, scored in batches.
+def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, method: str,
+                  scfg: ShiftSearchConfig | None, rng: np.random.Generator) -> np.ndarray:
+    """Null statistics of ``method``'s default statistic, scored in batches.
 
-    Re-pairing changes no margin, so the sample is mapped once and each
-    permutation re-pairs the mapped v through permuted indices, drawn by
-    :func:`_orders` as ``rng.permutation(sample.y)`` would draw them. Each
-    statistic is the posterior of the fsum of a level row, as in
-    :func:`~ptdep.engine.test_dependence`. Only one batch of permutations
-    is held at a time.
+    Re-pairing changes no margin, so x's candidate rows are built once, and
+    wrapping and mapping y commute with it: each permutation re-pairs y's
+    mapped margin and, with "xy", cut rows by indices :func:`_orders` draws
+    as ``rng.permutation(sample.y)`` would. A batch of permutations is one
+    segment per axis, and only one batch is held at a time.
     """
+    search = shift_search(method, scfg)
     pts = unit_points(sample, cfg)
-    null = np.empty(n_perm)
-    step = kernels.rows_per_call(sample.n)
-    for lo in range(0, n_perm, step):
-        hi = min(lo + step, n_perm)
-        order = _orders(rng, hi - lo, sample.n)
-        levels, depth, _ = kernels.logbf_batch(pts.u, pts.v[order], cfg.depth_cap, cfg.c)
-        null[lo:hi] = [posterior_dependence(math.fsum(row[:d]), cfg.prior_odds)
-                       for row, d in zip(levels, depth)]
-    return null
-
-
-def _ebayes_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig,
-                 scfg: ShiftSearchConfig, rng: np.random.Generator) -> np.ndarray:
-    """Null statistics of the default ebayes statistic, scored in batches.
-
-    Axis x's candidate rows depend only on x, so they are built once. Wrapping
-    and mapping y commute with re-pairing it, so each permutation re-pairs
-    y's mapped margin and, with "xy", y's cut rows through permuted indices,
-    drawn as in :func:`_default_null`. Only one batch of permutations is
-    held at a time.
-    """
-    pts = unit_points(sample, cfg)
-    x_deltas, x_rows = cut_table(sample.x, scfg, cfg, pts.u)
-    y_deltas, y_rows = cut_table(sample.y, scfg, cfg) if scfg.axis_policy == "xy" else ([], None)
-    null = np.empty(n_perm)
+    x_deltas, x_rows = cut_table(sample.x, search, cfg, pts.u)
+    xy = search is not None and search.axis_policy == "xy"
+    y_deltas, y_rows = cut_table(sample.y, search if xy else None, cfg)
     step = max(1, kernels.rows_per_call(sample.n) // (len(x_deltas) + len(y_deltas)))
-    for lo in range(0, n_perm, step):
-        hi = min(lo + step, n_perm)
-        tables = ([Segment("x", x_deltas, x_rows, pts.v[p])]
-                  + ([Segment("y", y_deltas, y_rows[:, p], pts.u)] if y_deltas else [])
-                  for p in _orders(rng, hi - lo, sample.n))
-        null[lo:hi] = [res.p_dependent for res in best_candidates(tables, cfg)]
-    return null
+
+    def batches():
+        for lo in range(0, n_perm, step):
+            order = _orders(rng, min(step, n_perm - lo), sample.n)
+            yield [Segment(lo, "x", x_deltas, x_rows, pts.v[order])] + (
+                [Segment(lo, "y", y_deltas, y_rows[:, order].swapaxes(0, 1), pts.u)]
+                if y_deltas else [])
+
+    return np.fromiter((posterior_dependence(winner[0], cfg.prior_odds)
+                        for winner in best_candidates(batches(), cfg)), float, n_perm)
 
 
 def power_experiment(

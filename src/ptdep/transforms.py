@@ -132,8 +132,9 @@ def robust_location_scale(values, *, normal_consistent: bool = True) -> RobustSt
 
     Scale is ``1.4826 * median(|v - median|)`` (the factor is dropped when
     ``normal_consistent`` is off). A zero MAD falls back to the sample
-    standard deviation with ``fallback_used`` set; if that is also zero the
-    margin has no spread and DegenerateSample is raised.
+    standard deviation with ``fallback_used`` set. A margin whose values are
+    all equal has no spread and raises DegenerateSample, even where rounding
+    leaves its standard deviation a few ulps above zero.
     """
     arr = _as_vector(values, "values")
     location = _median(arr)
@@ -144,7 +145,8 @@ def robust_location_scale(values, *, normal_consistent: bool = True) -> RobustSt
     if scale == 0.0:
         fallback = True
         # over the sorted values, so the scale depends on the multiset only
-        scale = float(np.std(np.sort(arr), ddof=1)) if arr.size > 1 else 0.0
+        ordered = np.sort(arr)
+        scale = float(np.std(ordered, ddof=1)) if ordered[0] != ordered[-1] else 0.0
         if not np.isfinite(scale) or scale == 0.0:
             raise DegenerateSample("margin has zero spread (all values identical)")
     return RobustStats(location=location, scale=scale, fallback_used=fallback)

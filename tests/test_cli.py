@@ -113,6 +113,14 @@ class TestTestCommand:
         assert run(["test", path]) == 3
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["basic", "ebayes"])
+    def test_column_with_rounded_std_exits_3(self, method, matrix_file, capsys):
+        xy = np.random.default_rng(17).normal(size=(200, 2)).tolist()
+        rows = [f"{x!r},{y!r},3.85" for x, y in xy]
+        path = matrix_file("a,b,c\n" + "\n".join(rows) + "\n")
+        assert run(["test", path, "--x-col", "c", "--method", method]) == 3
+        assert "zero spread" in capsys.readouterr().err
+
     def test_malformed_csv_exits_2(self, matrix_file, capsys):
         path = matrix_file("x,y\n1,2\n3\n")
         assert run(["test", path]) == 2

@@ -254,3 +254,17 @@ def test_ebayes_midpoint_scan_holds_one_columns_cut_rows(monkeypatch):
     # rows may still be held when the next are built
     assert len(held) == 2 * (n_vars - 1)
     assert max(held) - held[0] < one_column // 4
+
+
+@pytest.mark.parametrize("method, scfg", [("basic", None), ("ebayes", None),
+                                          ("ebayes", ShiftSearchConfig(axis_policy="xy"))])
+def test_constant_column_with_rounded_std_skips_its_pairs(method, scfg):
+    values = np.random.default_rng(16).standard_normal((200, 3))
+    values[:, 2] = 3.85  # its std rounds to 8.9e-16, not 0
+    m = ExpressionMatrix(values=values, var_names=("a", "b", "c"))
+    out = pairwise_scan(m, method=method, scfg=scfg)
+    assert [(p.var_a, p.var_b) for p in out] == [("a", "b"), ("a", "c"), ("b", "c")]
+    assert out[0].result is not None and out[0].error is None
+    for pr in out[1:]:
+        assert pr.result is None
+        assert pr.error == "margin has zero spread (all values identical)"

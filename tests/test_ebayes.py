@@ -329,11 +329,12 @@ class TestBatchedScan:
 
 
 class TestBatchedNull:
-    @pytest.mark.parametrize("scfg", _SEARCH_CONFIGS)
+    @pytest.mark.parametrize("method, scfg", [pytest.param("basic", None, id="basic")] + [
+        pytest.param("ebayes", scfg, id=f"scfg{i}") for i, scfg in enumerate(_SEARCH_CONFIGS)])
     @pytest.mark.parametrize("n, n_perm, kind", [(2, 30, "continuous"), (3, 30, "continuous"),
                                                  (40, 400, "continuous"), (60, 50, "tied"),
                                                  (60, 50, "two_valued")])
-    def test_equals_looped_statistic_with_the_same_draws(self, n, n_perm, kind, scfg):
+    def test_equals_looped_statistic_with_the_same_draws(self, n, n_perm, kind, method, scfg):
         rng = np.random.default_rng(33 + n)
         x = rng.normal(size=n)
         y = np.sin(2.0 * x) + 0.5 * rng.normal(size=n)
@@ -343,9 +344,9 @@ class TestBatchedNull:
             y = (y > 0).astype(float)
         sample = PairedSample(x=x, y=y)
         cfg = engine.PartitionConfig(c=2.0, prior_odds=1.5)
-        stat = default_statistic(cfg, "ebayes", scfg)
+        stat = default_statistic(cfg, method, scfg)
         batched_rng, looped_rng = np.random.default_rng(7), np.random.default_rng(7)
-        batched = simulate._ebayes_null(sample, n_perm, cfg, scfg, batched_rng)
+        batched = simulate._default_null(sample, n_perm, cfg, method, scfg, batched_rng)
         looped = np.array([stat(PairedSample(x=x, y=looped_rng.permutation(y)))
                            for _ in range(n_perm)])
         assert batched.tobytes() == looped.tobytes()
@@ -361,6 +362,57 @@ class TestBatchedNull:
                                   statistic=default_statistic(cfg, "ebayes", scfg), **kwargs)
         assert (batched.tpr, batched.fpr, batched.threshold) == \
             (looped.tpr, looped.fpr, looped.threshold)
+
+
+class TestCallSizes:
+    """Scan and null results do not depend on how their rows fill kernel calls.
+
+    At n = 30, calls of 1 row score each table alone and split the larger
+    ones; calls of 5, 20 and 64 rows are shared by segments and cut them
+    between tables.
+    """
+
+    _METHODS = [("basic", None)] + [("ebayes", scfg) for scfg in _SEARCH_CONFIGS]
+
+    @pytest.mark.parametrize("rows", [1, 5, 20, 64])
+    @pytest.mark.parametrize("method, scfg", _METHODS)
+    def test_scan_equals_per_pair_run_test(self, rows, method, scfg, monkeypatch):
+        m = _ebayes_matrix(np.random.default_rng(50 + rows), 30)
+        cfg = engine.PartitionConfig(c=2.0)
+        pairs = [(i, j) for i in range(m.n_vars) for j in range(i + 1, m.n_vars)]
+        want = {}
+        for i, j in pairs:
+            try:
+                want[i, j] = _single(PairedSample(x=m.values[:, i], y=m.values[:, j]),
+                                     method, cfg, scfg)
+            except DegenerateSample:
+                pass
+        monkeypatch.setattr(kernels, "CHUNK_POINTS", rows * m.n_samples)
+        out = pairwise_scan(m, cfg, method=method, scfg=scfg)
+        assert sum(p.result is not None for p in out) == len(want) > 0
+        for pr, pair in zip(out, pairs):
+            if pair in want:
+                _assert_same_result(pr.result, want[pair])
+            else:
+                assert pr.result is None and pr.error is not None
+
+    @pytest.mark.parametrize("rows", [1, 5, 20, 64])
+    @pytest.mark.parametrize("method, scfg", _METHODS)
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_null_equals_looped_statistic(self, rows, method, scfg, kind, monkeypatch):
+        rng = np.random.default_rng(60 + rows)
+        x = rng.normal(size=30)
+        y = np.sin(2.0 * x) + 0.5 * rng.normal(size=30)
+        if kind == "tied":
+            x, y = np.round(x), np.where(y < 0.0, 0.0, np.round(y, 1))
+        sample = PairedSample(x=x, y=y)
+        cfg = engine.PartitionConfig(c=2.0)
+        stat = default_statistic(cfg, method, scfg)
+        looped_rng = np.random.default_rng(7)
+        want = [stat(PairedSample(x=x, y=looped_rng.permutation(y))) for _ in range(60)]
+        monkeypatch.setattr(kernels, "CHUNK_POINTS", rows * sample.n)
+        got = simulate._default_null(sample, 60, cfg, method, scfg, np.random.default_rng(7))
+        assert got.tolist() == want
 
 
 _MATRIX = ExpressionMatrix(values=np.random.default_rng(9).standard_normal((20, 3)),
@@ -486,7 +538,7 @@ class TestHugeRangeMargin:
     def test_permutation_null(self, scfg):
         sample = PairedSample(x=_HUGE_X * 3, y=_HUGE_Y * 3)
         cfg = engine.PartitionConfig()
-        batched = simulate._ebayes_null(sample, 40, cfg, scfg, np.random.default_rng(8))
+        batched = simulate._default_null(sample, 40, cfg, "ebayes", scfg, np.random.default_rng(8))
         rng = np.random.default_rng(8)
         stat = default_statistic(cfg, "ebayes", scfg)
         looped = [stat(PairedSample(x=sample.x, y=rng.permutation(sample.y))) for _ in range(40)]

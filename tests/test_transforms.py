@@ -64,6 +64,13 @@ class TestRobustLocationScale:
         with pytest.raises(DegenerateSample):
             robust_location_scale([2.0, 2.0, 2.0])
 
+    def test_constant_vector_with_rounded_std_degenerate(self):
+        # the mean of 200 copies of 3.85 rounds away from 3.85
+        values = np.full(200, 3.85)
+        assert np.std(values, ddof=1) > 0.0
+        with pytest.raises(DegenerateSample, match="zero spread"):
+            robust_location_scale(values)
+
     def test_scaling_flag(self):
         st = robust_location_scale([1, 2, 3, 4, 5], normal_consistent=False)
         assert st.scale == 1.0
