@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_table, run_tests,
-                     shift_search, winner_result)
+from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_table, shift_search,
+                     winner_result)
 from .engine import PartitionConfig, TestResult
 from .errors import DegenerateSample, VarMismatch
-from .transforms import PairedSample, to_unit_interval
+from .transforms import to_unit_interval
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,6 @@ def _search(cols: list, units: list, partners: list, axis: str,
     return dict(zip(keys, winners))
 
 
-def _pair_results(m: ExpressionMatrix, pairs: list, scored: dict, errors: list) -> list[PairResult]:
-    return [
-        PairResult(var_a=m.var_names[i], var_b=m.var_names[j], result=scored.get((i, j)),
-                   error=errors[i] or errors[j])
-        for i, j in pairs
-    ]
-
-
 def pairwise_scan(
     m: ExpressionMatrix,
     cfg: PartitionConfig | None = None,
@@ -154,11 +146,6 @@ def pairwise_scan(
         raise ValueError("need at least two variables to scan")
     search = shift_search(method, scfg)
     cfg = cfg or PartitionConfig()
-    pairs = [(i, j) for i in range(m.n_vars) for j in range(i + 1, m.n_vars)]
-    if m.n_samples == 1:  # no column can be mapped; each pair gives the prior
-        samples = (PairedSample(x=m.values[:, i], y=m.values[:, j]) for i, j in pairs)
-        return _pair_results(m, pairs, dict(zip(pairs, run_tests(samples, method, cfg, scfg))),
-                             [None] * m.n_vars)
     cols, units, errors = _column_maps(m, cfg)
     ok = [e is None for e in errors]
     later = [[j for j in range(i + 1, m.n_vars) if ok[i] and ok[j]] for i in range(m.n_vars)]
@@ -169,7 +156,11 @@ def pairwise_scan(
             if winner[0] < best[pair][0]:
                 best[pair] = winner
     scored = {pair: winner_result(w, m.n_samples, cfg, method) for pair, w in best.items()}
-    return _pair_results(m, pairs, scored, errors)
+    return [
+        PairResult(var_a=m.var_names[i], var_b=m.var_names[j], result=scored.get((i, j)),
+                   error=errors[i] or errors[j])
+        for i in range(m.n_vars) for j in range(i + 1, m.n_vars)
+    ]
 
 
 def classify_edge(p_a: float, p_b: float) -> str:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .engine import PartitionConfig, TestResult, _evaluate, _result, unit_points
+from .engine import PartitionConfig, TestResult, _result, unit_points
 from .errors import DegenerateSample
 from .transforms import PairedSample, to_unit_interval, wrap_at
 
@@ -66,30 +66,27 @@ class ShiftSearchConfig:
 
 
 def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:
-    """Candidate cut points for one axis, ascending, sentinel first.
+    """Candidate cut points for one axis, ascending, strictly inside the data range.
 
-    The sentinel is a value strictly below the data minimum; the wrap
-    transform leaves the sample untouched there, so it stands for the
-    no-shift baseline, which :func:`ebayes_test` scores on the unwrapped
-    sample instead. Quantile cuts that wrap the same values are kept once,
-    at the first of them.
+    A margin of fewer than two distinct values has none. Quantile cuts that
+    wrap the same values are kept once, at the first of them. The distinct
+    values and the quantiles come from one sort of the margin.
     """
     arr = np.asarray(values, dtype=np.float64)
-    distinct = np.unique(arr)
+    ordered = np.sort(arr)
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
     if distinct.size < 2:
-        raise DegenerateSample("cannot place cut points on a constant margin")
-    lo, hi = float(distinct[0]), float(distinct[-1])
+        return np.empty(0)
     if cfg.grid == "midpoints":
-        cands = 0.5 * (distinct[:-1] + distinct[1:])
-    else:
-        probs = np.arange(1, cfg.grid_size + 1) / (cfg.grid_size + 1.0)
+        return 0.5 * (distinct[:-1] + distinct[1:])
+    probs = np.arange(1, cfg.grid_size + 1) / (cfg.grid_size + 1.0)
+    q = np.quantile(ordered, probs)
+    if not q.all():  # the sign of a zero quantile depends on the order it is read in
         q = np.quantile(arr, probs)
-        q = q[(q > lo) & (q < hi)]
-        # a cut wraps the values <= it, so it is classed by how many distinct values those are
-        _, first = np.unique(np.searchsorted(distinct, q, side="right"), return_index=True)
-        cands = q[first]
-    # lo - 1.0 rounds back to lo once |lo| >= 2**53
-    return np.concatenate(([min(lo - 1.0, np.nextafter(lo, -np.inf))], cands))
+    q = q[(q > distinct[0]) & (q < distinct[-1])]
+    # a cut wraps the values <= it, so it is classed by how many distinct values those are
+    _, first = np.unique(np.searchsorted(distinct, q, side="right"), return_index=True)
+    return q[first]
 
 
 def shift_search(method: str, scfg: ShiftSearchConfig | None) -> ShiftSearchConfig | None:
@@ -135,9 +132,10 @@ def cut_rows(values: np.ndarray, scfg: ShiftSearchConfig, cfg: PartitionConfig):
     a block holds the cuts of at most one kernel call. A cut that collapses
     the wrapped margin onto too few values defines no partition, so it cannot
     be the optimum and is skipped; so is a cut whose wrap overflows the float
-    range, on a margin spanning more than it. The margin must not be constant.
+    range, on a margin spanning more than it. A margin of fewer than two
+    distinct values has no cuts and yields nothing.
     """
-    cuts = delta_candidates(values, scfg)[1:]
+    cuts = delta_candidates(values, scfg)
     step = kernels.rows_per_call(values.size)
     for lo in range(0, cuts.size, step):
         block = cuts[lo:lo + step]
@@ -251,8 +249,9 @@ def _margin(call, size: int, axis: str) -> np.ndarray:
 
 def winner_result(winner, n: int, cfg: PartitionConfig, method: str) -> TestResult:
     """The ``method`` result of n points whose winning candidate row is ``winner``."""
-    _, delta, axis, levels, truncated = winner
-    return _result(levels, truncated, n, cfg, method, delta, None if delta is None else axis)
+    log_bf, delta, axis, levels, truncated = winner
+    return _result(log_bf, levels, truncated, n, cfg, method, delta,
+                   None if delta is None else axis)
 
 
 def candidate_tables(t: int, samples: list, cfg: PartitionConfig,
@@ -290,7 +289,8 @@ def run_tests(samples, method: str, cfg: PartitionConfig | None = None,
     Each sample is a table of the cuts ``method`` searches, built for one
     call's worth of samples at a time by :func:`candidate_tables` and scored
     by :func:`best_candidates`. Each result is bit for bit the sample's
-    alone; a single point's is the prior.
+    alone. Single points take the same route: each margin maps to 0.5, has
+    no cuts, and the kernel gives the prior.
     """
     search = shift_search(method, scfg)
     cfg = cfg or PartitionConfig()
@@ -299,10 +299,6 @@ def run_tests(samples, method: str, cfg: PartitionConfig | None = None,
     if first is None:
         return
     samples = _same_size(first, samples)
-    if first.n == 1:
-        for sample in samples:
-            yield _evaluate(sample, cfg, method)
-        return
     step = kernels.rows_per_call(first.n)
     blocks = iter(lambda: list(islice(samples, step)), [])
     tables = (candidate_tables(t, block, cfg, search) for t, block in zip(count(0, step), blocks))

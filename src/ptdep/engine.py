@@ -142,19 +142,18 @@ def unit_points(sample: PairedSample, cfg: PartitionConfig) -> UnitPoints:
     return to_unit_square(sample, normal_consistent=cfg.mad_normal_consistent)
 
 
-def _result(levels: list, truncated: bool, n: int, cfg: PartitionConfig, method: str = "basic",
-            delta_star: float | None = None, shift_axis: str | None = None) -> TestResult:
-    """A test result from one sample's trimmed level sums.
+def _result(log_bf: float, levels: list, truncated: bool, n: int, cfg: PartitionConfig,
+            method: str = "basic", delta_star: float | None = None,
+            shift_axis: str | None = None) -> TestResult:
+    """A test result from one sample's trimmed level sums and their total.
 
-    The total is the exactly rounded sum of the level sums, so the level-sum
-    identity holds to the last digit at any sample size.
+    ``log_bf`` must be ``math.fsum(levels)``, the exactly rounded sum, so the
+    level-sum identity holds to the last digit at any sample size.
     """
-    level_sums = tuple(levels)
-    log_bf = math.fsum(level_sums)
     return TestResult(
         log_bf=log_bf,
         p_dependent=posterior_dependence(log_bf, cfg.prior_odds),
-        level_contributions=level_sums,
+        level_contributions=tuple(levels),
         n=n,
         truncated=bool(truncated),
         method=method,
@@ -164,9 +163,8 @@ def _result(levels: list, truncated: bool, n: int, cfg: PartitionConfig, method:
     )
 
 
-def _evaluate(sample: PairedSample, cfg: PartitionConfig, method: str = "basic") -> TestResult:
-    if sample.n == 1:
-        return _result([], False, 1, cfg, method)
+def _evaluate(sample: PairedSample, cfg: PartitionConfig) -> TestResult:
     pts = unit_points(sample, cfg)
     levels, truncated = kernels.logbf_levels(pts.u, pts.v, cfg.depth_cap, cfg.c)
-    return _result(levels.tolist(), truncated, sample.n, cfg, method)
+    levels = levels.tolist()
+    return _result(math.fsum(levels), levels, truncated, sample.n, cfg)

@@ -246,19 +246,23 @@ def permutation_null(
 def _permutation_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, seed: int,
                       statistic, level: float, method: str,
                       scfg: ShiftSearchConfig | None) -> PermutationNull:
-    """:func:`permutation_null`; without a ``statistic``, that of ``method``."""
+    """:func:`permutation_null`; without a ``statistic``, that of ``method``.
+
+    A custom ``statistic`` is called once per permutation; the default one is
+    scored in batches by :func:`_default_null`, for a sample of any size, with
+    the same draws.
+    """
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    if statistic is None and sample.n > 1:
+    if statistic is None:
         null = _default_null(sample, n_perm, cfg, method, scfg, rng)
     else:
-        stat = statistic or default_statistic(cfg, method, scfg)
         null = np.empty(n_perm)
         for i in range(n_perm):
-            null[i] = stat(PairedSample(x=sample.x, y=rng.permutation(sample.y)))
+            null[i] = statistic(PairedSample(x=sample.x, y=rng.permutation(sample.y)))
     return PermutationNull(
         null_stats=null,
         threshold=empirical_quantile(null, 1.0 - level),

@@ -165,9 +165,13 @@ def to_unit_interval(values, *, normal_consistent: bool = True) -> np.ndarray:
     Coordinates are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] so extreme
     outliers cannot land exactly on the unit-interval boundary. The map
     depends on the values only as a multiset, so a permuted margin maps to
-    the same permutation of the mapped margin.
+    the same permutation of the mapped margin. One finite value is its own
+    median, so it maps to 0.5 (z = 0), though it has no spread.
     """
     arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 1:
+        _as_vector(arr, "values")  # rejects a non-finite value
+        return np.full(1, 0.5)
     stats = robust_location_scale(arr, normal_consistent=normal_consistent)
     return np.clip(ndtr((arr - stats.location) / stats.scale), CLAMP_EPS, 1.0 - CLAMP_EPS)
 

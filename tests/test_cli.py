@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -283,7 +284,7 @@ class TestLevelSumGuard:
     def test_exact_sum_accepted_where_naive_sum_drifts(self):
         # naive left-to-right summation loses the 1.0 entirely
         levels = np.array([1e16, 1.0, -1e16, 3e-7])
-        res = engine._result(levels, False, 10**7, engine.PartitionConfig())
+        res = engine._result(math.fsum(levels), levels, False, 10**7, engine.PartitionConfig())
         assert sum(res.level_contributions) != res.log_bf
         _check_level_sum(res)
 

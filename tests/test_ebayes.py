@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptdep import engine, kernels, simulate
@@ -18,32 +18,30 @@ from ptdep.transforms import PairedSample, ShiftSpec, shift_wrap
 class TestDeltaCandidates:
     def test_midpoints(self):
         cands = delta_candidates([1.0, 2.0, 3.0], ShiftSearchConfig(grid="midpoints"))
-        assert cands[0] < 1.0  # sentinel below the minimum
-        assert cands[1:].tolist() == [1.5, 2.5]
+        assert cands.tolist() == [1.5, 2.5]
 
     def test_quantile_grid_size(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=1000)
         cands = delta_candidates(values, ShiftSearchConfig(grid="quantile", grid_size=64))
-        assert cands.size == 65  # 64 quantiles + sentinel
-        assert cands[0] < values.min()
+        assert cands.size == 64
+        assert values.min() < cands[0] and cands[-1] < values.max()
         assert np.all(np.diff(cands) > 0)
 
     def test_constant_vector(self):
-        with pytest.raises(DegenerateSample):
-            delta_candidates([4.0, 4.0, 4.0], ShiftSearchConfig())
+        # no cut lies strictly inside a margin of one distinct value
+        for grid in ("quantile", "midpoints"):
+            cands = delta_candidates([4.0, 4.0, 4.0], ShiftSearchConfig(grid=grid))
+            assert cands.dtype == np.float64 and cands.tolist() == []
 
-    def test_sentinel_below_huge_minimum(self):
-        # lo - 1.0 rounds back to lo once |lo| >= 2**53
+    def test_huge_values_cut_at_midpoints(self):
         cands = delta_candidates([1e17, 3e17, 2e17], ShiftSearchConfig(grid="midpoints"))
-        assert cands[0] < 1e17
-        assert cands[1:].tolist() == [1.5e17, 2.5e17]
+        assert cands.tolist() == [1.5e17, 2.5e17]
 
     def test_candidates_interior(self):
         values = [0.0, 0.0, 0.0, 1.0, 5.0]
         cands = delta_candidates(values, ShiftSearchConfig(grid="quantile", grid_size=8))
-        interior = cands[1:]
-        assert np.all(interior > 0.0) and np.all(interior < 5.0)
+        assert cands.size and np.all(cands > 0.0) and np.all(cands < 5.0)
 
 
 class TestEbayesTest:
@@ -79,13 +77,12 @@ class TestEbayesTest:
         x = np.array([0.0, 1.0] * 25)
         sample = PairedSample(x=x, y=rng.normal(size=50))
         scfg = ShiftSearchConfig(grid="quantile", grid_size=2)
-        cands = delta_candidates(x, scfg)
+        assert delta_candidates(x, scfg).size == 0
         basic = engine.test_dependence(sample)
         eb = ebayes_test(sample, scfg=scfg)
-        if cands.size == 1:  # only the sentinel
-            assert eb.log_bf == basic.log_bf
-            assert eb.p_dependent == basic.p_dependent
-            assert eb.delta_star is None
+        assert eb.log_bf == basic.log_bf
+        assert eb.p_dependent == basic.p_dependent
+        assert eb.delta_star is None
 
     def test_sentinel_preferred_on_ties(self):
         # perfectly symmetric two-point sample: every centering gives the
@@ -369,15 +366,17 @@ class TestCallSizes:
 
     At n = 30, calls of 1 row score each table alone and split the larger
     ones; calls of 5, 20 and 64 rows are shared by segments and cut them
-    between tables.
+    between tables. At n = 1 each table is its unwrapped row, five to a call.
     """
 
     _METHODS = [("basic", None)] + [("ebayes", scfg) for scfg in _SEARCH_CONFIGS]
+    _SIZES = [pytest.param(rows, 30, id=str(rows)) for rows in (1, 5, 20, 64)] + \
+        [pytest.param(5, 1, id="n1")]
 
-    @pytest.mark.parametrize("rows", [1, 5, 20, 64])
+    @pytest.mark.parametrize("rows, n", _SIZES)
     @pytest.mark.parametrize("method, scfg", _METHODS)
-    def test_scan_equals_per_pair_run_test(self, rows, method, scfg, monkeypatch):
-        m = _ebayes_matrix(np.random.default_rng(50 + rows), 30)
+    def test_scan_equals_per_pair_run_test(self, rows, n, method, scfg, monkeypatch):
+        m = _ebayes_matrix(np.random.default_rng(50 + rows), n)
         cfg = engine.PartitionConfig(c=2.0)
         pairs = [(i, j) for i in range(m.n_vars) for j in range(i + 1, m.n_vars)]
         want = {}
@@ -396,13 +395,13 @@ class TestCallSizes:
             else:
                 assert pr.result is None and pr.error is not None
 
-    @pytest.mark.parametrize("rows", [1, 5, 20, 64])
+    @pytest.mark.parametrize("rows, n", _SIZES)
     @pytest.mark.parametrize("method, scfg", _METHODS)
     @pytest.mark.parametrize("kind", ["continuous", "tied"])
-    def test_null_equals_looped_statistic(self, rows, method, scfg, kind, monkeypatch):
+    def test_null_equals_looped_statistic(self, rows, n, method, scfg, kind, monkeypatch):
         rng = np.random.default_rng(60 + rows)
-        x = rng.normal(size=30)
-        y = np.sin(2.0 * x) + 0.5 * rng.normal(size=30)
+        x = rng.normal(size=n)
+        y = np.sin(2.0 * x) + 0.5 * rng.normal(size=n)
         if kind == "tied":
             x, y = np.round(x), np.where(y < 0.0, 0.0, np.round(y, 1))
         sample = PairedSample(x=x, y=y)
@@ -411,8 +410,10 @@ class TestCallSizes:
         looped_rng = np.random.default_rng(7)
         want = [stat(PairedSample(x=x, y=looped_rng.permutation(y))) for _ in range(60)]
         monkeypatch.setattr(kernels, "CHUNK_POINTS", rows * sample.n)
-        got = simulate._default_null(sample, 60, cfg, method, scfg, np.random.default_rng(7))
+        batched_rng = np.random.default_rng(7)
+        got = simulate._default_null(sample, 60, cfg, method, scfg, batched_rng)
         assert got.tolist() == want
+        assert batched_rng.random() == looped_rng.random()  # the same draws were taken
 
 
 _MATRIX = ExpressionMatrix(values=np.random.default_rng(9).standard_normal((20, 3)),
@@ -465,10 +466,17 @@ def _batches(draw):
     return samples
 
 
+# one-point samples, which every method scores as the prior
+_ONE_POINT = [PairedSample(x=[0.3], y=[-1.2]), PairedSample(x=[4.0], y=[2.0]),
+              PairedSample(x=[4.0], y=[7.5])]
+
+
 class TestRunTests:
     @settings(max_examples=120, deadline=None)
     @given(_batches(), st.sampled_from(METHODS), st.sampled_from(_SEARCH_CONFIGS),
            st.sampled_from([1, 2, 7, None]))
+    @example(_ONE_POINT, "basic", _SEARCH_CONFIGS[0], None)
+    @example(_ONE_POINT, "ebayes", _SEARCH_CONFIGS[2], 1)
     def test_batch_equals_single_calls(self, samples, method, scfg, rows):
         cfg = engine.PartitionConfig(c=2.0, prior_odds=0.5)
         n = samples[0].n

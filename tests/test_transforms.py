@@ -192,6 +192,15 @@ class TestToUnitSquare:
         with pytest.raises(DegenerateSample):
             to_unit_square(PairedSample(x=[1.0, 1.0], y=[1.0, 2.0]))
 
+    def test_single_value_is_its_own_median(self):
+        # z = 0, although robust_location_scale([7.0]) has no spread to report
+        assert to_unit_interval([7.0]).tolist() == [0.5]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_single_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            to_unit_interval([value])
+
 
 class TestShiftWrap:
     def test_sentinel_is_identity(self):
