@@ -80,9 +80,8 @@ def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:
     if cfg.grid == "midpoints":
         return 0.5 * (distinct[:-1] + distinct[1:])
     probs = np.arange(1, cfg.grid_size + 1) / (cfg.grid_size + 1.0)
-    q = np.quantile(ordered, probs)
-    if not q.all():  # the sign of a zero quantile depends on the order it is read in
-        q = np.quantile(arr, probs)
+    # + 0.0 makes a zero cut +0.0: a margin holding both zeros sorts them in input order
+    q = np.quantile(ordered, probs) + 0.0
     q = q[(q > distinct[0]) & (q < distinct[-1])]
     # a cut wraps the values <= it, so it is classed by how many distinct values those are
     _, first = np.unique(np.searchsorted(distinct, q, side="right"), return_index=True)

@@ -5,10 +5,10 @@ the binary digits of ``floor(u * 2**D)`` and ``floor(v * 2**D)``
 interleaved, level 1 in the top two bits, for depth cap D. Scaling by a
 power of two is exact, so the top 2k bits of an address name the point's
 level-k cell. Each sample's addresses are sorted once. At every level the
-cells are then runs of equal shifted address, found by comparing
-neighbours, and the length of each run is one quadrant count of its parent
-cell. A point alone in its cell never shares a cell again and is dropped
-before the next level.
+cells are then runs of equal shifted address, found from the xor of
+neighbouring addresses, and the length of each run is one quadrant count of
+its parent cell. A point alone in its cell never shares a cell again and
+is dropped before the next level.
 
 Each level's cell terms need log-gamma at nine counts per parent cell. At
 the top levels a few cells hold many points, so those counts are evaluated
@@ -37,7 +37,7 @@ address has m digits splits at level m + 1 with concentration ``c * (m+1)**2``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
+from ._ufuncs import gammaln
 
 # 2 bits per level in an int64 address, keep one bit of headroom.
 MAX_DEPTH_CAP = 30
@@ -112,56 +112,80 @@ def cell_log_evidence(n0, n1, n2, n3, a: float):
     )
 
 
+def _add_level(k: int, shift: int, conc: float, a, cell_start, start, parent_row, level, depth):
+    """Add the level-k cell terms of every parent to ``level``; return the next parents.
+
+    Returns the row of each level-k cell holding two or more points, and
+    whether every level-k cell does.
+    """
+    runs = np.flatnonzero(cell_start)
+    size = np.empty_like(runs)
+    np.subtract(runs[1:], runs[:-1], out=size[:-1])
+    size[-1] = a.size - runs[-1]
+    run_parent = np.cumsum(start[runs]) - 1
+    # Row q of counts holds quadrant q of every parent.
+    counts = np.zeros((4, parent_row.size), dtype=np.int64)
+    counts.ravel()[((a[runs] >> shift) & 3) * parent_row.size + run_parent] = size
+    terms = cell_log_evidence(*counts, conc)
+    # Every parent holds two or more points (lone points were dropped),
+    # so each is a retained cell; a row's level sum runs over a segment.
+    new_row = np.empty(parent_row.size, dtype=bool)
+    new_row[0] = True
+    np.not_equal(parent_row[1:], parent_row[:-1], out=new_row[1:])
+    first = np.flatnonzero(new_row)
+    here = parent_row[first]
+    level[here] = np.add.reduceat(terms, first)
+    depth[here] = k
+    shared = np.flatnonzero(size >= 2)
+    return parent_row[run_parent[shared]], shared.size == runs.size
+
+
 def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, truncated) -> None:
-    """Fill the level sums, depths and truncation flags of a block of sorted rows."""
+    """Fill the level sums, depths and truncation flags of a block of sorted rows.
+
+    Each level's bookkeeping lives in :func:`_add_level`, so it is freed
+    before the lone points are dropped: the working set stays at a few
+    arrays of one value per point.
+    """
     rows, n = addr.shape
     a = addr.ravel()
+    # A point starts a level-k cell when it and its predecessor differ in the
+    # top 2k address bits, i.e. when their xor reaches 1 << 2(D - k); a row's
+    # first point starts every cell. A point whose predecessor was dropped
+    # as lone already started a cell at that level, so at every deeper one.
+    x = np.empty_like(a)
+    np.bitwise_xor(a[1:], a[:-1], out=x[1:])
+    x[::n] = np.iinfo(np.int64).max
     # Points where a run of equal parent cell begins, and the row of each
     # parent; at level 1 the parent is the whole row.
     start = np.zeros(a.size, dtype=bool)
     start[::n] = True
     parent_row = np.arange(rows)
     for k in range(1, depth_cap + 1):
-        cell = a >> (2 * (depth_cap - k))
-        cell_start = start.copy()
-        cell_start[1:] |= cell[1:] != cell[:-1]
-        runs = np.flatnonzero(cell_start)
-        size = np.empty_like(runs)
-        np.subtract(runs[1:], runs[:-1], out=size[:-1])
-        size[-1] = a.size - runs[-1]
-        run_parent = np.cumsum(start[runs]) - 1
-        # Row q of counts holds quadrant q of every parent.
-        counts = np.zeros((4, parent_row.size), dtype=np.int64)
-        counts.ravel()[(cell[runs] & 3) * parent_row.size + run_parent] = size
-        terms = cell_log_evidence(*counts, c * k * k)
-        # Every parent holds two or more points (lone points were dropped),
-        # so each is a retained cell; a row's level sum runs over a segment.
-        new_row = np.empty(parent_row.size, dtype=bool)
-        new_row[0] = True
-        np.not_equal(parent_row[1:], parent_row[:-1], out=new_row[1:])
-        first = np.flatnonzero(new_row)
-        here = parent_row[first]
-        levels[here, k - 1] = np.add.reduceat(terms, first)
-        depth[here] = k
-
-        shared = size >= 2
-        run_row = parent_row[run_parent]
+        shift = 2 * (depth_cap - k)
+        cell_start = x >= 1 << shift
+        parent_row, every = _add_level(k, shift, c * k * k, a, cell_start, start, parent_row,
+                                       levels[:, k - 1], depth)
         if k == depth_cap:
-            truncated[run_row[shared]] = True
+            truncated[parent_row] = True
             break
-        if not shared.any():
+        if not parent_row.size:
             break
-        parent_row = run_row[shared]
-        if shared.all():
+        if every:
             # No lone point: the next level keeps every point, so skip the copies.
             start = cell_start
             continue
         # A point is lone when both it and the point after it start a cell.
-        keep = cell_start.copy()
-        keep[:-1] &= cell_start[1:]
-        np.logical_not(keep, out=keep)
-        a = a[keep]
-        start = cell_start[keep]
+        # Taking by index is cheaper than by a boolean mask with no regular
+        # pattern; each array is replaced in turn, and the index freed, to
+        # keep the working set small.
+        lone = cell_start.copy()
+        lone[:-1] &= cell_start[1:]
+        kept = np.flatnonzero(~lone)
+        x = x[kept]
+        a = a[kept]
+        start = cell_start[kept]
+        del kept
 
 
 def logbf_batch(u, v, depth_cap: int, c: float):

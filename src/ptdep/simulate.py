@@ -210,7 +210,7 @@ def default_statistic(cfg: PartitionConfig, method: str = "basic",
 
 def abs_pearson(sample: PairedSample) -> float:
     """|Pearson r| baseline; exists to self-test the permutation machinery."""
-    if sample.n < 2:
+    if sample.n < 2 or np.ptp(sample.x) == 0 or np.ptp(sample.y) == 0:
         return 0.0
     r = np.corrcoef(sample.x, sample.y)[0, 1]
     return float(abs(r)) if np.isfinite(r) else 0.0

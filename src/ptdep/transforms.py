@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from ._ufuncs import ndtr
 
 from .errors import DegenerateSample
 

@@ -232,6 +232,22 @@ class TestBatchedCandidates:
     def test_property_equals_per_candidate_loop(self, sample, scfg):
         _assert_same_search(sample, engine.PartitionConfig(c=1.0), scfg)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(10, 60), st.sampled_from(_SEARCH_CONFIGS))
+    def test_property_zero_cut_free_of_row_order(self, seed, n, scfg):
+        # np.round gives -0.0 for small negatives, so the margins hold both zeros
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=n))
+        y = np.round(rng.normal(size=n))
+        x[:3] = (0.0, -0.0, 1.0)
+        y[:3] = (-0.0, 0.0, 1.0)
+        order = rng.permutation(n)
+        got = ebayes_test(PairedSample(x=x[order], y=y[order]), scfg=scfg)
+        want = ebayes_test(PairedSample(x=x, y=y), scfg=scfg)
+        # repr tells 0.0 from -0.0
+        assert (repr(got.delta_star), got.shift_axis, got.log_bf) == \
+            (repr(want.delta_star), want.shift_axis, want.log_bf)
+
     @pytest.mark.parametrize("seed, tied", [(22, False), (23, True)])
     def test_grid_beyond_n_equals_every_raw_quantile_cut(self, seed, tied):
         # 1000 quantile cuts at n = 40 fall into at most 39 distinct wraps

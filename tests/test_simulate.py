@@ -164,6 +164,11 @@ class TestPermutationNull:
         b = permutation_null(sample, n_perm=50, seed=9, statistic=abs_pearson)
         assert np.array_equal(a.null_stats, b.null_stats)
 
+    def test_constant_margin_scores_zero_without_warning(self):
+        # the suite turns warnings into errors, so np.corrcoef's divide warning would fail here
+        null = permutation_null(PairedSample([1, 1, 1, 2], [1, 1, 1, 1]), 5, statistic=abs_pearson)
+        assert null.null_stats.tolist() == [0.0] * 5
+
 
 class TestPowerExperiment:
     def test_posterior_threshold_on_circular(self):
