@@ -3,11 +3,8 @@
 from .transforms import (
     PairedSample,
     RobustStats,
-    ShiftSpec,
     UnitPoints,
-    normal_cdf,
     robust_location_scale,
-    shift_wrap,
     to_unit_square,
 )
 from .diffscan import (
@@ -65,7 +62,6 @@ __all__ = [
     "ReplicateSummary",
     "RobustStats",
     "ShiftSearchConfig",
-    "ShiftSpec",
     "SimModel",
     "TestResult",
     "UnitPoints",
@@ -77,7 +73,6 @@ __all__ = [
     "ebayes_test",
     "generate",
     "log_cell_evidence",
-    "normal_cdf",
     "p_diff",
     "pairwise_scan",
     "permutation_null",
@@ -86,7 +81,6 @@ __all__ = [
     "replicate_experiment",
     "robust_location_scale",
     "run_replicates",
-    "shift_wrap",
     "test_dependence",
     "to_unit_square",
 ]

@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("input_a", help="condition A matrix")
     p_diff.add_argument("input_b", help="condition B matrix")
     p_diff.add_argument("--edge-threshold", type=float, default=0.95,
-                        help="report edges with p_diff at or above this value (default 0.95)")
+                        help="report edges with p_diff at or above this value, in [0, 1] "
+                             "(default 0.95)")
     _add_common(p_diff)
 
     p_sim = sub.add_parser("simulate", help="replicate experiment on a generative model")

@@ -36,18 +36,17 @@ class ExpressionMatrix:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
         if values.shape[0] < 1:
             raise ValueError("matrix must contain at least one sample row")
-        if values.shape[1] != len(self.var_names):
-            raise ValueError(
-                f"{len(self.var_names)} names for {values.shape[1]} columns"
-            )
-        if len(set(self.var_names)) != len(self.var_names):
+        names = tuple(str(n) for n in self.var_names)
+        if values.shape[1] != len(names):
+            raise ValueError(f"{len(names)} names for {values.shape[1]} columns")
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix contains non-finite entries")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "var_names", tuple(str(n) for n in self.var_names))
+        object.__setattr__(self, "var_names", names)
 
     @property
     def n_samples(self) -> int:
@@ -185,8 +184,10 @@ def diff_scan(
     Both matrices must cover the same variable names (sample counts may
     differ); condition B's columns are aligned to A's order. Pairs that are
     degenerate in either condition are skipped. Only edges with
-    ``p_diff >= threshold`` are returned.
+    ``p_diff >= threshold`` are returned; ``threshold`` must lie in [0, 1].
     """
+    if not (0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     if set(m_a.var_names) != set(m_b.var_names):
         raise VarMismatch("the two matrices must carry the same variable names")
     if tuple(m_a.var_names) != tuple(m_b.var_names):

@@ -258,7 +258,9 @@ def candidate_tables(t: int, samples: list, cfg: PartitionConfig,
     """The segments of samples' tables t, t + 1, ..., lazily: one of their unwrapped
     rows, then for a ``search`` each sample's cuts of x and, with "xy", of y."""
     pts = [unit_points(s, cfg) for s in samples]
-    u, v = np.stack([p.u for p in pts]), np.stack([p.v for p in pts])
+    # a lone sample's margins as views: copying a large one costs a share of its test
+    u, v = ((pts[0].u[None], pts[0].v[None]) if len(pts) == 1 else
+            (np.stack([p.u for p in pts]), np.stack([p.v for p in pts])))
     yield Segment(t, "x", [None], u[:, None], v)
     if search is None:
         return

@@ -14,7 +14,10 @@ level k), which damps deep levels and makes the depth cap immaterial in
 practice; a cap of 20 leaves residual terms far below 1e-6.
 
 Everything here is a pure function of its inputs; results are
-deterministic, cells being accumulated in a fixed address order.
+deterministic, cells being accumulated in a fixed address order. This
+module holds the configuration, the result and the posterior; every test,
+:func:`test_dependence` included, is scored by
+:func:`ptdep.ebayes.best_candidates` over :func:`ptdep.kernels.logbf_batch`.
 """
 
 from __future__ import annotations
@@ -133,8 +136,13 @@ def test_dependence(sample: PairedSample, cfg: PartitionConfig | None = None) ->
     the unit square, quadrant counting to the depth cap, analytic log
     Bayes factor, posterior probability. A single-point sample carries no
     pairing information, so the evidence is exactly the prior.
+
+    This is ``run_test(sample, "basic", cfg)``: the one-row candidate table,
+    scored like every other test.
     """
-    return _evaluate(sample, cfg or PartitionConfig())
+    from .ebayes import run_test  # ebayes imports this module at load
+
+    return run_test(sample, "basic", cfg)
 
 
 def unit_points(sample: PairedSample, cfg: PartitionConfig) -> UnitPoints:
@@ -161,10 +169,3 @@ def _result(log_bf: float, levels: list, truncated: bool, n: int, cfg: Partition
         delta_star=delta_star,
         shift_axis=shift_axis,
     )
-
-
-def _evaluate(sample: PairedSample, cfg: PartitionConfig) -> TestResult:
-    pts = unit_points(sample, cfg)
-    levels, truncated = kernels.logbf_levels(pts.u, pts.v, cfg.depth_cap, cfg.c)
-    levels = levels.tolist()
-    return _result(math.fsum(levels), levels, truncated, sample.n, cfg)

@@ -20,7 +20,9 @@ A batch is B samples of n points, given as ``u`` and ``v`` that broadcast
 to (B, n), so a margin shared by every sample is passed once. Samples never
 interact: each row's result is bit for bit what the row gives alone. A
 batch is scored in calls of at most ``CHUNK_POINTS`` points, never
-splitting a row, which bounds the working set of large batches.
+splitting a row, which bounds the working set of large batches. Every
+test, the single-sample basic test included, reaches the kernel through
+:func:`ptdep.ebayes.best_candidates`.
 
 A call pays a fixed cost of some tens of microseconds per level, whatever
 its size, for the numpy calls that level makes. ``CHUNK_POINTS`` = 2**15 is
@@ -214,14 +216,3 @@ def logbf_batch(u, v, depth_cap: int, c: float):
                           v[rows] if v.shape[0] > 1 else v, depth_cap)
         _score_block(addr, depth_cap, float(c), levels[rows], depth[rows], truncated[rows])
     return levels, depth, truncated
-
-
-def logbf_levels(u, v, depth_cap: int, c: float):
-    """Per-level log evidence contributions for one sample of unit-square points.
-
-    Returns ``(levels, truncated)`` where ``levels[k-1]`` sums the log
-    evidence of every cell split at level k, trimmed to the deepest level
-    with a retained cell. This is row 0 of :func:`logbf_batch`.
-    """
-    levels, depth, truncated = logbf_batch(u, v, depth_cap, c)
-    return levels[0, : depth[0]].copy(), bool(truncated[0])

@@ -9,10 +9,9 @@ axes at normal quantiles centred on the median.
 Each median takes one selection (``np.partition`` at the middle index), not
 the two of ``np.median``, with the same float.
 
-An optional shift-and-wrap transform cuts one axis at a threshold and
-juxtaposes the two pieces, which relocates the central split of the
-downstream partition. Callers re-standardise the wrapped data; nothing here
-caches statistics.
+:func:`wrap_at` cuts one margin at a threshold and juxtaposes the two
+pieces, which relocates the central split of the downstream partition.
+Callers re-standardise the wrapped data; nothing here caches statistics.
 """
 
 from __future__ import annotations
@@ -93,24 +92,6 @@ class UnitPoints:
         return self.u.size
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
-    """Cut point and axis for the shift-and-wrap transform.
-
-    Any delta below the axis minimum acts as the no-shift sentinel: the wrap
-    region is empty and the sample passes through unchanged.
-    """
-
-    delta: float
-    axis: str = "x"
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {self.axis!r}")
-        if not np.isfinite(self.delta):
-            raise ValueError("delta must be finite")
-
-
 def _median(arr: np.ndarray) -> float:
     """``np.median`` of a NaN-free vector, bit for bit, from one selection.
 
@@ -152,13 +133,6 @@ def robust_location_scale(values, *, normal_consistent: bool = True) -> RobustSt
     return RobustStats(location=location, scale=scale, fallback_used=fallback)
 
 
-def normal_cdf(z):
-    """Standard normal distribution function; scalar in, scalar out."""
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return float(ndtr(z))
-    return ndtr(np.asarray(z, dtype=np.float64))
-
-
 def to_unit_interval(values, *, normal_consistent: bool = True) -> np.ndarray:
     """Map one margin through robust standardisation and the normal CDF.
 
@@ -193,15 +167,3 @@ def wrap_at(values: np.ndarray, delta) -> np.ndarray:
     lo = float(values.min())
     hi = float(values.max())
     return np.where(values <= delta, (hi - lo) + values, values)
-
-
-def shift_wrap(sample: PairedSample, spec: ShiftSpec) -> PairedSample:
-    """Wrap the chosen axis at ``spec.delta`` with :func:`wrap_at`.
-
-    The other axis is untouched. Statistics must be recomputed on the
-    result, since the wrap moves the median.
-    """
-    wrapped = wrap_at(sample.x if spec.axis == "x" else sample.y, spec.delta)
-    if spec.axis == "x":
-        return PairedSample(x=wrapped, y=sample.y)
-    return PairedSample(x=sample.x, y=wrapped)

@@ -10,6 +10,10 @@ The reference quadrant tree lives here too. It builds every retained cell
 by explicit recursion over rectangles, so it checks the kernel's counting
 route; it scores cells through ``ptdep.log_cell_evidence``, whose formula
 is checked against the factorial oracle above.
+
+:func:`direct_test` is the basic test scored by one plain kernel call,
+outside the package's candidate-table route, so batched routes are checked
+against something other than themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from ptdep import log_cell_evidence
+from ptdep import engine, kernels, log_cell_evidence
 from ptdep.transforms import UnitPoints
 
 
@@ -56,6 +60,20 @@ def exact_log_cell_evidence(counts, a: float) -> float:
            * rising(1, n3))
     with mpmath.workdps(60):
         return float(mpmath.log(mpmath.mpf(num)) - mpmath.log(mpmath.mpf(den)))
+
+
+def direct_test(sample, cfg=None):
+    """The basic test of ``sample`` from one direct kernel call.
+
+    Maps both margins with ``engine.unit_points``, scores the one row with
+    ``kernels.logbf_batch``, trims it to its depth and sums it with
+    ``math.fsum``. A constant margin raises ``DegenerateSample`` from the map.
+    """
+    cfg = cfg or engine.PartitionConfig()
+    pts = engine.unit_points(sample, cfg)
+    levels, depth, truncated = kernels.logbf_batch(pts.u, pts.v, cfg.depth_cap, cfg.c)
+    row = levels[0, : depth[0]].tolist()
+    return engine._result(math.fsum(row), row, bool(truncated[0]), sample.n, cfg)
 
 
 def normal_cdf_quadrature(z: float) -> float:

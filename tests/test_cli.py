@@ -309,6 +309,15 @@ class TestDiffCommand:
         p2 = matrix_file("a,c\n1,2\n3,4\n", "b.csv")
         assert run(["diff", p1, p2]) == 2
 
+    @pytest.mark.parametrize("threshold", ["nan", "-0.5", "1.5", "inf"])
+    def test_threshold_outside_unit_interval_exits_2(self, threshold, matrix_file, capsys):
+        text = "a,b\n1,2\n3,5\n4,4\n"
+        p1 = matrix_file(text, "a.csv")
+        p2 = matrix_file(text, "b.csv")
+        assert run(["diff", p1, p2, "--edge-threshold", threshold]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "threshold must lie in [0, 1]" in captured.err
+
     def test_diff_csv_schema(self, matrix_file, capsys):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(300)

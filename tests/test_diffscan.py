@@ -11,11 +11,12 @@ from ptdep.diffscan import (
     p_diff,
     pairwise_scan,
 )
-from ptdep import engine
 from ptdep.ebayes import ShiftSearchConfig
 from ptdep.engine import PartitionConfig
 from ptdep.errors import DegenerateSample, VarMismatch
 from ptdep.transforms import PairedSample
+
+from oracles import direct_test
 
 
 def _matrix(rng, n_samples, names, dependent_pair=None):
@@ -72,6 +73,10 @@ class TestExpressionMatrix:
     def test_duplicate_names(self):
         with pytest.raises(ValueError):
             ExpressionMatrix(values=[[1.0, 2.0]], var_names=("a", "a"))
+
+    def test_names_equal_as_strings_are_duplicates(self):
+        with pytest.raises(ValueError, match="unique"):
+            ExpressionMatrix(values=[[1.0, 2.0]], var_names=(1, "1"))
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
@@ -149,11 +154,25 @@ class TestDiffScan:
         assert len(edges) == 1
         assert edges[0].edge_class == "gained_in_B"
 
-    def test_threshold_above_one_empty(self):
+    @pytest.mark.parametrize("threshold", [np.nan, -0.5, 1.01, 1.5, np.inf])
+    def test_threshold_outside_unit_interval_rejected(self, threshold, monkeypatch):
         rng = np.random.default_rng(8)
         m_a = _matrix(rng, 200, ["a", "b"], dependent_pair=(0, 1))
         m_b = _matrix(rng, 200, ["a", "b"])
-        assert diff_scan(m_a, m_b, threshold=1.01) == []
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before checking the threshold")
+
+        monkeypatch.setattr(diffscan, "pairwise_scan", no_scan)
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\]"):
+            diff_scan(m_a, m_b, threshold=threshold)
+
+    def test_threshold_bounds_accepted(self):
+        rng = np.random.default_rng(8)
+        m_a = _matrix(rng, 200, ["a", "b"], dependent_pair=(0, 1))
+        m_b = _matrix(rng, 200, ["a", "b"])
+        assert len(diff_scan(m_a, m_b, threshold=0.0)) == 1
+        assert diff_scan(m_a, m_b, threshold=1.0) == []
 
     def test_name_mismatch(self):
         rng = np.random.default_rng(9)
@@ -199,7 +218,7 @@ class TestMapOnceScan:
                 assert (pr.var_a, pr.var_b) == (m.var_names[i], m.var_names[j])
                 sample = PairedSample(x=m.values[:, i], y=m.values[:, j])
                 try:
-                    want = engine.test_dependence(sample, cfg)
+                    want = direct_test(sample, cfg)
                 except DegenerateSample as exc:
                     assert pr.result is None and pr.error == str(exc)
                     continue

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptdep import kernels
-from ptdep.kernels import CHUNK_POINTS, logbf_batch, logbf_levels
+from ptdep.kernels import CHUNK_POINTS, logbf_batch
 from ptdep.transforms import UnitPoints
 
 from oracles import build_count_tree, log_bayes_factor
@@ -73,21 +73,21 @@ class TestDispatch:
     def test_levels_trimmed(self):
         rng = np.random.default_rng(15)
         u, v = _random_points(rng, 100)
-        levels, truncated = logbf_levels(u, v, 20, 5.0)
-        assert levels.size <= 20
-        assert levels.size >= 1
+        levels, depth, truncated = _single(u, v, 20)
+        assert 1 <= depth <= 20
+        assert levels[depth - 1] != 0.0 and not levels[depth:].any()
 
     def test_depth_cap_validation(self):
         with pytest.raises(ValueError):
-            logbf_levels(np.array([0.5]), np.array([0.5]), 0, 5.0)
+            logbf_batch(np.array([0.5]), np.array([0.5]), 0, 5.0)
         with pytest.raises(ValueError):
-            logbf_levels(np.array([0.5]), np.array([0.5]), 31, 5.0)
+            logbf_batch(np.array([0.5]), np.array([0.5]), 31, 5.0)
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(16)
         u, v = _random_points(rng, 321)
-        a, _ = logbf_levels(u, v, 20, 5.0)
-        b, _ = logbf_levels(u, v, 20, 5.0)
+        a, _, _ = _single(u, v, 20)
+        b, _, _ = _single(u, v, 20)
         assert np.array_equal(a, b)
 
 
@@ -96,8 +96,9 @@ def _assert_rows_are_singles(u, v, depth_cap, c):
     u2, v2 = np.broadcast_arrays(np.atleast_2d(u), np.atleast_2d(v))
     assert levels.shape == (u2.shape[0], depth_cap)
     for b in range(u2.shape[0]):
-        one, one_truncated = logbf_levels(u2[b], v2[b], depth_cap, c)
-        assert levels[b, : depth[b]].tobytes() == one.tobytes()
+        one, one_depth, one_truncated = _single(u2[b], v2[b], depth_cap, c)
+        assert depth[b] == one_depth
+        assert levels[b].tobytes() == one.tobytes()
         assert not levels[b, depth[b]:].any()
         assert bool(truncated[b]) == one_truncated
     return depth, truncated

@@ -21,7 +21,7 @@ from ptdep.simulate import (
 )
 from ptdep.transforms import PairedSample
 
-from oracles import quantile_type1
+from oracles import direct_test, quantile_type1
 
 
 class TestGenerate:
@@ -102,10 +102,8 @@ class TestReplicates:
     def test_replicate_seeds_are_base_plus_r(self):
         results = run_replicates(SimModel(kind="independent"), n=40, reps=3, seed=100)
         expected = [generate(SimModel(kind="independent"), 40, seed=100 + r) for r in range(3)]
-        from ptdep.engine import test_dependence
-
         for res, sample in zip(results, expected):
-            assert res.log_bf == test_dependence(sample).log_bf
+            assert res.log_bf == direct_test(sample).log_bf
 
 
 class TestEmpiricalQuantile:

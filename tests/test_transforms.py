@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from ptdep.errors import DegenerateSample
+from ptdep import transforms
 from ptdep.transforms import (
     PairedSample,
     _median,
-    ShiftSpec,
-    normal_cdf,
     robust_location_scale,
-    shift_wrap,
     to_unit_interval,
     to_unit_square,
+    wrap_at,
 )
 
 from oracles import normal_cdf_quadrature, normal_tail_series
@@ -124,29 +123,31 @@ def test_unit_interval_depends_on_the_multiset_only(y, seed):
 
 
 class TestNormalCdf:
+    """The ``ndtr`` ufunc that :func:`to_unit_interval` maps through."""
+
     def test_zero_is_half(self):
-        assert normal_cdf(0.0) == 0.5
+        assert transforms.ndtr(0.0) == 0.5
 
     def test_upper_975_quantile(self):
         z = 1.959963984540054
-        assert normal_cdf(z) == pytest.approx(0.975, abs=1e-9)
-        assert normal_cdf(z) == pytest.approx(normal_cdf_quadrature(z), abs=1e-12)
+        assert transforms.ndtr(z) == pytest.approx(0.975, abs=1e-9)
+        assert transforms.ndtr(z) == pytest.approx(normal_cdf_quadrature(z), abs=1e-12)
 
     def test_far_tail(self):
-        p = normal_cdf(-8.0)
+        p = transforms.ndtr(-8.0)
         assert 0.0 < p < 1e-14
         assert p == pytest.approx(normal_tail_series(8.0), rel=1e-10)
 
     def test_symmetry(self):
         z = np.linspace(-8, 8, 1601)
-        assert np.max(np.abs(normal_cdf(z) + normal_cdf(-z) - 1.0)) <= 1e-14
+        assert np.max(np.abs(transforms.ndtr(z) + transforms.ndtr(-z) - 1.0)) <= 1e-14
 
     def test_strictly_increasing(self):
         # beyond z ~ 7.7 successive values collapse into the same double
         z = np.linspace(-8, 7, 1501)
-        assert np.all(np.diff(normal_cdf(z)) > 0)
+        assert np.all(np.diff(transforms.ndtr(z)) > 0)
         tail = np.linspace(7, 8, 101)
-        assert np.all(np.diff(normal_cdf(tail)) >= 0)
+        assert np.all(np.diff(transforms.ndtr(tail)) >= 0)
 
 
 class TestToUnitSquare:
@@ -204,34 +205,37 @@ class TestToUnitSquare:
 
 class TestShiftWrap:
     def test_sentinel_is_identity(self):
-        s = PairedSample(x=[0.0, 5.0, 10.0], y=[1.0, 2.0, 3.0])
-        out = shift_wrap(s, ShiftSpec(delta=-1.0, axis="x"))
-        assert np.array_equal(out.x, s.x)
-        assert np.array_equal(out.y, s.y)
+        x = np.array([0.0, 5.0, 10.0])
+        assert np.array_equal(wrap_at(x, -1.0), x)
 
     def test_wrap_moves_low_piece(self):
-        s = PairedSample(x=[0.0, 5.0, 10.0], y=[1.0, 2.0, 3.0])
-        out = shift_wrap(s, ShiftSpec(delta=5.0, axis="x"))
-        assert out.x.tolist() == [10.0, 15.0, 10.0]
-        assert np.array_equal(out.y, s.y)
+        assert wrap_at(np.array([0.0, 5.0, 10.0]), 5.0).tolist() == [10.0, 15.0, 10.0]
 
-    def test_preserves_size_and_other_axis(self):
+    def test_preserves_size_and_input(self):
         rng = np.random.default_rng(1)
-        s = PairedSample(x=rng.normal(size=40), y=rng.normal(size=40))
-        out = shift_wrap(s, ShiftSpec(delta=float(np.median(s.x)), axis="x"))
-        assert out.n == s.n
-        assert np.array_equal(out.y, s.y)
+        x = rng.normal(size=40)
+        before = x.copy()
+        out = wrap_at(x, float(np.median(x)))
+        assert out.shape == x.shape
+        assert np.array_equal(x, before)
 
     def test_bijection_off_the_cut(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=60)
-        s = PairedSample(x=x, y=rng.normal(size=60))
         delta = float(np.median(x)) + 1e-9
-        out = shift_wrap(s, ShiftSpec(delta=delta, axis="x"))
-        assert len(np.unique(out.x)) == len(np.unique(x))
+        assert len(np.unique(wrap_at(x, delta))) == len(np.unique(x))
 
     def test_y_axis_wrap(self):
         s = PairedSample(x=[1.0, 2.0, 3.0], y=[0.0, 5.0, 10.0])
-        out = shift_wrap(s, ShiftSpec(delta=5.0, axis="y"))
+        out = PairedSample(x=s.x, y=wrap_at(s.y, 5.0))
         assert out.y.tolist() == [10.0, 15.0, 10.0]
         assert np.array_equal(out.x, s.x)
+
+    def test_column_of_cuts_gives_one_row_per_cut(self):
+        x = np.array([0.0, 5.0, 10.0, 2.0])
+        cuts = np.array([-1.0, 2.0, 5.0])
+        rows = wrap_at(x, cuts[:, None])
+        assert rows.shape == (3, 4)
+        for cut, row in zip(cuts, rows):
+            assert row.tobytes() == wrap_at(x, float(cut)).tobytes()
+        assert rows[1].tolist() == [10.0, 5.0, 10.0, 12.0]
