@@ -3,9 +3,7 @@
 from .transforms import (
     PairedSample,
     RobustStats,
-    UnitPoints,
     robust_location_scale,
-    to_unit_square,
 )
 from .diffscan import (
     DiffEdge,
@@ -64,7 +62,6 @@ __all__ = [
     "ShiftSearchConfig",
     "SimModel",
     "TestResult",
-    "UnitPoints",
     "VarMismatch",
     "abs_pearson",
     "classify_edge",
@@ -82,5 +79,4 @@ __all__ = [
     "robust_location_scale",
     "run_replicates",
     "test_dependence",
-    "to_unit_square",
 ]

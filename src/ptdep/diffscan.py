@@ -90,13 +90,13 @@ def p_diff(p_a: float, p_b: float) -> float:
     return p_a * (1.0 - p_b) + p_b * (1.0 - p_a)
 
 
-def _column_maps(m: ExpressionMatrix, cfg: PartitionConfig):
+def _column_maps(m: ExpressionMatrix):
     """Each column, contiguous, with its map to the unit interval or its degenerate error."""
     cols, units, errors = [], [], []
     for j in range(m.n_vars):
         cols.append(np.ascontiguousarray(m.values[:, j]))
         try:
-            units.append(to_unit_interval(cols[j], normal_consistent=cfg.mad_normal_consistent))
+            units.append(to_unit_interval(cols[j]))
             errors.append(None)
         except DegenerateSample as exc:
             units.append(None)
@@ -114,7 +114,7 @@ def _search(cols: list, units: list, partners: list, axis: str,
     keys = []
 
     def block(c: int) -> list:
-        deltas, rows = cut_table(cols[c], search, cfg, units[c] if axis == "x" else None)
+        deltas, rows = cut_table(cols[c], search, units[c] if axis == "x" else None)
         if not deltas:
             return []
         first = len(keys)
@@ -145,7 +145,7 @@ def pairwise_scan(
         raise ValueError("need at least two variables to scan")
     search = shift_search(method, scfg)
     cfg = cfg or PartitionConfig()
-    cols, units, errors = _column_maps(m, cfg)
+    cols, units, errors = _column_maps(m)
     ok = [e is None for e in errors]
     later = [[j for j in range(i + 1, m.n_vars) if ok[i] and ok[j]] for i in range(m.n_vars)]
     best = _search(cols, units, later, "x", search, cfg)

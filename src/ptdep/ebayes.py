@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .engine import PartitionConfig, TestResult, _result, unit_points
+from .engine import PartitionConfig, TestResult, _result
 from .errors import DegenerateSample
-from .transforms import PairedSample, to_unit_interval, wrap_at
+from .transforms import PairedSample, _as_vector, to_unit_interval, wrap_at
 
 # The tests a caller can name: the basic test and the ebayes-centred one.
 METHODS = ("basic", "ebayes")
@@ -68,12 +68,13 @@ class ShiftSearchConfig:
 def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:
     """Candidate cut points for one axis, ascending, strictly inside the data range.
 
-    A margin of fewer than two distinct values has none. Quantile cuts that
-    wrap the same values are kept once, at the first of them. The distinct
-    values and the quantiles come from one sort of the margin.
+    ``values`` must be a non-empty one-dimensional vector of finite values,
+    checked as the margin map checks it. A margin of fewer than two distinct
+    values has none. Quantile cuts that wrap the same values are kept once,
+    at the first of them. The distinct values and the quantiles come from one
+    sort of the margin.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    ordered = np.sort(arr)
+    ordered = np.sort(_as_vector(values, "values"))
     distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
     if distinct.size < 2:
         return np.empty(0)
@@ -124,7 +125,7 @@ class Segment(NamedTuple):
                        self.fixed[lo:hi] if self.fixed.ndim == 2 else self.fixed)
 
 
-def cut_rows(values: np.ndarray, scfg: ShiftSearchConfig, cfg: PartitionConfig):
+def cut_rows(values: np.ndarray, scfg: ShiftSearchConfig):
     """Yield ``(deltas, rows)`` blocks of one margin's usable cuts, in grid order.
 
     Each row is the margin wrapped at one cut of the grid and mapped again;
@@ -145,7 +146,7 @@ def cut_rows(values: np.ndarray, scfg: ShiftSearchConfig, cfg: PartitionConfig):
             if not np.isfinite(wrapped).all():
                 continue
             try:
-                rows.append(to_unit_interval(wrapped, normal_consistent=cfg.mad_normal_consistent))
+                rows.append(to_unit_interval(wrapped))
             except DegenerateSample:
                 continue
             deltas.append(delta)
@@ -153,12 +154,12 @@ def cut_rows(values: np.ndarray, scfg: ShiftSearchConfig, cfg: PartitionConfig):
             yield deltas, np.stack(rows)
 
 
-def cut_table(values: np.ndarray, search: ShiftSearchConfig | None, cfg: PartitionConfig,
+def cut_table(values: np.ndarray, search: ShiftSearchConfig | None,
               mapped: np.ndarray | None = None) -> tuple[list, np.ndarray]:
     """One margin's candidate rows as ``(deltas, rows)``: ``mapped`` (unwrapped) when
     given, then the usable cuts of ``search``, none for the basic test's None."""
     deltas, rows = ([None], [mapped[None]]) if mapped is not None else ([], [])
-    for block_deltas, block in cut_rows(values, search, cfg) if search else ():
+    for block_deltas, block in cut_rows(values, search) if search else ():
         deltas += block_deltas
         rows.append(block)
     return deltas, np.concatenate(rows) if rows else np.empty((0, values.size))
@@ -257,17 +258,17 @@ def candidate_tables(t: int, samples: list, cfg: PartitionConfig,
                      search: ShiftSearchConfig | None):
     """The segments of samples' tables t, t + 1, ..., lazily: one of their unwrapped
     rows, then for a ``search`` each sample's cuts of x and, with "xy", of y."""
-    pts = [unit_points(s, cfg) for s in samples]
+    xs = [to_unit_interval(s.x) for s in samples]
+    ys = [to_unit_interval(s.y) for s in samples]
     # a lone sample's margins as views: copying a large one costs a share of its test
-    u, v = ((pts[0].u[None], pts[0].v[None]) if len(pts) == 1 else
-            (np.stack([p.u for p in pts]), np.stack([p.v for p in pts])))
+    u, v = (xs[0][None], ys[0][None]) if len(samples) == 1 else (np.stack(xs), np.stack(ys))
     yield Segment(t, "x", [None], u[:, None], v)
     if search is None:
         return
     for b, sample in enumerate(samples):
-        for deltas, rows in cut_rows(sample.x, search, cfg):
+        for deltas, rows in cut_rows(sample.x, search):
             yield Segment(t + b, "x", deltas, rows, v[b])
-        for deltas, rows in cut_rows(sample.y, search, cfg) if search.axis_policy == "xy" else ():
+        for deltas, rows in cut_rows(sample.y, search) if search.axis_policy == "xy" else ():
             yield Segment(t + b, "y", deltas, rows, u[b])
 
 
@@ -280,7 +281,7 @@ def ebayes_test(sample: PairedSample, cfg: PartitionConfig | None = None,
     unless beaten, reported as ``delta_star = shift_axis = None``, and the
     probability of dependence never falls below the basic test's.
     """
-    return next(run_tests([sample], "ebayes", cfg, scfg))
+    return run_test(sample, "ebayes", cfg, scfg)
 
 
 def run_tests(samples, method: str, cfg: PartitionConfig | None = None,
@@ -318,5 +319,12 @@ def _same_size(first: PairedSample, rest):
 
 def run_test(sample: PairedSample, method: str, cfg: PartitionConfig | None = None,
              scfg: ShiftSearchConfig | None = None) -> TestResult:
-    """The test that ``method`` names, one of :data:`METHODS`, on one sample."""
-    return next(run_tests([sample], method, cfg, scfg))
+    """The test that ``method`` names, one of :data:`METHODS`, on one sample.
+
+    Its one table is scored as :func:`run_tests` scores each sample's, without
+    the batching a stream of samples needs.
+    """
+    search = shift_search(method, scfg)
+    cfg = cfg or PartitionConfig()
+    winner, = best_candidates([candidate_tables(0, [sample], cfg, search)], cfg)
+    return winner_result(winner, sample.n, cfg, method)

@@ -15,8 +15,9 @@ practice; a cap of 20 leaves residual terms far below 1e-6.
 
 Everything here is a pure function of its inputs; results are
 deterministic, cells being accumulated in a fixed address order. This
-module holds the configuration, the result and the posterior; every test,
-:func:`test_dependence` included, is scored by
+module holds the configuration, the result and the posterior; it maps no
+margin. Every test, :func:`test_dependence` included, maps its margins with
+:func:`ptdep.transforms.to_unit_interval` and is scored by
 :func:`ptdep.ebayes.best_candidates` over :func:`ptdep.kernels.logbf_batch`.
 """
 
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import kernels
-from .transforms import PairedSample, UnitPoints, to_unit_square
+from .transforms import PairedSample
 
 
 # Concentrations ``c`` at which the cell term is trusted. The term sums
@@ -48,7 +50,8 @@ class PartitionConfig:
     c: float = 5.0
     depth_cap: int = 20
     prior_odds: float = 1.0
-    mad_normal_consistent: bool = True
+    # not a field, always True: the benchmark's reference_for (perfbench/checks.py) reads it
+    mad_normal_consistent: ClassVar[bool] = True
 
     def __post_init__(self):
         for name in ("c", "prior_odds"):
@@ -143,11 +146,6 @@ def test_dependence(sample: PairedSample, cfg: PartitionConfig | None = None) ->
     from .ebayes import run_test  # ebayes imports this module at load
 
     return run_test(sample, "basic", cfg)
-
-
-def unit_points(sample: PairedSample, cfg: PartitionConfig) -> UnitPoints:
-    """Both margins of a sample mapped to the unit square as ``cfg`` asks."""
-    return to_unit_square(sample, normal_consistent=cfg.mad_normal_consistent)
 
 
 def _result(log_bf: float, levels: list, truncated: bool, n: int, cfg: PartitionConfig,

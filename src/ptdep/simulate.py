@@ -38,8 +38,8 @@ import numpy as np
 from . import kernels
 from .ebayes import (METHODS, Segment, ShiftSearchConfig, best_candidates, cut_table, run_test,
                      run_tests, shift_search)
-from .engine import PartitionConfig, TestResult, posterior_dependence, unit_points
-from .transforms import PairedSample
+from .engine import PartitionConfig, TestResult, posterior_dependence
+from .transforms import PairedSample, to_unit_interval
 
 MODEL_KINDS = ("linear", "parabolic", "sinusoidal", "circular", "checkerboard", "independent")
 
@@ -73,12 +73,19 @@ class SimModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma < 0.0:
             raise ValueError("sigma must be >= 0")
-        if self.x_range is not None and not (self.x_range[0] < self.x_range[1]):
-            raise ValueError("x_range must satisfy lo < hi")
-        if not (self.theta_range[0] < self.theta_range[1]):
-            raise ValueError("theta_range must satisfy lo < hi")
+        for name in ("x_range", "theta_range"):
+            bounds = getattr(self, name)
+            if bounds is None:
+                continue
+            lo, hi = bounds
+            if not (lo < hi):
+                raise ValueError(f"{name} must satisfy lo < hi")
+            if not math.isfinite(hi - lo):  # an infinite end makes the width inf or nan
+                raise ValueError(f"{name} must have finite ends and width, got ({lo}, {hi})")
         if self.checker_pattern not in CHECKER_PATTERNS:
             raise ValueError(f"checker_pattern must be one of {CHECKER_PATTERNS}")
 
@@ -291,17 +298,17 @@ def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, metho
     segment per axis, and only one batch is held at a time.
     """
     search = shift_search(method, scfg)
-    pts = unit_points(sample, cfg)
-    x_deltas, x_rows = cut_table(sample.x, search, cfg, pts.u)
+    u, v = to_unit_interval(sample.x), to_unit_interval(sample.y)
+    x_deltas, x_rows = cut_table(sample.x, search, u)
     xy = search is not None and search.axis_policy == "xy"
-    y_deltas, y_rows = cut_table(sample.y, search if xy else None, cfg)
+    y_deltas, y_rows = cut_table(sample.y, search if xy else None)
     step = max(1, kernels.rows_per_call(sample.n) // (len(x_deltas) + len(y_deltas)))
 
     def batches():
         for lo in range(0, n_perm, step):
             order = _orders(rng, min(step, n_perm - lo), sample.n)
-            yield [Segment(lo, "x", x_deltas, x_rows, pts.v[order])] + (
-                [Segment(lo, "y", y_deltas, y_rows[:, order].swapaxes(0, 1), pts.u)]
+            yield [Segment(lo, "x", x_deltas, x_rows, v[order])] + (
+                [Segment(lo, "y", y_deltas, y_rows[:, order].swapaxes(0, 1), u)]
                 if y_deltas else [])
 
     return np.fromiter((posterior_dependence(winner[0], cfg.prior_odds)

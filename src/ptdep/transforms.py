@@ -1,10 +1,11 @@
-"""Marginal standardisation and unit-square mapping for paired samples.
+"""Marginal standardisation and the one margin map of paired samples.
 
-The dependence test works on points in the open unit square. Raw data gets
-there in two steps: robust standardisation with the median and the scaled
-median absolute deviation, then the standard normal CDF. Partitioning the
-unit square into equal quadrants is then the same as partitioning the raw
-axes at normal quantiles centred on the median.
+The dependence test works on points in the open unit square. Each margin
+gets there through :func:`to_unit_interval`, the only margin map, which
+every route calls directly: robust standardisation with the median and the
+normal-consistent scaled median absolute deviation, then the standard
+normal CDF. Partitioning the unit square into equal quadrants is then the
+same as partitioning the raw axes at normal quantiles centred on the median.
 
 Each median takes one selection (``np.partition`` at the middle index), not
 the two of ``np.median``, with the same float.
@@ -75,23 +76,6 @@ class RobustStats:
     fallback_used: bool = False
 
 
-@dataclass(frozen=True)
-class UnitPoints:
-    """Points strictly inside the open unit square."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        for name, arr in (("u", self.u), ("v", self.v)):
-            if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-                raise ValueError(f"{name} coordinates must lie strictly in (0, 1)")
-
-    @property
-    def n(self) -> int:
-        return self.u.size
-
-
 def _median(arr: np.ndarray) -> float:
     """``np.median`` of a NaN-free vector, bit for bit, from one selection.
 
@@ -108,20 +92,18 @@ def _median(arr: np.ndarray) -> float:
     return float((0.0 + part[:h].max() + part[h]) / 2.0)
 
 
-def robust_location_scale(values, *, normal_consistent: bool = True) -> RobustStats:
+def robust_location_scale(values) -> RobustStats:
     """Median and scaled-MAD spread of a vector.
 
-    Scale is ``1.4826 * median(|v - median|)`` (the factor is dropped when
-    ``normal_consistent`` is off). A zero MAD falls back to the sample
-    standard deviation with ``fallback_used`` set. A margin whose values are
-    all equal has no spread and raises DegenerateSample, even where rounding
-    leaves its standard deviation a few ulps above zero.
+    Scale is ``1.4826 * median(|v - median|)``. A zero MAD falls back to the
+    sample standard deviation with ``fallback_used`` set. A margin whose
+    values are all equal has no spread and raises DegenerateSample, even where
+    rounding leaves its standard deviation a few ulps above zero.
     """
     arr = _as_vector(values, "values")
     location = _median(arr)
     mad = _median(np.abs(arr - location))
-    factor = MAD_NORMAL_FACTOR if normal_consistent else 1.0
-    scale = factor * mad
+    scale = MAD_NORMAL_FACTOR * mad
     fallback = False
     if scale == 0.0:
         fallback = True
@@ -133,7 +115,7 @@ def robust_location_scale(values, *, normal_consistent: bool = True) -> RobustSt
     return RobustStats(location=location, scale=scale, fallback_used=fallback)
 
 
-def to_unit_interval(values, *, normal_consistent: bool = True) -> np.ndarray:
+def to_unit_interval(values) -> np.ndarray:
     """Map one margin through robust standardisation and the normal CDF.
 
     Coordinates are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] so extreme
@@ -146,16 +128,8 @@ def to_unit_interval(values, *, normal_consistent: bool = True) -> np.ndarray:
     if arr.size == 1:
         _as_vector(arr, "values")  # rejects a non-finite value
         return np.full(1, 0.5)
-    stats = robust_location_scale(arr, normal_consistent=normal_consistent)
+    stats = robust_location_scale(arr)
     return np.clip(ndtr((arr - stats.location) / stats.scale), CLAMP_EPS, 1.0 - CLAMP_EPS)
-
-
-def to_unit_square(sample: PairedSample, *, normal_consistent: bool = True) -> UnitPoints:
-    """Map both margins of a sample with :func:`to_unit_interval`."""
-    return UnitPoints(
-        u=to_unit_interval(sample.x, normal_consistent=normal_consistent),
-        v=to_unit_interval(sample.y, normal_consistent=normal_consistent),
-    )
 
 
 def wrap_at(values: np.ndarray, delta) -> np.ndarray:

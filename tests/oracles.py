@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from ptdep import engine, kernels, log_cell_evidence
-from ptdep.transforms import UnitPoints
+from ptdep.transforms import to_unit_interval
 
 
 def exact_log_cell_evidence(counts, a: float) -> float:
@@ -65,13 +65,13 @@ def exact_log_cell_evidence(counts, a: float) -> float:
 def direct_test(sample, cfg=None):
     """The basic test of ``sample`` from one direct kernel call.
 
-    Maps both margins with ``engine.unit_points``, scores the one row with
-    ``kernels.logbf_batch``, trims it to its depth and sums it with
+    Maps both margins with ``transforms.to_unit_interval``, scores the one row
+    with ``kernels.logbf_batch``, trims it to its depth and sums it with
     ``math.fsum``. A constant margin raises ``DegenerateSample`` from the map.
     """
     cfg = cfg or engine.PartitionConfig()
-    pts = engine.unit_points(sample, cfg)
-    levels, depth, truncated = kernels.logbf_batch(pts.u, pts.v, cfg.depth_cap, cfg.c)
+    u, v = to_unit_interval(sample.x), to_unit_interval(sample.y)
+    levels, depth, truncated = kernels.logbf_batch(u, v, cfg.depth_cap, cfg.c)
     row = levels[0, : depth[0]].tolist()
     return engine._result(math.fsum(row), row, bool(truncated[0]), sample.n, cfg)
 
@@ -241,16 +241,18 @@ def _child_rect(rect: Rect, digit: int) -> Rect:
     return Rect(x_lo, y_lo, x_hi, y_hi)
 
 
-def build_count_tree(points: UnitPoints, depth_cap: int) -> CountTree:
+def build_count_tree(u, v, depth_cap: int) -> CountTree:
     """Recursively count quadrant occupancies for every cell with >= 2 points.
+
+    ``u`` and ``v`` are the coordinates of the points in the unit square.
 
     ``truncated`` is set when some depth-cap cell still holds two or more
     points (coincident points always do this, since they never separate).
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    u = np.asarray(points.u, dtype=np.float64)
-    v = np.asarray(points.v, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     cells: list[CellCounts] = []
     truncated = False
 

@@ -22,7 +22,7 @@ from ptdep.diffscan import ExpressionMatrix, diff_scan, p_diff
 from ptdep.ebayes import ShiftSearchConfig, ebayes_test
 from ptdep.engine import PartitionConfig, log_cell_evidence
 from ptdep.simulate import SimModel, THETA_UNIT, generate, run_replicates
-from ptdep.transforms import PairedSample, to_unit_square
+from ptdep.transforms import PairedSample, to_unit_interval
 
 from oracles import build_count_tree, exact_log_cell_evidence, log_bayes_factor
 
@@ -85,7 +85,8 @@ def test_criterion_04_level_sum_identity():
         tol = 1e-10 * max(1, len(res.level_contributions))
         assert abs(sum(res.level_contributions) - res.log_bf) <= tol
         # independent accumulation order through the explicit tree
-        tree = build_count_tree(to_unit_square(sample), CFG.depth_cap)
+        tree = build_count_tree(to_unit_interval(sample.x), to_unit_interval(sample.y),
+                                CFG.depth_cap)
         total, levels = log_bayes_factor(tree, CFG.c)
         assert abs(levels.sum() - total) <= 1e-10 * max(1, levels.size)
     _report(4, "level sums match totals on 100 random datasets (N <= 500)")

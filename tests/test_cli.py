@@ -356,6 +356,18 @@ class TestSimulateCommand:
                     "--seed", "123"]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--sigma=nan"], "sigma must be finite"),
+        (["--x-min=-1e308", "--x-max=1e308"], "x_range must have finite ends and width"),
+        (["--x-min=-inf", "--x-max=1"], "x_range must have finite ends and width"),
+    ])
+    def test_non_finite_model_parameters_exit_2(self, flags, message, capsys):
+        argv = ["simulate", "--model", "linear", "--n", "20", "--reps", "3", "--format", "csv"]
+        assert run(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
 
 class TestPowerCommand:
     def test_posterior_threshold(self, capsys):

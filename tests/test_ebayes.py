@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ptdep import engine, kernels, simulate
+from ptdep import diffscan, ebayes, engine, kernels, simulate, transforms
 from ptdep.diffscan import ExpressionMatrix, diff_scan, p_diff, pairwise_scan
 from ptdep.ebayes import (METHODS, ShiftSearchConfig, delta_candidates, ebayes_test, run_test,
                           run_tests)
 from ptdep.errors import DegenerateSample
-from ptdep.simulate import (SimModel, abs_pearson, default_statistic, power_experiment,
-                            run_replicates)
+from ptdep.simulate import (SimModel, abs_pearson, default_statistic, permutation_null,
+                            power_experiment, run_replicates)
 from ptdep.transforms import PairedSample, wrap_at
 
 from oracles import direct_test
@@ -44,6 +44,18 @@ class TestDeltaCandidates:
         values = [0.0, 0.0, 0.0, 1.0, 5.0]
         cands = delta_candidates(values, ShiftSearchConfig(grid="quantile", grid_size=8))
         assert cands.size and np.all(cands > 0.0) and np.all(cands < 5.0)
+
+    @pytest.mark.parametrize("grid", ["quantile", "midpoints"])
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, np.nan, 2.0, 3.0], "non-finite"),
+        ([1.0, np.inf, 2.0], "non-finite"),
+        ([1.0, -np.inf, 2.0], "non-finite"),
+        ([[1.0, 2.0], [3.0, 4.0]], "one-dimensional"),
+        ([], "at least one value"),
+    ], ids=["nan", "inf", "-inf", "2-d", "empty"])
+    def test_rejects_what_the_margin_map_rejects(self, values, message, grid):
+        with pytest.raises(ValueError, match=message):
+            delta_candidates(values, ShiftSearchConfig(grid=grid))
 
 
 class TestEbayesTest:
@@ -573,3 +585,52 @@ class TestHugeRangeMargin:
         stat = default_statistic(cfg, "ebayes", scfg)
         looped = [stat(PairedSample(x=sample.x, y=rng.permutation(sample.y))) for _ in range(40)]
         assert batched.tolist() == looped
+
+
+@pytest.fixture
+def mapped(monkeypatch):
+    """Sizes of the margins the routes map, through each binding of the one margin map."""
+    sizes = []
+
+    def spy(values):
+        out = transforms.to_unit_interval(values)
+        sizes.append(out.size)
+        return out
+
+    for module in (ebayes, simulate, diffscan):
+        monkeypatch.setattr(module, "to_unit_interval", spy)
+    return sizes
+
+
+class TestEachMarginMappedOnce:
+    """Each route maps a margin once, and an ebayes table each usable cut once more."""
+
+    _rng = np.random.default_rng(70)
+    _x = _rng.normal(size=40)
+    _sample = PairedSample(x=_x, y=np.sin(2.0 * _x) + 0.3 * _rng.normal(size=40))
+    # y holds two values, so its one midpoint cut wraps it onto a constant
+    _tied = PairedSample(x=np.round(2.0 * _x), y=(_x > 0.0).astype(float))
+
+    def test_basic_scan_maps_each_column_once(self, mapped):
+        values = np.column_stack([self._x, self._sample.y, np.round(self._x), np.exp(self._x)])
+        pairwise_scan(ExpressionMatrix(values=values, var_names=tuple("abcd")))
+        assert mapped == [40] * 4
+
+    def test_permutation_null_maps_both_margins_once(self, mapped):
+        permutation_null(self._sample, n_perm=500)
+        assert mapped == [40, 40]
+
+    def test_basic_test_maps_both_margins(self, mapped):
+        run_test(self._sample, "basic")
+        assert mapped == [40, 40]
+
+    @pytest.mark.parametrize("scfg", [ShiftSearchConfig(), ShiftSearchConfig(axis_policy="xy"),
+                                      ShiftSearchConfig(axis_policy="xy", grid="midpoints")])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_ebayes_maps_both_margins_and_each_usable_cut(self, scfg, tied, mapped):
+        sample = self._tied if tied else self._sample
+        margins = [sample.x] + ([sample.y] if scfg.axis_policy == "xy" else [])
+        usable = sum(np.unique(wrap_at(v, d)).size > 1
+                     for v in margins for d in delta_candidates(v, scfg))
+        ebayes_test(sample, scfg=scfg)
+        assert len(mapped) == 2 + usable

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -13,7 +14,7 @@ from ptdep.diffscan import ExpressionMatrix, pairwise_scan
 from ptdep.ebayes import METHODS
 from ptdep.engine import PartitionConfig, log_cell_evidence, posterior_dependence
 from ptdep.errors import DegenerateSample
-from ptdep.transforms import PairedSample, to_unit_square
+from ptdep.transforms import PairedSample, to_unit_interval
 
 from oracles import (
     beta_binomial_quadrature,
@@ -23,6 +24,11 @@ from oracles import (
     log_bayes_factor,
     log_marglik_1d,
 )
+
+
+def _mapped_tree(sample, depth_cap):
+    """The oracle tree of a sample's margins, each mapped to the unit interval."""
+    return build_count_tree(to_unit_interval(sample.x), to_unit_interval(sample.y), depth_cap)
 
 
 class TestLogCellEvidence:
@@ -149,16 +155,14 @@ class TestOneDimensionalHelper:
 
 class TestLogBayesFactor:
     def test_empty_tree(self):
-        from ptdep.transforms import UnitPoints
-
-        empty = build_count_tree(UnitPoints(u=np.array([0.4]), v=np.array([0.6])), 20)
+        empty = build_count_tree(np.array([0.4]), np.array([0.6]), 20)
         lb, levels = log_bayes_factor(empty, 5.0)
         assert lb == 0.0
         assert levels.size == 0
 
     def test_single_root_cell(self):
         sample = PairedSample(x=[1.0, 2.0], y=[5.0, 1.0])
-        tree = build_count_tree(to_unit_square(sample), 20)
+        tree = _mapped_tree(sample, 20)
         lb, levels = log_bayes_factor(tree, 5.0)
         assert len(tree.cells) == 1
         assert lb == log_cell_evidence(tree.cells[0].counts, 5.0)
@@ -169,13 +173,13 @@ class TestLogBayesFactor:
         for _ in range(20):
             n = int(rng.integers(2, 300))
             sample = PairedSample(x=rng.normal(size=n), y=rng.normal(size=n))
-            tree = build_count_tree(to_unit_square(sample), 20)
+            tree = _mapped_tree(sample, 20)
             lb, levels = log_bayes_factor(tree, 5.0)
             assert lb == pytest.approx(levels.sum(), abs=1e-10 * max(1, levels.size))
 
     def test_root_split_uses_level_one_concentration(self):
         sample = PairedSample(x=[1.0, 2.0], y=[5.0, 1.0])
-        tree = build_count_tree(to_unit_square(sample), 20)
+        tree = _mapped_tree(sample, 20)
         lb7, _ = log_bayes_factor(tree, 7.0)
         assert lb7 == log_cell_evidence(tree.cells[0].counts, 7.0)
 
@@ -229,7 +233,7 @@ class TestTestDependence:
             n = int(rng.integers(2, 400))
             sample = PairedSample(x=rng.normal(size=n), y=rng.normal(size=n))
             res = engine.test_dependence(sample, cfg)
-            tree = build_count_tree(to_unit_square(sample), cfg.depth_cap)
+            tree = _mapped_tree(sample, cfg.depth_cap)
             lb, levels = log_bayes_factor(tree, cfg.c)
             assert res.log_bf == pytest.approx(lb, abs=1e-9)
             assert res.truncated == tree.truncated
@@ -417,6 +421,14 @@ class TestConfigValidation:
             PartitionConfig(depth_cap=0)
         with pytest.raises(ValueError):
             PartitionConfig(depth_cap=64)
+
+    def test_mad_scale_is_not_a_setting(self):
+        # the MAD is always scaled to be normal-consistent; the attribute reads True
+        assert [f.name for f in dataclasses.fields(PartitionConfig)] == \
+            ["c", "depth_cap", "prior_odds"]
+        assert PartitionConfig().mad_normal_consistent is True
+        with pytest.raises(TypeError):
+            PartitionConfig(mad_normal_consistent=False)
 
     def test_bad_prior_odds(self):
         with pytest.raises(ValueError):

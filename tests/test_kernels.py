@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ptdep import kernels
 from ptdep.kernels import CHUNK_POINTS, logbf_batch
-from ptdep.transforms import UnitPoints
 
 from oracles import build_count_tree, log_bayes_factor
 
@@ -25,7 +24,7 @@ def _single(u, v, depth_cap, c=5.0):
 
 def _assert_matches_tree(u, v, depth_cap=20):
     levels, depth, truncated = _single(u, v, depth_cap)
-    tree = build_count_tree(UnitPoints(u=u, v=v), depth_cap)
+    tree = build_count_tree(u, v, depth_cap)
     _, tree_levels = log_bayes_factor(tree, 5.0)
     assert depth == tree_levels.size
     assert truncated == tree.truncated

@@ -6,10 +6,10 @@ import ptdep
 
 # Helpers that once duplicated routes the package keeps one copy of.
 REMOVED = {
-    "ptdep": ("ShiftSpec", "shift_wrap", "normal_cdf"),
-    "ptdep.transforms": ("ShiftSpec", "shift_wrap", "normal_cdf"),
+    "ptdep": ("ShiftSpec", "shift_wrap", "normal_cdf", "UnitPoints", "to_unit_square"),
+    "ptdep.transforms": ("ShiftSpec", "shift_wrap", "normal_cdf", "UnitPoints", "to_unit_square"),
     "ptdep.kernels": ("logbf_levels",),
-    "ptdep.engine": ("_evaluate",),
+    "ptdep.engine": ("_evaluate", "unit_points"),
 }
 
 

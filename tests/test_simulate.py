@@ -83,6 +83,24 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SimModel(kind="spiral")
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # a NaN sigma passes sigma < 0 and would drop the noise
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            SimModel(kind="linear", sigma=sigma)
+
+    @pytest.mark.parametrize("field", ["x_range", "theta_range"])
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308), (-np.inf, 1.0), (0.0, np.inf),
+                                        (-np.inf, np.inf)])
+    def test_range_with_non_finite_end_or_width_rejected(self, field, bounds):
+        with pytest.raises(ValueError, match=f"{field} must have finite ends and width"):
+            SimModel(kind="checkerboard", **{field: bounds})
+
+    @pytest.mark.parametrize("field", ["x_range", "theta_range"])
+    def test_nan_range_end_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must satisfy lo < hi"):
+            SimModel(kind="linear", **{field: (np.nan, 1.0)})
+
 
 class TestReplicates:
     def test_single_point_replicates_all_half(self):

@@ -11,7 +11,6 @@ from ptdep.transforms import (
     _median,
     robust_location_scale,
     to_unit_interval,
-    to_unit_square,
     wrap_at,
 )
 
@@ -69,10 +68,6 @@ class TestRobustLocationScale:
         assert np.std(values, ddof=1) > 0.0
         with pytest.raises(DegenerateSample, match="zero spread"):
             robust_location_scale(values)
-
-    def test_scaling_flag(self):
-        st = robust_location_scale([1, 2, 3, 4, 5], normal_consistent=False)
-        assert st.scale == 1.0
 
 
 @st.composite
@@ -150,48 +145,37 @@ class TestNormalCdf:
         assert np.all(np.diff(transforms.ndtr(tail)) >= 0)
 
 
-class TestToUnitSquare:
+class TestToUnitInterval:
     def test_median_maps_to_half(self):
-        s = PairedSample(x=[1, 2, 3, 4, 5], y=[10, 20, 30, 40, 50])
-        pts = to_unit_square(s)
-        assert pts.u[2] == 0.5
-        assert pts.v[2] == 0.5
+        assert to_unit_interval([1, 2, 3, 4, 5])[2] == 0.5
+        assert to_unit_interval([10, 20, 30, 40, 50])[2] == 0.5
 
     def test_symmetric_points(self):
         d = 1.3
-        s = PairedSample(x=[-d, 0.0, d], y=[1.0, 2.0, 3.0])
-        pts = to_unit_square(s)
+        u = to_unit_interval([-d, 0.0, d])
         scale = robust_location_scale([-d, 0.0, d]).scale
         q = float(ndtr(d / scale))
-        assert pts.u[0] == pytest.approx(1.0 - q, abs=1e-15)
-        assert pts.u[2] == pytest.approx(q, abs=1e-15)
+        assert u[0] == pytest.approx(1.0 - q, abs=1e-15)
+        assert u[2] == pytest.approx(q, abs=1e-15)
 
     def test_order_preserving(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=5)
-        s = PairedSample(x=np.sort(x), y=np.arange(5.0))
-        pts = to_unit_square(s)
-        assert np.all(np.diff(pts.u) > 0)
-        assert len(np.unique(pts.u)) == 5
+        u = to_unit_interval(np.sort(rng.normal(size=5)))
+        assert np.all(np.diff(u) > 0)
+        assert len(np.unique(u)) == 5
 
     def test_open_interval(self):
         # huge outlier cannot reach the boundary
-        s = PairedSample(x=[0, 1, 2, 3, 1e9], y=[0, 1, 2, 3, 4])
-        pts = to_unit_square(s)
-        assert np.all(pts.u > 0) and np.all(pts.u < 1)
+        u = to_unit_interval([0, 1, 2, 3, 1e9])
+        assert np.all(u > 0) and np.all(u < 1)
 
     def test_location_scale_invariance(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=101)
-        y = rng.normal(size=101)
-        base = to_unit_square(PairedSample(x=x, y=y))
-        moved = to_unit_square(PairedSample(x=3.5 * x + 11.0, y=y))
-        assert np.max(np.abs(base.u - moved.u)) <= 1e-12
-        assert np.array_equal(base.v, moved.v)
+        x = np.random.default_rng(5).normal(size=101)
+        assert np.max(np.abs(to_unit_interval(x) - to_unit_interval(3.5 * x + 11.0))) <= 1e-12
 
     def test_degenerate_propagates(self):
         with pytest.raises(DegenerateSample):
-            to_unit_square(PairedSample(x=[1.0, 1.0], y=[1.0, 2.0]))
+            to_unit_interval([1.0, 1.0])
 
     def test_single_value_is_its_own_median(self):
         # z = 0, although robust_location_scale([7.0]) has no spread to report

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from ptdep.transforms import UnitPoints
-
 from oracles import Rect, brute_force_quadrant_counts, build_count_tree, quadrant_digit
-
-
-def _points(u, v):
-    return UnitPoints(u=np.asarray(u, dtype=float), v=np.asarray(v, dtype=float))
 
 
 class TestQuadrantDigit:
@@ -30,12 +24,12 @@ class TestQuadrantDigit:
 
 class TestBuildCountTree:
     def test_single_point_empty_tree(self):
-        t = build_count_tree(_points([0.4], [0.4]), depth_cap=20)
+        t = build_count_tree([0.4], [0.4], depth_cap=20)
         assert t.cells == ()
         assert not t.truncated
 
     def test_two_separating_points_root_only(self):
-        t = build_count_tree(_points([0.2, 0.7], [0.2, 0.7]), depth_cap=20)
+        t = build_count_tree([0.2, 0.7], [0.2, 0.7], depth_cap=20)
         assert len(t.cells) == 1
         root = t.cells[0]
         assert root.address == ()
@@ -44,19 +38,19 @@ class TestBuildCountTree:
         assert not t.truncated
 
     def test_coincident_points_truncate(self):
-        t = build_count_tree(_points([0.3, 0.3], [0.3, 0.3]), depth_cap=6)
+        t = build_count_tree([0.3, 0.3], [0.3, 0.3], depth_cap=6)
         assert len(t.cells) == 6
         assert t.truncated
         assert all(cell.total == 2 for cell in t.cells)
 
     def test_root_counts_sum_to_n(self):
         rng = np.random.default_rng(0)
-        t = build_count_tree(_points(rng.uniform(0.01, 0.99, 57), rng.uniform(0.01, 0.99, 57)), 20)
+        t = build_count_tree(rng.uniform(0.01, 0.99, 57), rng.uniform(0.01, 0.99, 57), 20)
         assert t.cells[0].total == 57
 
     def test_children_partition_parent(self):
         rng = np.random.default_rng(1)
-        t = build_count_tree(_points(rng.uniform(0.01, 0.99, 200), rng.uniform(0.01, 0.99, 200)), 20)
+        t = build_count_tree(rng.uniform(0.01, 0.99, 200), rng.uniform(0.01, 0.99, 200), 20)
         by_address = {c.address: c for c in t.cells}
         for cell in t.cells:
             for d in range(4):
@@ -67,7 +61,7 @@ class TestBuildCountTree:
     def test_cell_count_bound(self):
         rng = np.random.default_rng(2)
         n = 123
-        t = build_count_tree(_points(rng.uniform(0.01, 0.99, n), rng.uniform(0.01, 0.99, n)), 20)
+        t = build_count_tree(rng.uniform(0.01, 0.99, n), rng.uniform(0.01, 0.99, n), 20)
         assert len(t.cells) <= n * 20
 
     def test_permutation_invariance(self):
@@ -75,19 +69,19 @@ class TestBuildCountTree:
         u = rng.uniform(0.01, 0.99, 80)
         v = rng.uniform(0.01, 0.99, 80)
         perm = rng.permutation(80)
-        t1 = build_count_tree(_points(u, v), 20)
-        t2 = build_count_tree(_points(u[perm], v[perm]), 20)
+        t1 = build_count_tree(u, v, 20)
+        t2 = build_count_tree(u[perm], v[perm], 20)
         assert t1 == t2
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(4)
         u = rng.uniform(0.01, 0.99, 150)
         v = rng.uniform(0.01, 0.99, 150)
-        t = build_count_tree(_points(u, v), 8)
+        t = build_count_tree(u, v, 8)
         expected = brute_force_quadrant_counts(u, v, 8)
         got = {c.address: c.counts for c in t.cells}
         assert got == expected
 
     def test_depth_cap_validation(self):
         with pytest.raises(ValueError):
-            build_count_tree(_points([0.1], [0.1]), depth_cap=0)
+            build_count_tree([0.1], [0.1], depth_cap=0)
