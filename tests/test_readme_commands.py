@@ -2,7 +2,8 @@
 
 The README's CLI block is parsed here, so each line shown there runs as
 shown, on fixed-seed fixture files named as in the README (``data.csv``,
-``matrix.csv``, ``normal.csv``, ``tumour.csv``). Stdout, stderr, every file
+``matrix.csv``, ``normal.csv``, ``tumour.csv``), plus ``const.csv``, whose
+constant column pins the rows of a pair the tests skip. Stdout, stderr, every file
 a command writes and the exit code must equal ``tests/golden/<case>.json``
 exactly.
 
@@ -56,6 +57,9 @@ EXTRA = {
     "error-grid-1": "test data.csv --grid 1",
     "error-sweep-c-bare": "sweep-c",
     "error-method-bogus": "scan matrix.csv --method bogus",
+    "scan-const": "scan const.csv",
+    "scan-const-csv": "scan const.csv --format csv",
+    "error-test-const": "test const.csv --y-col k",
 }
 
 CASES = {f"readme-{i}": argv for i, argv in enumerate(readme_commands(), start=1)}
@@ -68,7 +72,7 @@ def _csv(path: Path, names, columns) -> None:
 
 
 def write_fixtures(folder: Path) -> None:
-    """The README's input files, from a fixed seed."""
+    """The README's input files and ``const.csv``, from a fixed seed."""
     rng = np.random.default_rng(20150602)
     x = rng.uniform(-2.0, 2.0, 150)
     _csv(folder / "data.csv", ("x", "y"), (x, x * x + 0.5 * rng.standard_normal(150)))
@@ -85,6 +89,10 @@ def write_fixtures(folder: Path) -> None:
         i, j = linked
         cols[j] = cols[i] + 0.2 * rng.standard_normal(1000)
         _csv(folder / name, genes, cols)
+
+    # drawn last, so that the files above stay as they were before it existed
+    x = rng.standard_normal(40)
+    _csv(folder / "const.csv", ("x", "k", "y"), (x, np.ones(40), x + rng.standard_normal(40)))
 
 
 def run_case(argv: list[str], folder: Path) -> dict:
