@@ -14,8 +14,11 @@ sample per row; a leading byte-order mark is ignored. Output is JSON or CSV
 with all numbers serialised to 17 significant digits, so identical
 configurations produce byte-identical files and values round-trip exactly.
 
-Exit codes: 0 success, 2 input or validation error, 3 degenerate data in
-single-test mode.
+Each command's handler computes a payload (a dict or a list of row dicts)
+and the CSV columns it fixes, if any. :func:`run` alone validates the
+settings, writes the payload and maps errors to exit codes: 0 success, 2
+input or validation error or an output path that cannot be written, 3
+degenerate data in single-test mode.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .ebayes import METHODS, ShiftSearchConfig, run_test
 from .engine import PartitionConfig, TestResult
 from .errors import DegenerateSample, EmptyMatrix, ParseError, PtdepError, RaggedRows
 from .simulate import (
+    CHECKER_PATTERNS,
     MODEL_KINDS,
     SimModel,
     THETA_FULL,
@@ -53,18 +57,6 @@ SCAN_CSV_COLUMNS = (
     "delta_star", "truncated", "error",
 )
 DIFF_CSV_COLUMNS = ("var_a", "var_b", "p_dep_A", "p_dep_B", "p_diff", "class")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation settings shared by the command handlers."""
-
-    partition: PartitionConfig
-    method: str
-    shift: ShiftSearchConfig
-    seed: int
-    out_format: str
-    output: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -132,33 +124,24 @@ def _check_level_sum(res: TestResult) -> None:
 
 
 def pair_to_row(pr: PairResult) -> dict:
-    if pr.result is None:
-        return {
-            "var_a": pr.var_a, "var_b": pr.var_b, "n": None, "log_bf": None,
-            "p_dependent": None, "p_independent": None, "delta_star": None,
-            "truncated": None, "error": pr.error,
-        }
-    r = pr.result
-    return {
-        "var_a": pr.var_a, "var_b": pr.var_b, "n": r.n, "log_bf": r.log_bf,
-        "p_dependent": r.p_dependent, "p_independent": r.p_independent,
-        "delta_star": r.delta_star, "truncated": r.truncated, "error": None,
-    }
+    """The pair's names and error, and its result's fields: None for a skipped pair."""
+    own = ("var_a", "var_b", "error")
+    return {col: getattr(pr if col in own else pr.result, col, None) for col in SCAN_CSV_COLUMNS}
 
 
 def edge_to_row(e: DiffEdge) -> dict:
-    return {
-        "var_a": e.var_a, "var_b": e.var_b, "p_dep_A": e.p_dep_a,
-        "p_dep_B": e.p_dep_b, "p_diff": e.p_diff, "class": e.edge_class,
-    }
+    return dict(zip(DIFF_CSV_COLUMNS, astuple(e)))
 
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise PtdepError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _rows_to_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
@@ -275,7 +258,7 @@ def _add_model(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--x-max", type=float, default=None, help="upper end of the x range")
     p.add_argument("--theta-variant", choices=("full", "unit"), default="full",
                    help="checkerboard offset range: full = [0, 2pi), unit = [0, 1)")
-    p.add_argument("--checker-pattern", choices=("verbatim", "balanced"), default="verbatim",
+    p.add_argument("--checker-pattern", choices=CHECKER_PATTERNS, default="verbatim",
                    help="checkerboard row rule: verbatim (2u mod i_x) or balanced "
                         "(alternating block rows)")
 
@@ -345,29 +328,23 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _run_config(args) -> RunConfig:
+def _run_config(args) -> None:
+    """Validate the settings, and store their configs and the resolved seed on ``args``."""
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
     grid_raw = str(args.grid).strip().lower()
     if grid_raw == "midpoints":
-        shift = ShiftSearchConfig(axis_policy=args.wrap_axis, grid="midpoints")
+        args.shift = ShiftSearchConfig(axis_policy=args.wrap_axis, grid="midpoints")
     else:
         try:
             size = int(grid_raw)
         except ValueError:
             raise ParseError(f"--grid must be an integer or 'midpoints', got {args.grid!r}") from None
-        shift = ShiftSearchConfig(axis_policy=args.wrap_axis, grid="quantile", grid_size=size)
-    partition = PartitionConfig(
-        c=args.c, depth_cap=args.depth_cap, prior_odds=args.prior_odds
-    )
-    return RunConfig(
-        partition=partition,
-        method=args.method,
-        shift=shift,
-        seed=_resolve_seed(args),
-        out_format=args.out_format,
-        output=args.output,
-    )
+        args.shift = ShiftSearchConfig(axis_policy=args.wrap_axis, grid="quantile",
+                                       grid_size=size)
+    args.partition = PartitionConfig(c=args.c, depth_cap=args.depth_cap,
+                                     prior_odds=args.prior_odds)
+    args.seed = _resolve_seed(args)
 
 
 def _sim_model(args) -> SimModel:
@@ -391,85 +368,63 @@ def _read_pair(args) -> PairedSample:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns its payload and its CSV columns (None: the
+# keys of the first row)
 
 
-def _cmd_test(args, rc: RunConfig) -> int:
-    res = run_test(_read_pair(args), rc.method, rc.partition, rc.shift)
+def _cmd_test(args):
+    res = run_test(_read_pair(args), args.method, args.partition, args.shift)
     _check_level_sum(res)
     d = result_to_dict(res)
-    if rc.out_format == "csv":
-        d = {k: v for k, v in d.items() if k != "levels"}
-    write_result(d, rc.output, rc.out_format)
-    return 0
+    if args.out_format == "csv":
+        del d["levels"]
+    return d, None
 
 
-def _cmd_scan(args, rc: RunConfig) -> int:
-    m = read_matrix(args.input)
-    results = pairwise_scan(m, rc.partition, method=rc.method, scfg=rc.shift)
-    rows = [pair_to_row(pr) for pr in results]
-    write_result(rows, rc.output, rc.out_format, SCAN_CSV_COLUMNS)
-    return 0
+def _cmd_scan(args):
+    results = pairwise_scan(read_matrix(args.input), args.partition, method=args.method,
+                            scfg=args.shift)
+    return [pair_to_row(pr) for pr in results], SCAN_CSV_COLUMNS
 
 
-def _cmd_diff(args, rc: RunConfig) -> int:
-    m_a = read_matrix(args.input_a)
-    m_b = read_matrix(args.input_b)
-    edges = diff_scan(m_a, m_b, rc.partition, threshold=args.edge_threshold,
-                      method=rc.method, scfg=rc.shift)
-    rows = [edge_to_row(e) for e in edges]
-    write_result(rows, rc.output, rc.out_format, DIFF_CSV_COLUMNS)
-    return 0
+def _cmd_diff(args):
+    edges = diff_scan(read_matrix(args.input_a), read_matrix(args.input_b), args.partition,
+                      threshold=args.edge_threshold, method=args.method, scfg=args.shift)
+    return [edge_to_row(e) for e in edges], DIFF_CSV_COLUMNS
 
 
-def _cmd_simulate(args, rc: RunConfig) -> int:
+def _cmd_simulate(args):
     model = _sim_model(args)
-    if rc.out_format == "csv":
-        results = run_replicates(model, args.n, args.reps, rc.partition, rc.seed,
-                                 method=rc.method, scfg=rc.shift)
+    if args.out_format == "csv":
+        results = run_replicates(model, args.n, args.reps, args.partition, args.seed,
+                                 method=args.method, scfg=args.shift)
         payload = []
         for r, res in enumerate(results):
             row = {
-                "rep": r, "seed": rc.seed + r, "p_dependent": res.p_dependent,
+                "rep": r, "seed": args.seed + r, "p_dependent": res.p_dependent,
                 "log_bf": res.log_bf, "truncated": res.truncated,
             }
             for k in range(1, 6):
                 row[f"B_{k}"] = res.level_contribution(k)
             payload.append(row)
-    else:
-        summary = replicate_experiment(model, args.n, args.reps, rc.partition, rc.seed,
-                                       method=rc.method, scfg=rc.shift)
-        payload = {
-            "model": summary.model, "n": summary.n, "sigma": summary.sigma,
-            "reps": summary.reps, "method": summary.method,
-            "percentiles": {
-                "p5": summary.p5, "p25": summary.p25, "p50": summary.p50,
-                "p75": summary.p75, "p95": summary.p95,
-            },
-        }
-    write_result(payload, rc.output, rc.out_format)
-    return 0
+        return payload, None
+    summary = asdict(replicate_experiment(model, args.n, args.reps, args.partition, args.seed,
+                                          method=args.method, scfg=args.shift))
+    percentiles = {k: summary.pop(k) for k in list(summary) if k.startswith("p")}
+    return {**summary, "percentiles": percentiles}, None
 
 
-def _cmd_power(args, rc: RunConfig) -> int:
-    model = _sim_model(args)
+def _cmd_power(args):
     source = "posterior_0.5" if args.threshold == "posterior" else "permutation_quantile"
     report = power_experiment(
-        model, args.n, args.reps, rc.partition, rc.seed,
-        method=rc.method, scfg=rc.shift, threshold_source=source,
+        _sim_model(args), args.n, args.reps, args.partition, args.seed,
+        method=args.method, scfg=args.shift, threshold_source=source,
         level=args.level, n_perm=args.perms,
     )
-    row = {
-        "model": report.model, "n": report.n, "sigma": report.sigma,
-        "reps": report.reps, "method": report.method, "tpr": report.tpr,
-        "fpr": report.fpr, "threshold": report.threshold,
-        "threshold_source": report.threshold_source,
-    }
-    write_result(row, rc.output, rc.out_format)
-    return 0
+    return asdict(report), None
 
 
-def _cmd_sweep_c(args, rc: RunConfig) -> int:
+def _cmd_sweep_c(args):
     try:
         c_values = [float(v) for v in str(args.c_values).split(",") if v.strip()]
     except ValueError:
@@ -480,7 +435,7 @@ def _cmd_sweep_c(args, rc: RunConfig) -> int:
     if args.input is not None:
         sample = _read_pair(args)
         for c in c_values:
-            res = run_test(sample, rc.method, replace(rc.partition, c=c), rc.shift)
+            res = run_test(sample, args.method, replace(args.partition, c=c), args.shift)
             rows.append({
                 "c": c, "n": res.n, "log_bf": res.log_bf,
                 "p_dependent": res.p_dependent, "p_independent": res.p_independent,
@@ -491,16 +446,13 @@ def _cmd_sweep_c(args, rc: RunConfig) -> int:
         model = _sim_model(args)
         for c in c_values:
             s = replicate_experiment(
-                model, args.n, args.reps, replace(rc.partition, c=c), rc.seed,
-                method=rc.method, scfg=rc.shift,
+                model, args.n, args.reps, replace(args.partition, c=c), args.seed,
+                method=args.method, scfg=args.shift,
             )
-            rows.append({
-                "c": c, "model": s.model, "n": s.n, "sigma": s.sigma,
-                "reps": s.reps, "p5": s.p5, "p25": s.p25, "p50": s.p50,
-                "p75": s.p75, "p95": s.p95,
-            })
-    write_result(rows, rc.output, rc.out_format)
-    return 0
+            row = {"c": c, **asdict(s)}
+            del row["method"]
+            rows.append(row)
+    return rows, None
 
 
 _HANDLERS = {
@@ -515,17 +467,18 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     """Parse arguments and execute one command; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        rc = _run_config(args)
-        return _HANDLERS[args.command](args, rc)
+        _run_config(args)
+        payload, columns = _HANDLERS[args.command](args)
+        write_result(payload, args.output, args.out_format, columns)
     except DegenerateSample as exc:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return 3
     except (PtdepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

@@ -254,8 +254,7 @@ def winner_result(winner, n: int, cfg: PartitionConfig, method: str) -> TestResu
                    None if delta is None else axis)
 
 
-def candidate_tables(t: int, samples: list, cfg: PartitionConfig,
-                     search: ShiftSearchConfig | None):
+def candidate_tables(t: int, samples: list, search: ShiftSearchConfig | None):
     """The segments of samples' tables t, t + 1, ..., lazily: one of their unwrapped
     rows, then for a ``search`` each sample's cuts of x and, with "xy", of y."""
     xs = [to_unit_interval(s.x) for s in samples]
@@ -303,7 +302,7 @@ def run_tests(samples, method: str, cfg: PartitionConfig | None = None,
     samples = _same_size(first, samples)
     step = kernels.rows_per_call(first.n)
     blocks = iter(lambda: list(islice(samples, step)), [])
-    tables = (candidate_tables(t, block, cfg, search) for t, block in zip(count(0, step), blocks))
+    tables = (candidate_tables(t, block, search) for t, block in zip(count(0, step), blocks))
     for winner in best_candidates(tables, cfg):
         yield winner_result(winner, first.n, cfg, method)
 
@@ -326,5 +325,5 @@ def run_test(sample: PairedSample, method: str, cfg: PartitionConfig | None = No
     """
     search = shift_search(method, scfg)
     cfg = cfg or PartitionConfig()
-    winner, = best_candidates([candidate_tables(0, [sample], cfg, search)], cfg)
+    winner, = best_candidates([candidate_tables(0, [sample], search)], cfg)
     return winner_result(winner, sample.n, cfg, method)

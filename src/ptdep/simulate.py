@@ -36,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .ebayes import (METHODS, Segment, ShiftSearchConfig, best_candidates, cut_table, run_test,
-                     run_tests, shift_search)
+from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_table, run_tests,
+                     shift_search)
 from .engine import PartitionConfig, TestResult, posterior_dependence
 from .transforms import PairedSample, to_unit_interval
 
@@ -137,14 +137,27 @@ class PowerReport:
 
 
 def generate(model: SimModel, n: int, seed: int) -> PairedSample:
-    """Draw one sample of size n; identical seeds give identical samples."""
+    """Draw one sample of size n; identical seeds give identical samples.
+
+    Finite parameters can still overflow (a parabola over a huge x range, a
+    huge sigma); such a sample is refused with a ``ValueError`` that names them.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _draw(model, n, np.random.default_rng(seed))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"the {model.kind} model gives non-finite values at sigma={model.sigma} "
+                         f"and x_range={model.effective_x_range}")
+    return PairedSample(x=x, y=y)
+
+
+def _draw(model: SimModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y of one sample of ``model``, drawn from ``rng``."""
     kind = model.kind
     sigma = model.sigma
     if kind == "independent":
-        return PairedSample(x=rng.standard_normal(n), y=rng.standard_normal(n))
+        return rng.standard_normal(n), rng.standard_normal(n)
     if kind in ("linear", "parabolic", "sinusoidal"):
         lo, hi = model.effective_x_range
         x = rng.uniform(lo, hi, n)
@@ -155,12 +168,12 @@ def generate(model: SimModel, n: int, seed: int) -> PairedSample:
             y = 2.0 * x * x / 3.0 + eta
         else:
             y = 2.0 * np.sin(x) + eta
-        return PairedSample(x=x, y=y)
+        return x, y
     if kind == "circular":
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
         eta_x = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
         eta_y = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
-        return PairedSample(x=10.0 * np.cos(theta) + eta_x, y=10.0 * np.sin(theta) + eta_y)
+        return 10.0 * np.cos(theta) + eta_x, 10.0 * np.sin(theta) + eta_y
     # checkerboard
     i_x = rng.integers(0, 4, n)
     u2 = rng.integers(0, 2, n)
@@ -171,7 +184,7 @@ def generate(model: SimModel, n: int, seed: int) -> PairedSample:
     theta = rng.uniform(model.theta_range[0], model.theta_range[1], n)
     eta_x = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
     eta_y = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
-    return PairedSample(x=10.0 * (i_x + theta) + eta_x, y=10.0 * (i_y + theta) + eta_y)
+    return 10.0 * (i_x + theta) + eta_x, 10.0 * (i_y + theta) + eta_y
 
 
 def run_replicates(
@@ -207,12 +220,6 @@ def replicate_experiment(
     p = np.array([r.p_dependent for r in results])
     q = np.percentile(p, [5, 25, 50, 75, 95])
     return ReplicateSummary(model.kind, n, model.sigma, reps, method, *map(float, q))
-
-
-def default_statistic(cfg: PartitionConfig, method: str = "basic",
-                      scfg: ShiftSearchConfig | None = None) -> Callable[[PairedSample], float]:
-    """The shipped dependence statistic: posterior probability of dependence."""
-    return lambda s: run_test(s, method, cfg, scfg).p_dependent
 
 
 def abs_pearson(sample: PairedSample) -> float:
@@ -342,8 +349,7 @@ def power_experiment(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    shift_search(method, scfg)  # the method check
     if threshold_source not in ("posterior_0.5", "permutation_quantile"):
         raise ValueError(f"unknown threshold_source {threshold_source!r}")
     cfg = cfg or PartitionConfig()

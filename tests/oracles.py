@@ -27,6 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from ptdep import engine, kernels, log_cell_evidence
+from ptdep.ebayes import run_test
 from ptdep.transforms import to_unit_interval
 
 
@@ -74,6 +75,16 @@ def direct_test(sample, cfg=None):
     levels, depth, truncated = kernels.logbf_batch(u, v, cfg.depth_cap, cfg.c)
     row = levels[0, : depth[0]].tolist()
     return engine._result(math.fsum(row), row, bool(truncated[0]), sample.n, cfg)
+
+
+def default_statistic(cfg, method="basic", scfg=None):
+    """The package's dependence statistic as a custom one: ``run_test``'s p_dependent.
+
+    Passed as ``statistic=``, it makes ``power_experiment`` and
+    ``permutation_null`` score one sample per call, the looped route their
+    batched default is checked against.
+    """
+    return lambda s: run_test(s, method, cfg, scfg).p_dependent
 
 
 def normal_cdf_quadrature(z: float) -> float:

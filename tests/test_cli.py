@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -360,13 +361,22 @@ class TestSimulateCommand:
         (["--sigma=nan"], "sigma must be finite"),
         (["--x-min=-1e308", "--x-max=1e308"], "x_range must have finite ends and width"),
         (["--x-min=-inf", "--x-max=1"], "x_range must have finite ends and width"),
+        (["--model", "parabolic", "--x-min=-1e200", "--x-max=1e200"],
+         "the parabolic model gives non-finite values at sigma=2.0 "
+         "and x_range=(-1e+200, 1e+200)"),
+        (["--sigma", "1e308"],
+         "the linear model gives non-finite values at sigma=1e+308 and x_range=(-2.0, 2.0)"),
     ])
-    def test_non_finite_model_parameters_exit_2(self, flags, message, capsys):
+    def test_non_finite_model_parameters_exit_2(self, flags, message, capfd):
         argv = ["simulate", "--model", "linear", "--n", "20", "--reps", "3", "--format", "csv"]
-        assert run(argv + flags) == 2
-        captured = capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv + flags) == 2
+        assert [str(w.message) for w in caught] == []  # pytest would hide them from stderr
+        captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
 
 
 class TestPowerCommand:
@@ -411,6 +421,20 @@ class TestSweepCCommand:
 
     def test_needs_input_or_model(self, capsys):
         assert run(["sweep-c"]) == 2
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-folder", "folder"])
+def test_unwritable_output_exits_2_with_one_line(target, reason, matrix_file, tmp_path,
+                                                  capfd):
+    path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+    out = str(tmp_path / target)
+    assert run(["test", path, "-o", out]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
 
 
 class TestDeterministicOutput:

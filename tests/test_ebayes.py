@@ -10,11 +10,11 @@ from ptdep.diffscan import ExpressionMatrix, diff_scan, p_diff, pairwise_scan
 from ptdep.ebayes import (METHODS, ShiftSearchConfig, delta_candidates, ebayes_test, run_test,
                           run_tests)
 from ptdep.errors import DegenerateSample
-from ptdep.simulate import (SimModel, abs_pearson, default_statistic, permutation_null,
-                            power_experiment, run_replicates)
+from ptdep.simulate import (SimModel, abs_pearson, permutation_null, power_experiment,
+                            run_replicates)
 from ptdep.transforms import PairedSample, wrap_at
 
-from oracles import direct_test
+from oracles import default_statistic, direct_test
 
 
 class TestDeltaCandidates:
@@ -461,10 +461,9 @@ _MODEL = SimModel(kind="linear")
     lambda: run_replicates(_MODEL, 20, 2, method="bogus"),
     lambda: power_experiment(_MODEL, 20, 2, method="bogus"),
     lambda: power_experiment(_MODEL, 20, 2, method="bogus", statistic=abs_pearson),
-    lambda: default_statistic(engine.PartitionConfig(), "bogus")(
-        PairedSample(x=[1.0, 2.0, 3.0], y=[3.0, 1.0, 2.0])),
+    lambda: run_test(PairedSample(x=[1.0, 2.0, 3.0], y=[3.0, 1.0, 2.0]), "bogus"),
 ], ids=["pairwise_scan", "diff_scan", "run_replicates", "power_experiment",
-        "power_experiment_custom_statistic", "default_statistic"])
+        "power_experiment_custom_statistic", "run_test"])
 def test_unknown_method_names_the_methods(call):
     with pytest.raises(ValueError, match=re.escape(str(METHODS))):
         call()

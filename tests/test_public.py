@@ -10,6 +10,7 @@ REMOVED = {
     "ptdep.transforms": ("ShiftSpec", "shift_wrap", "normal_cdf", "UnitPoints", "to_unit_square"),
     "ptdep.kernels": ("logbf_levels",),
     "ptdep.engine": ("_evaluate", "unit_points"),
+    "ptdep.simulate": ("default_statistic",),
 }
 
 

@@ -60,6 +60,7 @@ EXTRA = {
     "scan-const": "scan const.csv",
     "scan-const-csv": "scan const.csv --format csv",
     "error-test-const": "test const.csv --y-col k",
+    "error-output-missing-folder": "test data.csv -o missing/out.json",
 }
 
 CASES = {f"readme-{i}": argv for i, argv in enumerate(readme_commands(), start=1)}

@@ -11,7 +11,6 @@ from ptdep.simulate import (
     SimModel,
     THETA_UNIT,
     abs_pearson,
-    default_statistic,
     empirical_quantile,
     generate,
     permutation_null,
@@ -21,7 +20,7 @@ from ptdep.simulate import (
 )
 from ptdep.transforms import PairedSample
 
-from oracles import direct_test, quantile_type1
+from oracles import default_statistic, direct_test, quantile_type1
 
 
 class TestGenerate:
