@@ -61,6 +61,10 @@ EXTRA = {
     "scan-const-csv": "scan const.csv --format csv",
     "error-test-const": "test const.csv --y-col k",
     "error-output-missing-folder": "test data.csv -o missing/out.json",
+    # one table of about 2 000 candidate rows at n = 1000, many kernel calls' worth
+    "test-midpoints-xy-large": "test normal.csv --x-col g1 --y-col g2 --method ebayes "
+                               "--grid midpoints --wrap-axis xy",
+    "scan-ebayes-xy": "scan matrix.csv --method ebayes --wrap-axis xy",
 }
 
 CASES = {f"readme-{i}": argv for i, argv in enumerate(readme_commands(), start=1)}
