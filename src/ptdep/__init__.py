@@ -35,7 +35,6 @@ from .simulate import (
     PowerReport,
     ReplicateSummary,
     SimModel,
-    abs_pearson,
     generate,
     permutation_null,
     power_experiment,
@@ -63,7 +62,6 @@ __all__ = [
     "SimModel",
     "TestResult",
     "VarMismatch",
-    "abs_pearson",
     "classify_edge",
     "delta_candidates",
     "diff_scan",

@@ -13,10 +13,11 @@ not. Output order is fixed: lexicographic by column indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_table, shift_search,
+from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_rows, shift_search,
                      winner_result)
 from .engine import PartitionConfig, TestResult
 from .errors import DegenerateSample, VarMismatch
@@ -108,18 +109,21 @@ def _search(cols: list, units: list, partners: list, axis: str,
             search: ShiftSearchConfig | None, cfg: PartitionConfig) -> dict:
     """The winning row of each pair on ``axis``, keyed by its column indices.
 
-    Column c is one segment: its candidate rows on ``axis`` against the
-    stacked maps of ``partners[c]``. One column's cut rows are held at a time.
+    Column c's pairs are one run of tables: each of its candidate rows on
+    ``axis``, built as kernel calls take them, against the stacked maps of
+    ``partners[c]``; on x, the unwrapped row comes first.
     """
     keys = []
 
-    def block(c: int) -> list:
-        deltas, rows = cut_table(cols[c], search, units[c] if axis == "x" else None)
-        if not deltas:
-            return []
-        first = len(keys)
+    def block(c: int):
+        rows = cut_rows(cols[c], search)
+        head = (None, units[c]) if axis == "x" else next(rows, None)
+        if head is None:  # no usable cut: no table
+            return
+        first, fixed = len(keys), np.stack([units[p] for p in partners[c]])
         keys.extend((c, p) if axis == "x" else (p, c) for p in partners[c])
-        return [Segment(first, axis, deltas, rows, np.stack([units[p] for p in partners[c]]))]
+        for delta, row in chain([head], rows):
+            yield Segment(first, axis, delta, row, fixed)
 
     winners = list(best_candidates((block(c) for c, ps in enumerate(partners) if ps), cfg))
     return dict(zip(keys, winners))

@@ -97,114 +97,94 @@ def shift_search(method: str, scfg: ShiftSearchConfig | None) -> ShiftSearchConf
 
 
 class Segment(NamedTuple):
-    """Mapped candidate rows of one axis for tables ``first`` to ``first + B - 1``.
+    """One candidate row of tables ``first`` to ``first + B - 1``.
 
-    ``rows`` holds the margin of ``axis`` mapped for each cut of ``deltas``
-    (None: unwrapped), (R, n) shared by the B tables or (B, R, n); ``fixed``
-    is the other margin, (n,) shared or (B, n). Row ``b * R + r`` is
-    candidate r of table ``first + b``.
+    ``row`` is the margin of ``axis`` wrapped at ``delta`` (None: unwrapped)
+    and mapped, (n,) shared by the B tables or (B, n); ``fixed`` is the other
+    margin, (n,) shared or (B, n).
     """
 
     first: int
     axis: str
-    deltas: list
-    rows: np.ndarray
+    delta: float | None
+    row: np.ndarray
     fixed: np.ndarray
 
     @property
     def tables(self) -> int:
-        """B: one unless ``rows`` or ``fixed`` holds one entry per table."""
-        if self.rows.ndim == 3:
-            return len(self.rows)
+        """B: one unless ``row`` or ``fixed`` holds one entry per table."""
+        if self.row.ndim == 2:
+            return len(self.row)
         return len(self.fixed) if self.fixed.ndim == 2 else 1
 
     def cut(self, lo: int, hi: int) -> Segment:
         """Its tables ``lo`` to ``hi - 1``, as a segment of their own."""
-        return Segment(self.first + lo, self.axis, self.deltas,
-                       self.rows[lo:hi] if self.rows.ndim == 3 else self.rows,
+        return Segment(self.first + lo, self.axis, self.delta,
+                       self.row[lo:hi] if self.row.ndim == 2 else self.row,
                        self.fixed[lo:hi] if self.fixed.ndim == 2 else self.fixed)
 
 
-def cut_rows(values: np.ndarray, scfg: ShiftSearchConfig):
-    """Yield ``(deltas, rows)`` blocks of one margin's usable cuts, in grid order.
+def cut_rows(values: np.ndarray, search: ShiftSearchConfig | None):
+    """Yield ``(delta, row)`` for each of one margin's usable cuts, in grid order.
 
     Each row is the margin wrapped at one cut of the grid and mapped again;
-    a block holds the cuts of at most one kernel call. A cut that collapses
-    the wrapped margin onto too few values defines no partition, so it cannot
-    be the optimum and is skipped; so is a cut whose wrap overflows the float
-    range, on a margin spanning more than it. A margin of fewer than two
-    distinct values has no cuts and yields nothing.
+    the cuts of one kernel call are wrapped at once. A cut that collapses the
+    wrapped margin onto too few values defines no partition, so it cannot be
+    the optimum and is skipped; so is a cut whose wrap overflows the float
+    range, on a margin spanning more than it. The basic test's ``search`` of
+    None has no cuts, nor has a margin of fewer than two distinct values.
     """
-    cuts = delta_candidates(values, scfg)
+    if search is None:
+        return
+    cuts = delta_candidates(values, search)
     step = kernels.rows_per_call(values.size)
     for lo in range(0, cuts.size, step):
         block = cuts[lo:lo + step]
-        deltas, rows = [], []
         with np.errstate(over="ignore"):
             wrapped_rows = wrap_at(values, block[:, None])
         for delta, wrapped in zip(block.tolist(), wrapped_rows):
             if not np.isfinite(wrapped).all():
                 continue
             try:
-                rows.append(to_unit_interval(wrapped))
+                row = to_unit_interval(wrapped)
             except DegenerateSample:
                 continue
-            deltas.append(delta)
-        if rows:
-            yield deltas, np.stack(rows)
-
-
-def cut_table(values: np.ndarray, search: ShiftSearchConfig | None,
-              mapped: np.ndarray | None = None) -> tuple[list, np.ndarray]:
-    """One margin's candidate rows as ``(deltas, rows)``: ``mapped`` (unwrapped) when
-    given, then the usable cuts of ``search``, none for the basic test's None."""
-    deltas, rows = ([None], [mapped[None]]) if mapped is not None else ([], [])
-    for block_deltas, block in cut_rows(values, search) if search else ():
-        deltas += block_deltas
-        rows.append(block)
-    return deltas, np.concatenate(rows) if rows else np.empty((0, values.size))
+            yield delta, row
 
 
 def best_candidates(blocks, cfg: PartitionConfig):
     """Yield ``(log_bf, delta, axis, levels, truncated)`` of each table's winner, in order.
 
     ``blocks`` yields iterables of :class:`Segment` holding all rows of their
-    tables, in candidate order; tables are numbered from 0, each with a row.
-    The winner has the smallest log Bayes factor, the earliest on ties.
-    Segments are cut between tables to fill kernel calls of
-    :func:`ptdep.kernels.rows_per_call` rows, a call is scored once full, and
-    a table larger than a call is a call of its own, which the kernel splits.
-    Blocks are read as calls fill, and one call's segments are held at a time.
+    tables, each table's in candidate order; tables are numbered from 0, each
+    with a row. The winner has the smallest log Bayes factor, the earliest on
+    ties. Segments are cut between tables so that every kernel call but the
+    last holds :func:`ptdep.kernels.rows_per_call` rows, and a table's rows
+    may span calls. Blocks are read as calls fill, and one call's segments
+    are held at a time.
     """
-    best: dict[int, tuple] = {}
-    call, size, low, step, done, end = [], 0, 0, 0, 0, 0  # low: smallest table in the call
+    best: dict[int, tuple] = {}  # the tables done, done + 1, ... scored so far
+    call, size, step, done = [], 0, 0, 0
     for block in blocks:
         for seg in block:
-            step = step or kernels.rows_per_call(seg.rows.shape[-1])
-            per_table, tables = len(seg.deltas), seg.tables
-            end = max(end, seg.first + tables)
+            step = step or kernels.rows_per_call(seg.row.shape[-1])
+            tables = seg.tables
             lo = 0
             while lo < tables:
-                take = min(tables - lo, (step - size) // per_table)
-                if call and not take:  # not one more table fits
-                    _score_call(call, size, cfg, best)
-                    call, size = [], 0
-                    continue
-                take = max(take, 1)  # a table larger than a call is a call of its own
-                low = min(low, seg.first + lo) if call else seg.first + lo
+                take = min(tables - lo, step - size)
                 call.append(seg if take == tables else seg.cut(lo, lo + take))
-                size, lo = size + take * per_table, lo + take
-                if size >= step:
+                size, lo = size + take, lo + take
+                if size == step:
                     _score_call(call, size, cfg, best)
                     call, size = [], 0
         seg = block = None  # hold no scored rows while the next block is built
-        ready = low if call else end
+        ready = min(s.first for s in call) if call else done + len(best)
         while done < ready:
             yield best.pop(done)
             done += 1
     if call:
         _score_call(call, size, cfg, best)
-    yield from (best.pop(t) for t in range(done, end))
+    yield from (best.pop(t) for t in range(done, done + len(best)))
 
 
 def _score_call(call, size: int, cfg: PartitionConfig, best: dict) -> None:
@@ -213,37 +193,25 @@ def _score_call(call, size: int, cfg: PartitionConfig, best: dict) -> None:
     levels, depth, truncated = kernels.logbf_batch(u, v, cfg.depth_cap, cfg.c)
     levels = [row[:d] for row, d in zip(levels.tolist(), depth.tolist())]
     log_bf, truncated = list(map(math.fsum, levels)), truncated.tolist()
-    lo = 0
-    for seg in call:
-        per_table = len(seg.deltas)
-        for t in range(seg.first, seg.first + seg.tables):
-            hi = lo + per_table
-            r = lo if per_table == 1 else min(range(lo, hi), key=log_bf.__getitem__)
-            if (held := best.get(t)) is None or log_bf[r] < held[0]:
-                best[t] = (log_bf[r], seg.deltas[r - lo], seg.axis, levels[r], truncated[r])
-            lo = hi
+    rows = ((t, seg) for seg in call for t in range(seg.first, seg.first + seg.tables))
+    for r, (t, seg) in enumerate(rows):
+        if (held := best.get(t)) is None or log_bf[r] < held[0]:
+            best[t] = (log_bf[r], seg.delta, seg.axis, levels[r], truncated[r])
 
 
 def _margin(call, size: int, axis: str) -> np.ndarray:
     """The call's coordinates on ``axis``, in a shape that broadcasts to its rows.
 
-    A lone segment's margin holding one row or every row in order, or the
-    other margin of a table that owns every row, is passed as it is; else
-    each segment's coordinates are laid out row by row.
+    A lone segment's part, or one (n,) part that every segment shares, is
+    passed as it is; else each segment's part is copied in, row by row.
     """
-    first = call[0]
-    part = first.rows if first.axis == axis else first.fixed
-    n = part.shape[-1]
-    lone = len(call) == 1 and part.size in (n, size * n)
-    if lone or all(s.axis != axis and s.first == first.first and s.tables == 1 for s in call):
-        return part.reshape(-1, n)
-    out, lo = np.empty((size, n)), 0
-    for seg in call:
-        tables, per_table = seg.tables, len(seg.deltas)
-        # ``fixed`` gives one row per table, repeated over its candidates
-        part = seg.rows if seg.axis == axis else seg.fixed.reshape(-1, 1, n)
-        out[lo:lo + tables * per_table].reshape(tables, per_table, n)[...] = part
-        lo += tables * per_table
+    parts = [seg.row if seg.axis == axis else seg.fixed for seg in call]
+    if len(parts) == 1 or (parts[0].ndim == 1 and all(part is parts[0] for part in parts)):
+        return parts[0]
+    out, lo = np.empty((size, parts[0].shape[-1])), 0
+    for seg, part in zip(call, parts):
+        out[lo:lo + seg.tables] = part
+        lo += seg.tables
     return out
 
 
@@ -259,16 +227,16 @@ def candidate_tables(t: int, samples: list, search: ShiftSearchConfig | None):
     rows, then for a ``search`` each sample's cuts of x and, with "xy", of y."""
     xs = [to_unit_interval(s.x) for s in samples]
     ys = [to_unit_interval(s.y) for s in samples]
-    # a lone sample's margins as views: copying a large one costs a share of its test
-    u, v = (xs[0][None], ys[0][None]) if len(samples) == 1 else (np.stack(xs), np.stack(ys))
-    yield Segment(t, "x", [None], u[:, None], v)
+    # a lone sample's margins as they are: copying a large one costs a share of its test
+    u, v = (xs[0], ys[0]) if len(samples) == 1 else (np.stack(xs), np.stack(ys))
+    yield Segment(t, "x", None, u, v)
     if search is None:
         return
     for b, sample in enumerate(samples):
-        for deltas, rows in cut_rows(sample.x, search):
-            yield Segment(t + b, "x", deltas, rows, v[b])
-        for deltas, rows in cut_rows(sample.y, search) if search.axis_policy == "xy" else ():
-            yield Segment(t + b, "y", deltas, rows, u[b])
+        for delta, row in cut_rows(sample.x, search):
+            yield Segment(t + b, "x", delta, row, ys[b])
+        for delta, row in cut_rows(sample.y, search) if search.axis_policy == "xy" else ():
+            yield Segment(t + b, "y", delta, row, xs[b])
 
 
 def ebayes_test(sample: PairedSample, cfg: PartitionConfig | None = None,
@@ -320,10 +288,6 @@ def run_test(sample: PairedSample, method: str, cfg: PartitionConfig | None = No
              scfg: ShiftSearchConfig | None = None) -> TestResult:
     """The test that ``method`` names, one of :data:`METHODS`, on one sample.
 
-    Its one table is scored as :func:`run_tests` scores each sample's, without
-    the batching a stream of samples needs.
+    Its one table is scored by :func:`run_tests`, as a stream of one sample.
     """
-    search = shift_search(method, scfg)
-    cfg = cfg or PartitionConfig()
-    winner, = best_candidates([candidate_tables(0, [sample], search)], cfg)
-    return winner_result(winner, sample.n, cfg, method)
+    return next(run_tests([sample], method, cfg, scfg))

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_table, run_tests,
+from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_rows, run_tests,
                      shift_search)
 from .engine import PartitionConfig, TestResult, posterior_dependence
 from .transforms import PairedSample, to_unit_interval
@@ -222,14 +222,6 @@ def replicate_experiment(
     return ReplicateSummary(model.kind, n, model.sigma, reps, method, *map(float, q))
 
 
-def abs_pearson(sample: PairedSample) -> float:
-    """|Pearson r| baseline; exists to self-test the permutation machinery."""
-    if sample.n < 2 or np.ptp(sample.x) == 0 or np.ptp(sample.y) == 0:
-        return 0.0
-    r = np.corrcoef(sample.x, sample.y)[0, 1]
-    return float(abs(r)) if np.isfinite(r) else 0.0
-
-
 def empirical_quantile(values: np.ndarray, p: float) -> float:
     """Type-1 (order statistic) empirical quantile: x_(ceil(n*p)) 1-indexed."""
     if not (0.0 < p <= 1.0):
@@ -253,6 +245,7 @@ def permutation_null(
     exactly). The detection threshold is the type-1 empirical
     ``1 - level`` quantile of the null statistics.
     """
+    _check_null(n_perm, level)
     return _permutation_null(sample, n_perm, cfg or PartitionConfig(), seed, statistic, level,
                              "basic", None)
 
@@ -264,12 +257,8 @@ def _permutation_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, s
 
     A custom ``statistic`` is called once per permutation; the default one is
     scored in batches by :func:`_default_null`, for a sample of any size, with
-    the same draws.
+    the same draws. ``n_perm`` and ``level`` are checked by its callers.
     """
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     if statistic is None:
         null = _default_null(sample, n_perm, cfg, method, scfg, rng)
@@ -282,6 +271,14 @@ def _permutation_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, s
         threshold=empirical_quantile(null, 1.0 - level),
         level=level,
     )
+
+
+def _check_null(n_perm: int, level: float) -> None:
+    """Refuse a null of fewer than one permutation, or a level outside (0, 1)."""
+    if n_perm < 1:
+        raise ValueError("n_perm must be >= 1")
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must lie in (0, 1)")
 
 
 def _orders(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -302,21 +299,21 @@ def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, metho
     wrapping and mapping y commute with it: each permutation re-pairs y's
     mapped margin and, with "xy", cut rows by indices :func:`_orders` draws
     as ``rng.permutation(sample.y)`` would. A batch of permutations is one
-    segment per axis, and only one batch is held at a time.
+    segment per candidate row, and only one batch is held at a time.
     """
     search = shift_search(method, scfg)
     u, v = to_unit_interval(sample.x), to_unit_interval(sample.y)
-    x_deltas, x_rows = cut_table(sample.x, search, u)
+    x_rows = [(None, u), *cut_rows(sample.x, search)]
     xy = search is not None and search.axis_policy == "xy"
-    y_deltas, y_rows = cut_table(sample.y, search if xy else None)
-    step = max(1, kernels.rows_per_call(sample.n) // (len(x_deltas) + len(y_deltas)))
+    y_rows = list(cut_rows(sample.y, search if xy else None))
+    step = max(1, kernels.rows_per_call(sample.n) // (len(x_rows) + len(y_rows)))
 
     def batches():
         for lo in range(0, n_perm, step):
             order = _orders(rng, min(step, n_perm - lo), sample.n)
-            yield [Segment(lo, "x", x_deltas, x_rows, v[order])] + (
-                [Segment(lo, "y", y_deltas, y_rows[:, order].swapaxes(0, 1), u)]
-                if y_deltas else [])
+            fixed = v[order]
+            yield ([Segment(lo, "x", delta, row, fixed) for delta, row in x_rows]
+                   + [Segment(lo, "y", delta, row[order], u) for delta, row in y_rows])
 
     return np.fromiter((posterior_dependence(winner[0], cfg.prior_odds)
                         for winner in best_candidates(batches(), cfg)), float, n_perm)
@@ -345,13 +342,15 @@ def power_experiment(
     threshold is then the mean across replicates). A custom ``statistic``
     callable plugs any scalar dependence measure into the same harness;
     without one, the replicates are scored in batches by
-    :func:`~ptdep.ebayes.run_tests`.
+    :func:`~ptdep.ebayes.run_tests`. ``level`` and ``n_perm`` are checked
+    before any replicate is drawn, whichever the threshold source.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     shift_search(method, scfg)  # the method check
     if threshold_source not in ("posterior_0.5", "permutation_quantile"):
         raise ValueError(f"unknown threshold_source {threshold_source!r}")
+    _check_null(n_perm, level)
     cfg = cfg or PartitionConfig()
     null_model = SimModel(kind="independent", sigma=model.sigma)
 

@@ -87,6 +87,17 @@ def default_statistic(cfg, method="basic", scfg=None):
     return lambda s: run_test(s, method, cfg, scfg).p_dependent
 
 
+def abs_pearson(sample) -> float:
+    """|Pearson r| of a sample: a custom statistic to self-test the permutation machinery.
+
+    A margin without spread scores 0, without a warning.
+    """
+    if sample.n < 2 or np.ptp(sample.x) == 0 or np.ptp(sample.y) == 0:
+        return 0.0
+    r = np.corrcoef(sample.x, sample.y)[0, 1]
+    return float(abs(r)) if np.isfinite(r) else 0.0
+
+
 def normal_cdf_quadrature(z: float) -> float:
     """Standard normal CDF by adaptive quadrature of the density from 0."""
     density = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)

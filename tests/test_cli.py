@@ -395,6 +395,18 @@ class TestPowerCommand:
         assert out["threshold_source"] == "permutation_quantile"
         assert 0.0 <= out["threshold"] <= 1.0
 
+    @pytest.mark.parametrize("threshold", ["posterior", "permutation"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--level", "7", "--perms", "-5"], "n_perm must be >= 1"),
+        (["--level", "7"], "level must lie in (0, 1)"),
+    ])
+    def test_bad_level_or_perms_exit_2_with_one_line(self, threshold, flags, message, capsys):
+        assert run(["power", "--model", "linear", "--n", "20", "--reps", "2",
+                    "--threshold", threshold, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_checker_pattern_flag(self, capsys):
         assert run(["power", "--model", "checkerboard", "--n", "60", "--reps", "5",
                     "--checker-pattern", "balanced", "--theta-variant", "unit",

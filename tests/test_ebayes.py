@@ -10,11 +10,10 @@ from ptdep.diffscan import ExpressionMatrix, diff_scan, p_diff, pairwise_scan
 from ptdep.ebayes import (METHODS, ShiftSearchConfig, delta_candidates, ebayes_test, run_test,
                           run_tests)
 from ptdep.errors import DegenerateSample
-from ptdep.simulate import (SimModel, abs_pearson, permutation_null, power_experiment,
-                            run_replicates)
+from ptdep.simulate import SimModel, permutation_null, power_experiment, run_replicates
 from ptdep.transforms import PairedSample, wrap_at
 
-from oracles import default_statistic, direct_test
+from oracles import abs_pearson, default_statistic, direct_test
 
 
 class TestDeltaCandidates:
@@ -398,9 +397,10 @@ class TestBatchedNull:
 class TestCallSizes:
     """Scan and null results do not depend on how their rows fill kernel calls.
 
-    At n = 30, calls of 1 row score each table alone and split the larger
-    ones; calls of 5, 20 and 64 rows are shared by segments and cut them
-    between tables. At n = 1 each table is its unwrapped row, five to a call.
+    At n = 30, calls of 1 row score each candidate alone; calls of 5, 20 and
+    64 rows are shared by segments, cut them between tables and split a
+    table's rows across calls. At n = 1 each table is its unwrapped row, five
+    to a call.
     """
 
     _METHODS = [("basic", None)] + [("ebayes", scfg) for scfg in _SEARCH_CONFIGS]
@@ -448,6 +448,43 @@ class TestCallSizes:
         got = simulate._default_null(sample, 60, cfg, method, scfg, batched_rng)
         assert got.tolist() == want
         assert batched_rng.random() == looped_rng.random()  # the same draws were taken
+
+    def test_one_large_table_fills_every_call_but_the_last(self, monkeypatch):
+        # about 2 000 midpoint rows at n = 1000, where a call holds 32
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal(1000)
+        sample = PairedSample(x=x, y=x + 0.2 * rng.standard_normal(1000))
+        scfg = ShiftSearchConfig(grid="midpoints", axis_policy="xy")
+        sizes, batch = [], kernels.logbf_batch
+
+        def spy(u, v, *args):
+            sizes.append(np.broadcast_shapes(np.atleast_2d(u).shape, np.atleast_2d(v).shape)[0])
+            return batch(u, v, *args)
+
+        monkeypatch.setattr(kernels, "logbf_batch", spy)
+        ebayes_test(sample, scfg=scfg)
+        step = kernels.rows_per_call(1000)
+        assert sum(sizes) == 1 + delta_candidates(sample.x, scfg).size + \
+            delta_candidates(sample.y, scfg).size
+        assert set(sizes[:-1]) == {step} and 0 < sizes[-1] <= step
+
+    @pytest.mark.parametrize("deltas", [(0.25, 0.75), (0.75, 0.25)])
+    def test_equal_rows_in_separate_calls_keep_the_first(self, deltas, monkeypatch):
+        rng = np.random.default_rng(25)
+        row, fixed = rng.uniform(size=40), rng.uniform(size=40)
+        monkeypatch.setattr(kernels, "CHUNK_POINTS", row.size)  # one row per call
+        calls, batch = [], kernels.logbf_batch
+
+        def spy(*args):
+            calls.append(args)
+            return batch(*args)
+
+        monkeypatch.setattr(kernels, "logbf_batch", spy)
+        table = [ebayes.Segment(0, "x", deltas[0], row, fixed),
+                 ebayes.Segment(0, "x", deltas[1], row.copy(), fixed)]
+        (log_bf, delta, axis, _, _), = ebayes.best_candidates([table], engine.PartitionConfig())
+        assert len(calls) == 2
+        assert (delta, axis) == (deltas[0], "x")
 
 
 _MATRIX = ExpressionMatrix(values=np.random.default_rng(9).standard_normal((20, 3)),

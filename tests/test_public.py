@@ -6,11 +6,12 @@ import ptdep
 
 # Helpers that once duplicated routes the package keeps one copy of.
 REMOVED = {
-    "ptdep": ("ShiftSpec", "shift_wrap", "normal_cdf", "UnitPoints", "to_unit_square"),
+    "ptdep": ("ShiftSpec", "shift_wrap", "normal_cdf", "UnitPoints", "to_unit_square",
+              "abs_pearson"),
     "ptdep.transforms": ("ShiftSpec", "shift_wrap", "normal_cdf", "UnitPoints", "to_unit_square"),
     "ptdep.kernels": ("logbf_levels",),
     "ptdep.engine": ("_evaluate", "unit_points"),
-    "ptdep.simulate": ("default_statistic",),
+    "ptdep.simulate": ("default_statistic", "abs_pearson"),
 }
 
 

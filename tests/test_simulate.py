@@ -1,16 +1,16 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ptdep import kernels
+from ptdep import kernels, simulate
 from ptdep.ebayes import ShiftSearchConfig
 from ptdep.engine import PartitionConfig
 from ptdep.errors import DegenerateSample
 from ptdep.simulate import (
     SimModel,
     THETA_UNIT,
-    abs_pearson,
     empirical_quantile,
     generate,
     permutation_null,
@@ -20,7 +20,7 @@ from ptdep.simulate import (
 )
 from ptdep.transforms import PairedSample
 
-from oracles import default_statistic, direct_test, quantile_type1
+from oracles import abs_pearson, default_statistic, direct_test, quantile_type1
 
 
 class TestGenerate:
@@ -224,6 +224,23 @@ class TestPowerExperiment:
     def test_invalid_threshold_source(self):
         with pytest.raises(ValueError):
             power_experiment(SimModel(kind="linear"), n=10, reps=2, threshold_source="magic")
+
+    @pytest.mark.parametrize("source", ["posterior_0.5", "permutation_quantile"])
+    @pytest.mark.parametrize("bad, message", [
+        ({"level": 7.0}, "level must lie in (0, 1)"),
+        ({"level": 0.0}, "level must lie in (0, 1)"),
+        ({"n_perm": -5}, "n_perm must be >= 1"),
+        ({"n_perm": 0, "level": 7.0}, "n_perm must be >= 1"),
+    ])
+    def test_null_settings_checked_before_any_replicate(self, source, bad, message, monkeypatch):
+        # the posterior threshold reads neither, but a bad value is still refused
+        def drawn(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulate, "generate", drawn)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            power_experiment(SimModel(kind="linear"), n=20, reps=2, threshold_source=source,
+                             **bad)
 
 
 class TestBatchedNull:
