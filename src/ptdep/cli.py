@@ -317,15 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PTDEP_SEED", "").strip()
-    if env:
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get("PTDEP_SEED", "").strip()
+        if not env:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "PTDEP_SEED"
         except ValueError:
             raise ParseError(f"PTDEP_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise ParseError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _run_config(args) -> None:
@@ -433,6 +436,8 @@ def _cmd_sweep_c(args):
         raise ParseError("--c-values is empty")
     rows = []
     if args.input is not None:
+        if args.model is not None or args.n is not None:
+            raise ParseError("sweep-c takes an input file or --model and --n, not both")
         sample = _read_pair(args)
         for c in c_values:
             res = run_test(sample, args.method, replace(args.partition, c=c), args.shift)

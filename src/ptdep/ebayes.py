@@ -20,6 +20,7 @@ many pairs, not as a calibrated posterior.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import NamedTuple
@@ -61,6 +62,8 @@ class ShiftSearchConfig:
             raise ValueError(f"axis_policy must be 'x' or 'xy', got {self.axis_policy!r}")
         if self.grid not in ("quantile", "midpoints"):
             raise ValueError(f"grid must be 'quantile' or 'midpoints', got {self.grid!r}")
+        if isinstance(self.grid_size, bool) or not isinstance(self.grid_size, numbers.Integral):
+            raise ValueError(f"grid_size must be an integer, got {self.grid_size!r}")
         if self.grid == "quantile" and self.grid_size < 2:
             raise ValueError("grid_size must be >= 2 for the quantile grid")
 

@@ -24,6 +24,7 @@ margin. Every test, :func:`test_dependence` included, maps its margins with
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -63,6 +64,8 @@ class PartitionConfig:
         lo, hi = C_RANGE
         if not (lo <= self.c <= hi):
             raise ValueError(f"c must lie in [{lo:g}, {hi:g}], got {self.c:g}")
+        if isinstance(self.depth_cap, bool) or not isinstance(self.depth_cap, numbers.Integral):
+            raise ValueError(f"depth_cap must be an integer, got {self.depth_cap!r}")
         if not (1 <= self.depth_cap <= kernels.MAX_DEPTH_CAP):
             raise ValueError(f"depth_cap must be in [1, {kernels.MAX_DEPTH_CAP}]")
 

@@ -4,11 +4,12 @@ Every point gets one Morton (Z-order) address (G. M. Morton, IBM, 1966):
 the binary digits of ``floor(u * 2**D)`` and ``floor(v * 2**D)``
 interleaved, level 1 in the top two bits, for depth cap D. Scaling by a
 power of two is exact, so the top 2k bits of an address name the point's
-level-k cell. Each sample's addresses are sorted once. At every level the
-cells are then runs of equal shifted address, found from the xor of
-neighbouring addresses, and the length of each run is one quadrant count of
-its parent cell. A point alone in its cell never shares a cell again and
-is dropped before the next level.
+level-k cell. Each sample's addresses are sorted once, and the kernel keeps
+the sorted addresses and the xor of each with the one before it. A point
+opens a level-k cell when that xor has a bit among the top 2k, and a parent
+cell when it has one among the top 2(k - 1); cells are runs, and each run's
+length is one quadrant count of its parent. A point is lone when it and the
+point after it both open a cell: it never shares a cell again and is dropped.
 
 Each level's cell terms need log-gamma at nine counts per parent cell. At
 the top levels a few cells hold many points, so those counts are evaluated
@@ -114,17 +115,18 @@ def cell_log_evidence(n0, n1, n2, n3, a: float):
     )
 
 
-def _add_level(k: int, shift: int, conc: float, a, cell_start, start, parent_row, level, depth):
+def _add_level(k: int, shift: int, conc: float, a, x, opens, parent_row, level, depth):
     """Add the level-k cell terms of every parent to ``level``; return the next parents.
 
     Returns the row of each level-k cell holding two or more points, and
     whether every level-k cell does.
     """
-    runs = np.flatnonzero(cell_start)
+    runs = np.flatnonzero(opens)
     size = np.empty_like(runs)
     np.subtract(runs[1:], runs[:-1], out=size[:-1])
     size[-1] = a.size - runs[-1]
-    run_parent = np.cumsum(start[runs]) - 1
+    # A run opens a parent cell when it opens a level-(k - 1) cell.
+    run_parent = np.cumsum(x[runs] >= 1 << (shift + 2)) - 1
     # Row q of counts holds quadrant q of every parent.
     counts = np.zeros((4, parent_row.size), dtype=np.int64)
     counts.ravel()[((a[runs] >> shift) & 3) * parent_row.size + run_parent] = size
@@ -145,28 +147,27 @@ def _add_level(k: int, shift: int, conc: float, a, cell_start, start, parent_row
 def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, truncated) -> None:
     """Fill the level sums, depths and truncation flags of a block of sorted rows.
 
-    Each level's bookkeeping lives in :func:`_add_level`, so it is freed
-    before the lone points are dropped: the working set stays at a few
-    arrays of one value per point.
+    ``a`` holds the sorted addresses and ``x`` each one's xor with the one
+    before it. A point opens a level-k cell when ``x >= 1 << 2(D - k)``, a
+    parent cell when ``x >= 1 << 2(D - k + 1)``, and is lone when it and the
+    point after it both open a cell. Each level's bookkeeping lives in
+    :func:`_add_level`, so it is freed before the lone points are dropped.
     """
     rows, n = addr.shape
     a = addr.ravel()
-    # A point starts a level-k cell when it and its predecessor differ in the
-    # top 2k address bits, i.e. when their xor reaches 1 << 2(D - k); a row's
-    # first point starts every cell. A point whose predecessor was dropped
-    # as lone already started a cell at that level, so at every deeper one.
+    # A row's first point opens every cell: its xor, the int64 maximum,
+    # passes even 1 << 2D, which no other xor of 2D-bit addresses reaches.
+    # A point whose predecessor was dropped as lone keeps its xor with that
+    # predecessor: it opened a cell at that level, so at every deeper one.
     x = np.empty_like(a)
     np.bitwise_xor(a[1:], a[:-1], out=x[1:])
     x[::n] = np.iinfo(np.int64).max
-    # Points where a run of equal parent cell begins, and the row of each
-    # parent; at level 1 the parent is the whole row.
-    start = np.zeros(a.size, dtype=bool)
-    start[::n] = True
+    # The row of each parent; at level 1 the parent is the whole row.
     parent_row = np.arange(rows)
     for k in range(1, depth_cap + 1):
         shift = 2 * (depth_cap - k)
-        cell_start = x >= 1 << shift
-        parent_row, every = _add_level(k, shift, c * k * k, a, cell_start, start, parent_row,
+        opens = x >= 1 << shift
+        parent_row, every = _add_level(k, shift, c * k * k, a, x, opens, parent_row,
                                        levels[:, k - 1], depth)
         if k == depth_cap:
             truncated[parent_row] = True
@@ -175,18 +176,15 @@ def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, trun
             break
         if every:
             # No lone point: the next level keeps every point, so skip the copies.
-            start = cell_start
             continue
-        # A point is lone when both it and the point after it start a cell.
         # Taking by index is cheaper than by a boolean mask with no regular
         # pattern; each array is replaced in turn, and the index freed, to
         # keep the working set small.
-        lone = cell_start.copy()
-        lone[:-1] &= cell_start[1:]
+        lone = opens.copy()
+        lone[:-1] &= opens[1:]
         kept = np.flatnonzero(~lone)
         x = x[kept]
         a = a[kept]
-        start = cell_start[kept]
         del kept
 
 

@@ -236,14 +236,18 @@ class TestScanCommand:
         assert [(r["var_a"], r["var_b"], r["n"]) for r in rows] == [("a", "b", 4)]
 
 
-@pytest.mark.parametrize("command", [
+# One short run of each command; "{m}" stands for a small matrix file.
+EVERY_COMMAND = [
     ["test", "{m}"],
     ["scan", "{m}"],
     ["diff", "{m}", "{m}"],
     ["simulate", "--model", "linear", "--n", "20", "--reps", "2"],
     ["power", "--model", "linear", "--n", "20", "--reps", "2"],
     ["sweep-c", "{m}"],
-], ids=lambda cmd: cmd[0])
+]
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda cmd: cmd[0])
 def test_every_command_rejects_workers_below_one(command, matrix_file, capsys):
     path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
     argv = [arg.format(m=path) for arg in command]
@@ -251,6 +255,21 @@ def test_every_command_rejects_workers_below_one(command, matrix_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "workers must be >= 1, got -3" in captured.err
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda cmd: cmd[0])
+def test_every_command_rejects_a_negative_seed(command, matrix_file, capsys, monkeypatch):
+    path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+    argv = [arg.format(m=path) for arg in command]
+    assert run(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+    monkeypatch.setenv("PTDEP_SEED", "-3")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: PTDEP_SEED must be >= 0, got -3\n"
 
 
 @pytest.mark.parametrize("flag, field", [("--c", "c"), ("--prior-odds", "prior_odds")])
@@ -433,6 +452,15 @@ class TestSweepCCommand:
 
     def test_needs_input_or_model(self, capsys):
         assert run(["sweep-c"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--model", "linear", "--n", "10"], ["--model", "linear"],
+                                       ["--n", "10"]], ids=["model-and-n", "model", "n"])
+    def test_input_with_model_flags_exits_2(self, flags, matrix_file, capsys):
+        path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+        assert run(["sweep-c", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep-c takes an input file or --model and --n, not both\n"
 
 
 @pytest.mark.parametrize("target, reason", [

@@ -29,6 +29,17 @@ class TestDeltaCandidates:
         assert values.min() < cands[0] and cands[-1] < values.max()
         assert np.all(np.diff(cands) > 0)
 
+    @pytest.mark.parametrize("grid", ["quantile", "midpoints"])
+    @pytest.mark.parametrize("grid_size", [2.5, 4.0, True, "4"])
+    def test_non_integer_grid_size_rejected(self, grid, grid_size):
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            ShiftSearchConfig(grid=grid, grid_size=grid_size)
+
+    def test_numpy_integer_grid_size_cuts_as_int(self):
+        values = np.random.default_rng(1).normal(size=200)
+        cands = delta_candidates(values, ShiftSearchConfig(grid_size=np.int64(7)))
+        assert cands.tolist() == delta_candidates(values, ShiftSearchConfig(grid_size=7)).tolist()
+
     def test_constant_vector(self):
         # no cut lies strictly inside a margin of one distinct value
         for grid in ("quantile", "midpoints"):

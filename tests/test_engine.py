@@ -422,6 +422,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PartitionConfig(depth_cap=64)
 
+    @pytest.mark.parametrize("depth_cap", [2.5, 3.0, True, "3"])
+    def test_non_integer_depth_rejected(self, depth_cap):
+        with pytest.raises(ValueError, match="depth_cap must be an integer"):
+            PartitionConfig(depth_cap=depth_cap)
+
+    def test_numpy_integer_depth_accepted(self):
+        assert PartitionConfig(depth_cap=np.int64(5)).depth_cap == 5
+
     def test_mad_scale_is_not_a_setting(self):
         # the MAD is always scaled to be normal-consistent; the attribute reads True
         assert [f.name for f in dataclasses.fields(PartitionConfig)] == \
