@@ -172,7 +172,10 @@ def write_result(payload, path: str | None, out_format: str = "json",
 
 
 def read_matrix(path: str) -> ExpressionMatrix:
-    """Parse a CSV matrix: header of variable names, one sample per row."""
+    """Parse a CSV matrix: header of variable names, one sample per row.
+
+    Blank lines are skipped; error line numbers count them.
+    """
     try:
         fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
@@ -188,6 +191,8 @@ def read_matrix(path: str) -> ExpressionMatrix:
             raise ParseError("header contains an empty variable name", line=1)
         data: list[list[float]] = []
         for line_no, row in enumerate(reader, start=2):
+            if not row:  # a blank line, skipped as numpy.loadtxt skips it
+                continue
             if len(row) != len(names):
                 raise RaggedRows(
                     f"expected {len(names)} cells, found {len(row)}", line=line_no

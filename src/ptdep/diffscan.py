@@ -105,27 +105,33 @@ def _column_maps(m: ExpressionMatrix):
     return cols, units, errors
 
 
-def _search(cols: list, units: list, partners: list, axis: str,
+def _search(cols: list, units: list, ok: list, axis: str,
             search: ShiftSearchConfig | None, cfg: PartitionConfig) -> dict:
     """The winning row of each pair on ``axis``, keyed by its column indices.
 
-    Column c's pairs are one run of tables: each of its candidate rows on
-    ``axis``, built as kernel calls take them, against the stacked maps of
-    ``partners[c]``; on x, the unwrapped row comes first.
+    Column c's pairs are one run of tables: each of its :func:`cut_rows` on
+    ``axis``, built as kernel calls take them, against the stacked maps of its
+    partners; on x, the unwrapped row comes first. Its partners, listed as
+    it is scored, are the ``ok`` columns after it on x and before it on y; a
+    column not ``ok`` has none. A column with no partners, or on y with no
+    cut rows, holds no table.
     """
     keys = []
 
     def block(c: int):
-        rows = cut_rows(cols[c], search)
+        partners = [p for p in (range(c + 1, len(cols)) if axis == "x" else range(c)) if ok[p]]
+        if not (ok[c] and partners):
+            return
+        rows = cut_rows(cols[c], search, axis)
         head = (None, units[c]) if axis == "x" else next(rows, None)
         if head is None:  # no usable cut: no table
             return
-        first, fixed = len(keys), np.stack([units[p] for p in partners[c]])
-        keys.extend((c, p) if axis == "x" else (p, c) for p in partners[c])
+        first, fixed = len(keys), np.stack([units[p] for p in partners])
+        keys.extend((c, p) if axis == "x" else (p, c) for p in partners)
         for delta, row in chain([head], rows):
             yield Segment(first, axis, delta, row, fixed)
 
-    winners = list(best_candidates((block(c) for c, ps in enumerate(partners) if ps), cfg))
+    winners = list(best_candidates(map(block, range(len(cols))), cfg))
     return dict(zip(keys, winners))
 
 
@@ -141,9 +147,10 @@ def pairwise_scan(
     failing the scan. Output order is lexicographic by column indices.
 
     Each column is mapped once. Axis x is searched over each pair's first
-    column against every later one; for ebayes with "xy", axis y over the
-    second column against every earlier one, where a y-row wins only when
-    strictly better. A pair's result is bit for bit its ``run_test``.
+    column against every later one, then axis y over the second column
+    against every earlier one, where a y-row wins only when strictly better.
+    The y pass finds no cut rows unless the search is ebayes with "xy", as
+    :func:`cut_rows` decides. A pair's result is bit for bit its ``run_test``.
     """
     if m.n_vars < 2:
         raise ValueError("need at least two variables to scan")
@@ -151,13 +158,9 @@ def pairwise_scan(
     cfg = cfg or PartitionConfig()
     cols, units, errors = _column_maps(m)
     ok = [e is None for e in errors]
-    later = [[j for j in range(i + 1, m.n_vars) if ok[i] and ok[j]] for i in range(m.n_vars)]
-    best = _search(cols, units, later, "x", search, cfg)
-    if search is not None and search.axis_policy == "xy":
-        earlier = [[i for i in range(j) if ok[i] and ok[j]] for j in range(m.n_vars)]
-        for pair, winner in _search(cols, units, earlier, "y", search, cfg).items():
-            if winner[0] < best[pair][0]:
-                best[pair] = winner
+    best = _search(cols, units, ok, "x", search, cfg)
+    for pair, winner in _search(cols, units, ok, "y", search, cfg).items():
+        best[pair] = min(best[pair], winner, key=lambda w: w[0])  # x's row on ties
     scored = {pair: winner_result(w, m.n_samples, cfg, method) for pair, w in best.items()}
     return [
         PairResult(var_a=m.var_names[i], var_b=m.var_names[j], result=scored.get((i, j)),

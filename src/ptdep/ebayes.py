@@ -127,17 +127,21 @@ class Segment(NamedTuple):
                        self.fixed[lo:hi] if self.fixed.ndim == 2 else self.fixed)
 
 
-def cut_rows(values: np.ndarray, search: ShiftSearchConfig | None):
-    """Yield ``(delta, row)`` for each of one margin's usable cuts, in grid order.
+def cut_rows(values: np.ndarray, search: ShiftSearchConfig | None, axis: str):
+    """Yield ``(delta, row)`` for each usable cut of the margin on ``axis``, in grid order.
+
+    This is the one place a search becomes cut rows. The basic test's
+    ``search`` of None cuts no axis, and axis "y" is cut only under the "xy"
+    policy; every route asks for both axes and takes what comes.
 
     Each row is the margin wrapped at one cut of the grid and mapped again;
     the cuts of one kernel call are wrapped at once. A cut that collapses the
     wrapped margin onto too few values defines no partition, so it cannot be
     the optimum and is skipped; so is a cut whose wrap overflows the float
-    range, on a margin spanning more than it. The basic test's ``search`` of
-    None has no cuts, nor has a margin of fewer than two distinct values.
+    range, on a margin spanning more than it. A margin of fewer than two
+    distinct values has no cuts.
     """
-    if search is None:
+    if search is None or (axis == "y" and search.axis_policy != "xy"):
         return
     cuts = delta_candidates(values, search)
     step = kernels.rows_per_call(values.size)
@@ -227,18 +231,16 @@ def winner_result(winner, n: int, cfg: PartitionConfig, method: str) -> TestResu
 
 def candidate_tables(t: int, samples: list, search: ShiftSearchConfig | None):
     """The segments of samples' tables t, t + 1, ..., lazily: one of their unwrapped
-    rows, then for a ``search`` each sample's cuts of x and, with "xy", of y."""
+    rows, then each sample's :func:`cut_rows` of x and of y under ``search``."""
     xs = [to_unit_interval(s.x) for s in samples]
     ys = [to_unit_interval(s.y) for s in samples]
     # a lone sample's margins as they are: copying a large one costs a share of its test
     u, v = (xs[0], ys[0]) if len(samples) == 1 else (np.stack(xs), np.stack(ys))
     yield Segment(t, "x", None, u, v)
-    if search is None:
-        return
     for b, sample in enumerate(samples):
-        for delta, row in cut_rows(sample.x, search):
+        for delta, row in cut_rows(sample.x, search, "x"):
             yield Segment(t + b, "x", delta, row, ys[b])
-        for delta, row in cut_rows(sample.y, search) if search.axis_policy == "xy" else ():
+        for delta, row in cut_rows(sample.y, search, "y"):
             yield Segment(t + b, "y", delta, row, xs[b])
 
 

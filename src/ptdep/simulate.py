@@ -88,6 +88,14 @@ class SimModel:
                 raise ValueError(f"{name} must have finite ends and width, got ({lo}, {hi})")
         if self.checker_pattern not in CHECKER_PATTERNS:
             raise ValueError(f"checker_pattern must be one of {CHECKER_PATTERNS}")
+        # a parameter the kind never draws from is refused, not ignored; sigma is
+        # kept for independent, whose model is the null of every power experiment
+        if self.x_range is not None and self.kind not in _X_RANGE_DEFAULTS:
+            raise ValueError(f"x_range does not apply to the {self.kind} model")
+        if self.kind != "checkerboard":
+            for name, default in (("theta_range", THETA_FULL), ("checker_pattern", "verbatim")):
+                if getattr(self, name) != default:
+                    raise ValueError(f"{name} does not apply to the {self.kind} model")
 
     @property
     def effective_x_range(self) -> tuple[float, float]:
@@ -140,15 +148,21 @@ def generate(model: SimModel, n: int, seed: int) -> PairedSample:
     """Draw one sample of size n; identical seeds give identical samples.
 
     Finite parameters can still overflow (a parabola over a huge x range, a
-    huge sigma); such a sample is refused with a ``ValueError`` that names them.
+    huge sigma); such a sample is refused with a ``ValueError`` that names the
+    parameters the kind draws from.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         x, y = _draw(model, n, np.random.default_rng(seed))
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError(f"the {model.kind} model gives non-finite values at sigma={model.sigma} "
-                         f"and x_range={model.effective_x_range}")
+        drawn = [f"sigma={model.sigma}"]
+        if model.kind in _X_RANGE_DEFAULTS:
+            drawn.append(f"x_range={model.effective_x_range}")
+        if model.kind == "checkerboard":
+            drawn.append(f"theta_range={model.theta_range}")
+        raise ValueError(f"the {model.kind} model gives non-finite values at "
+                         + " and ".join(drawn))
     return PairedSample(x=x, y=y)
 
 
@@ -161,7 +175,7 @@ def _draw(model: SimModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray
     if kind in ("linear", "parabolic", "sinusoidal"):
         lo, hi = model.effective_x_range
         x = rng.uniform(lo, hi, n)
-        eta = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
+        eta = rng.normal(0.0, sigma, n)
         if kind == "linear":
             y = 2.0 * x / 3.0 + eta
         elif kind == "parabolic":
@@ -171,8 +185,8 @@ def _draw(model: SimModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray
         return x, y
     if kind == "circular":
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
-        eta_x = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
-        eta_y = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
+        eta_x = rng.normal(0.0, sigma, n)
+        eta_y = rng.normal(0.0, sigma, n)
         return 10.0 * np.cos(theta) + eta_x, 10.0 * np.sin(theta) + eta_y
     # checkerboard
     i_x = rng.integers(0, 4, n)
@@ -182,8 +196,8 @@ def _draw(model: SimModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray
     else:
         i_y = np.where(i_x == 0, 0, (2 * u2) % np.maximum(i_x, 1))
     theta = rng.uniform(model.theta_range[0], model.theta_range[1], n)
-    eta_x = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
-    eta_y = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
+    eta_x = rng.normal(0.0, sigma, n)
+    eta_y = rng.normal(0.0, sigma, n)
     return 10.0 * (i_x + theta) + eta_x, 10.0 * (i_y + theta) + eta_y
 
 
@@ -295,17 +309,17 @@ def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, metho
                   scfg: ShiftSearchConfig | None, rng: np.random.Generator) -> np.ndarray:
     """Null statistics of ``method``'s default statistic, scored in batches.
 
-    Re-pairing changes no margin, so x's candidate rows are built once, and
-    wrapping and mapping y commute with it: each permutation re-pairs y's
-    mapped margin and, with "xy", cut rows by indices :func:`_orders` draws
-    as ``rng.permutation(sample.y)`` would. A batch of permutations is one
-    segment per candidate row, and only one batch is held at a time.
+    Re-pairing changes no margin, so each axis's :func:`~ptdep.ebayes.cut_rows`
+    are built once, and wrapping and mapping y commute with it: each
+    permutation re-pairs y's mapped margin and cut rows by indices
+    :func:`_orders` draws as ``rng.permutation(sample.y)`` would. A batch of
+    permutations is one segment per candidate row, and only one batch is held
+    at a time.
     """
     search = shift_search(method, scfg)
     u, v = to_unit_interval(sample.x), to_unit_interval(sample.y)
-    x_rows = [(None, u), *cut_rows(sample.x, search)]
-    xy = search is not None and search.axis_policy == "xy"
-    y_rows = list(cut_rows(sample.y, search if xy else None))
+    x_rows = [(None, u), *cut_rows(sample.x, search, "x")]
+    y_rows = list(cut_rows(sample.y, search, "y"))
     step = max(1, kernels.rows_per_call(sample.n) // (len(x_rows) + len(y_rows)))
 
     def batches():

@@ -79,6 +79,27 @@ class TestReadMatrix:
         with pytest.raises(ParseError):
             read_matrix("/nonexistent/file.csv")
 
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n3,4\n\n", "a,b\n\n1,2\n\n\n3,4\n",
+                                      "a,b\r\n1,2\r\n\r\n3,4\r\n\r\n"])
+    def test_blank_lines_skipped(self, matrix_file, text):
+        assert read_matrix(matrix_file(text)).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_error_after_blank_lines_counts_file_lines(self, matrix_file):
+        with pytest.raises(RaggedRows) as err:
+            read_matrix(matrix_file("a,b\n\n1,2\n\n3\n"))
+        assert err.value.line == 5
+
+    def test_header_and_blank_lines_is_empty(self, matrix_file):
+        with pytest.raises(EmptyMatrix):
+            read_matrix(matrix_file("a,b\n\n\n"))
+
+    @pytest.mark.parametrize("text, error", [("a,b\n1,2\n  \n", RaggedRows),
+                                             ("a\n1\n \n", ParseError)])
+    def test_whitespace_line_is_an_error(self, matrix_file, text, error):
+        with pytest.raises(error) as err:
+            read_matrix(matrix_file(text))
+        assert err.value.line == 3
+
 
 def _write_matrix(m: ExpressionMatrix, path: str) -> None:
     """Inverse of read_matrix; 17-digit cells round-trip exactly."""
@@ -396,6 +417,19 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--x-min", "-10", "--x-max", "10"], "x_range does not apply to the circular model"),
+        (["--theta-variant", "unit"], "theta_range does not apply to the circular model"),
+        (["--checker-pattern", "balanced"], "checker_pattern does not apply to the circular model"),
+        (["--sigma", "1e308"], "the circular model gives non-finite values at sigma=1e+308"),
+    ])
+    def test_parameter_the_model_does_not_use_exits_2(self, flags, message, capsys):
+        assert run(["simulate", "--model", "circular", "--n", "20", "--reps", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestPowerCommand:

@@ -681,3 +681,41 @@ class TestEachMarginMappedOnce:
                      for v in margins for d in delta_candidates(v, scfg))
         ebayes_test(sample, scfg=scfg)
         assert len(mapped) == 2 + usable
+
+
+class TestCutRows:
+    _values = np.random.default_rng(30).normal(size=60)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_basic_search_cuts_no_axis(self, axis):
+        assert list(ebayes.cut_rows(self._values, None, axis)) == []
+
+    def test_x_policy_cuts_no_y(self):
+        scfg = ShiftSearchConfig(axis_policy="x")
+        assert list(ebayes.cut_rows(self._values, scfg, "x"))
+        assert list(ebayes.cut_rows(self._values, scfg, "y")) == []
+
+    @pytest.mark.parametrize("grid", ["quantile", "midpoints"])
+    def test_xy_policy_cuts_y_as_x(self, grid):
+        scfg = ShiftSearchConfig(axis_policy="xy", grid=grid)
+        on_x = list(ebayes.cut_rows(self._values, scfg, "x"))
+        on_y = list(ebayes.cut_rows(self._values, scfg, "y"))
+        assert on_x and [d for d, _ in on_y] == [d for d, _ in on_x]
+        assert [r.tobytes() for _, r in on_y] == [r.tobytes() for _, r in on_x]
+
+    @pytest.mark.parametrize("method, scfg", [("basic", None),
+                                              ("ebayes", ShiftSearchConfig(axis_policy="x"))])
+    def test_scan_without_xy_builds_no_y_row(self, method, scfg, monkeypatch):
+        built = []
+        cut_rows = diffscan.cut_rows
+
+        def spy(values, search, axis):
+            for delta, row in cut_rows(values, search, axis):
+                built.append(axis)
+                yield delta, row
+
+        monkeypatch.setattr(diffscan, "cut_rows", spy)
+        m = _ebayes_matrix(np.random.default_rng(31), 50)
+        pairwise_scan(m, method=method, scfg=scfg)
+        assert "y" not in built
+        assert bool(built) == (method == "ebayes")  # x rows only where the search cuts

@@ -101,6 +101,62 @@ class TestGenerate:
             SimModel(kind="linear", **{field: (np.nan, 1.0)})
 
 
+    @pytest.mark.parametrize("kind", ["circular", "checkerboard", "independent"])
+    def test_x_range_refused_where_x_is_not_uniform(self, kind):
+        with pytest.raises(ValueError, match=f"x_range does not apply to the {kind} model"):
+            SimModel(kind=kind, x_range=(-1.0, 1.0))
+
+    @pytest.mark.parametrize("kind", ["linear", "parabolic", "sinusoidal", "circular",
+                                      "independent"])
+    @pytest.mark.parametrize("field, value", [("theta_range", THETA_UNIT),
+                                              ("checker_pattern", "balanced")])
+    def test_checkerboard_parameters_refused_elsewhere(self, kind, field, value):
+        with pytest.raises(ValueError, match=f"{field} does not apply to the {kind} model"):
+            SimModel(kind=kind, **{field: value})
+
+    def test_independent_keeps_sigma(self):
+        assert SimModel(kind="independent", sigma=0.5).sigma == 0.5
+
+    @pytest.mark.parametrize("model, drawn", [
+        (SimModel(kind="circular", sigma=1e308), "sigma=1e+308"),
+        (SimModel(kind="checkerboard", theta_range=(0.0, 1e308)),
+         "sigma=2.0 and theta_range=(0.0, 1e+308)"),
+        (SimModel(kind="sinusoidal", sigma=1e308), "sigma=1e+308 and x_range=(-5.0, 5.0)"),
+    ])
+    def test_overflow_names_only_the_parameters_drawn_from(self, model, drawn):
+        message = f"the {model.kind} model gives non-finite values at {drawn}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            generate(model, 50, seed=0)
+
+
+@pytest.mark.parametrize("kind, pattern", [("linear", "verbatim"), ("parabolic", "verbatim"),
+                                           ("sinusoidal", "verbatim"), ("circular", "verbatim"),
+                                           ("checkerboard", "verbatim"),
+                                           ("checkerboard", "balanced")])
+def test_noiseless_sample_is_its_formula_bit_for_bit(kind, pattern):
+    # the noise is each sample's last draw, and exactly +0.0 at sigma = 0
+    n, seed = 200, 7
+    extra = {"checker_pattern": pattern} if kind == "checkerboard" else {}
+    got = generate(SimModel(kind=kind, sigma=0.0, **extra), n, seed)
+    rng = np.random.default_rng(seed)
+    if kind == "circular":
+        t = rng.uniform(0.0, 2.0 * np.pi, n)
+        x, y = 10.0 * np.cos(t), 10.0 * np.sin(t)
+    elif kind == "checkerboard":
+        i_x, u = rng.integers(0, 4, n), rng.integers(0, 2, n)
+        if pattern == "balanced":
+            i_y = (i_x % 2) + 2 * u
+        else:
+            i_y = np.where(i_x == 0, 0, 2 * u % np.maximum(i_x, 1))
+        t = rng.uniform(0.0, 2.0 * np.pi, n)
+        x, y = 10.0 * (i_x + t), 10.0 * (i_y + t)
+    else:
+        x = rng.uniform(*SimModel(kind=kind).effective_x_range, n)
+        y = {"linear": 2.0 * x / 3.0, "parabolic": 2.0 * x * x / 3.0,
+             "sinusoidal": 2.0 * np.sin(x)}[kind]
+    assert got.x.tobytes() == x.tobytes() and got.y.tobytes() == y.tobytes()
+
+
 class TestReplicates:
     def test_single_point_replicates_all_half(self):
         summary = replicate_experiment(SimModel(kind="linear"), n=1, reps=20, seed=0)
