@@ -174,7 +174,8 @@ def write_result(payload, path: str | None, out_format: str = "json",
 def read_matrix(path: str) -> ExpressionMatrix:
     """Parse a CSV matrix: header of variable names, one sample per row.
 
-    Blank lines are skipped; error line numbers count them.
+    Blank lines are skipped; error line numbers count them, and every line
+    of a quoted cell that spans lines. A record's errors name its last line.
     """
     try:
         fh = open(path, encoding="utf-8-sig", newline="")
@@ -190,7 +191,8 @@ def read_matrix(path: str) -> ExpressionMatrix:
         if not names or any(n == "" for n in names):
             raise ParseError("header contains an empty variable name", line=1)
         data: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if not row:  # a blank line, skipped as numpy.loadtxt skips it
                 continue
             if len(row) != len(names):
@@ -254,16 +256,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
 
+# The flags that describe a simulated model, besides --model and --n.
+_MODEL_FLAGS = ("--sigma", "--reps", "--x-min", "--x-max", "--theta-variant", "--checker-pattern")
+
+
 def _add_model(p: argparse.ArgumentParser, required: bool = True) -> None:
+    """Add the model flags. All but --reps default to None, so a flag not given
+    keeps its SimModel default and is told apart from one given."""
     p.add_argument("--model", required=required, choices=MODEL_KINDS)
     p.add_argument("--n", type=int, required=required, help="sample size per replicate")
-    p.add_argument("--sigma", type=float, default=2.0)
+    p.add_argument("--sigma", type=float)
     p.add_argument("--reps", type=int, default=500)
-    p.add_argument("--x-min", type=float, default=None, help="lower end of the x range")
-    p.add_argument("--x-max", type=float, default=None, help="upper end of the x range")
-    p.add_argument("--theta-variant", choices=("full", "unit"), default="full",
+    p.add_argument("--x-min", type=float, help="lower end of the x range")
+    p.add_argument("--x-max", type=float, help="upper end of the x range")
+    p.add_argument("--theta-variant", choices=("full", "unit"),
                    help="checkerboard offset range: full = [0, 2pi), unit = [0, 1)")
-    p.add_argument("--checker-pattern", choices=CHECKER_PATTERNS, default="verbatim",
+    p.add_argument("--checker-pattern", choices=CHECKER_PATTERNS,
                    help="checkerboard row rule: verbatim (2u mod i_x) or balanced "
                         "(alternating block rows)")
 
@@ -315,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--c-values", default=",".join(str(v) for v in DEFAULT_C_SWEEP),
                          help="comma-separated c values (default 0.1,1,5,10)")
     _add_model(p_sweep, required=False)
-    p_sweep.set_defaults(reps=100)
+    p_sweep.set_defaults(reps=None)  # 100 for a model; None marks it unset next to a file
     _add_common(p_sweep)
 
     return parser
@@ -356,14 +364,14 @@ def _run_config(args) -> None:
 
 
 def _sim_model(args) -> SimModel:
-    kwargs = {"kind": args.model, "sigma": args.sigma}
-    if args.x_min is not None or args.x_max is not None:
-        if args.x_min is None or args.x_max is None:
-            raise ParseError("--x-min and --x-max must be given together")
-        kwargs["x_range"] = (args.x_min, args.x_max)
-    kwargs["theta_range"] = THETA_FULL if args.theta_variant == "full" else THETA_UNIT
-    kwargs["checker_pattern"] = args.checker_pattern
-    return SimModel(**kwargs)
+    """The model the flags describe; a flag not given keeps the SimModel default."""
+    if (args.x_min is None) != (args.x_max is None):
+        raise ParseError("--x-min and --x-max must be given together")
+    given = {"sigma": args.sigma,
+             "x_range": None if args.x_min is None else (args.x_min, args.x_max),
+             "theta_range": {"full": THETA_FULL, "unit": THETA_UNIT}.get(args.theta_variant),
+             "checker_pattern": args.checker_pattern}
+    return SimModel(kind=args.model, **{k: v for k, v in given.items() if v is not None})
 
 
 def _read_pair(args) -> PairedSample:
@@ -443,6 +451,10 @@ def _cmd_sweep_c(args):
     if args.input is not None:
         if args.model is not None or args.n is not None:
             raise ParseError("sweep-c takes an input file or --model and --n, not both")
+        for flag in _MODEL_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ParseError(f"sweep-c takes {flag} only with --model and --n, "
+                                 "not with an input file")
         sample = _read_pair(args)
         for c in c_values:
             res = run_test(sample, args.method, replace(args.partition, c=c), args.shift)
@@ -453,10 +465,10 @@ def _cmd_sweep_c(args):
     else:
         if args.model is None or args.n is None:
             raise ParseError("sweep-c needs an input file or --model and --n")
-        model = _sim_model(args)
+        model, reps = _sim_model(args), 100 if args.reps is None else args.reps
         for c in c_values:
             s = replicate_experiment(
-                model, args.n, args.reps, replace(args.partition, c=c), args.seed,
+                model, args.n, reps, replace(args.partition, c=c), args.seed,
                 method=args.method, scfg=args.shift,
             )
             row = {"c": c, **asdict(s)}

@@ -105,22 +105,23 @@ def _column_maps(m: ExpressionMatrix):
     return cols, units, errors
 
 
-def _search(cols: list, units: list, ok: list, axis: str,
+def _search(cols: list, units: list, axis: str,
             search: ShiftSearchConfig | None, cfg: PartitionConfig) -> dict:
     """The winning row of each pair on ``axis``, keyed by its column indices.
 
     Column c's pairs are one run of tables: each of its :func:`cut_rows` on
     ``axis``, built as kernel calls take them, against the stacked maps of its
     partners; on x, the unwrapped row comes first. Its partners, listed as
-    it is scored, are the ``ok`` columns after it on x and before it on y; a
-    column not ``ok`` has none. A column with no partners, or on y with no
-    cut rows, holds no table.
+    it is scored, are the mapped columns after it on x and before it on y; a
+    degenerate column, whose map ``units[c]`` is None, has none. A column
+    with no partners, or on y with no cut rows, holds no table.
     """
     keys = []
 
     def block(c: int):
-        partners = [p for p in (range(c + 1, len(cols)) if axis == "x" else range(c)) if ok[p]]
-        if not (ok[c] and partners):
+        partners = [p for p in (range(c + 1, len(cols)) if axis == "x" else range(c))
+                    if units[p] is not None]
+        if units[c] is None or not partners:
             return
         rows = cut_rows(cols[c], search, axis)
         head = (None, units[c]) if axis == "x" else next(rows, None)
@@ -157,9 +158,8 @@ def pairwise_scan(
     search = shift_search(method, scfg)
     cfg = cfg or PartitionConfig()
     cols, units, errors = _column_maps(m)
-    ok = [e is None for e in errors]
-    best = _search(cols, units, ok, "x", search, cfg)
-    for pair, winner in _search(cols, units, ok, "y", search, cfg).items():
+    best = _search(cols, units, "x", search, cfg)
+    for pair, winner in _search(cols, units, "y", search, cfg).items():
         best[pair] = min(best[pair], winner, key=lambda w: w[0])  # x's row on ties
     scored = {pair: winner_result(w, m.n_samples, cfg, method) for pair, w in best.items()}
     return [

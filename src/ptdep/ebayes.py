@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .engine import PartitionConfig, TestResult, _result
+from .engine import PartitionConfig, TestResult, posterior_dependence
 from .errors import DegenerateSample
 from .transforms import PairedSample, _as_vector, to_unit_interval, wrap_at
 
@@ -134,8 +134,8 @@ def cut_rows(values: np.ndarray, search: ShiftSearchConfig | None, axis: str):
     ``search`` of None cuts no axis, and axis "y" is cut only under the "xy"
     policy; every route asks for both axes and takes what comes.
 
-    Each row is the margin wrapped at one cut of the grid and mapped again;
-    the cuts of one kernel call are wrapped at once. A cut that collapses the
+    Each row is the margin wrapped at one cut of the grid and mapped again,
+    one cut at a time, as the caller takes it. A cut that collapses the
     wrapped margin onto too few values defines no partition, so it cannot be
     the optimum and is skipped; so is a cut whose wrap overflows the float
     range, on a margin spanning more than it. A margin of fewer than two
@@ -143,20 +143,16 @@ def cut_rows(values: np.ndarray, search: ShiftSearchConfig | None, axis: str):
     """
     if search is None or (axis == "y" and search.axis_policy != "xy"):
         return
-    cuts = delta_candidates(values, search)
-    step = kernels.rows_per_call(values.size)
-    for lo in range(0, cuts.size, step):
-        block = cuts[lo:lo + step]
+    for delta in delta_candidates(values, search).tolist():
         with np.errstate(over="ignore"):
-            wrapped_rows = wrap_at(values, block[:, None])
-        for delta, wrapped in zip(block.tolist(), wrapped_rows):
-            if not np.isfinite(wrapped).all():
-                continue
-            try:
-                row = to_unit_interval(wrapped)
-            except DegenerateSample:
-                continue
-            yield delta, row
+            wrapped = wrap_at(values, delta)
+        if not np.isfinite(wrapped).all():
+            continue
+        try:
+            row = to_unit_interval(wrapped)
+        except DegenerateSample:
+            continue
+        yield delta, row
 
 
 def best_candidates(blocks, cfg: PartitionConfig):
@@ -223,10 +219,22 @@ def _margin(call, size: int, axis: str) -> np.ndarray:
 
 
 def winner_result(winner, n: int, cfg: PartitionConfig, method: str) -> TestResult:
-    """The ``method`` result of n points whose winning candidate row is ``winner``."""
+    """The ``method`` result of n points whose winning candidate row is ``winner``.
+
+    This is the one place a :class:`~ptdep.engine.TestResult` is built.
+    ``winner`` is ``(log_bf, delta, axis, levels, truncated)`` as
+    :func:`best_candidates` yields it: ``levels`` are the row's trimmed level
+    sums and ``log_bf`` is ``math.fsum(levels)``, the exactly rounded sum, so
+    the level-sum identity holds to the last digit at any sample size. The
+    probability of dependence is :func:`~ptdep.engine.posterior_dependence`
+    of ``log_bf`` under ``cfg.prior_odds``; the axis is reported only for a
+    cut row.
+    """
     log_bf, delta, axis, levels, truncated = winner
-    return _result(log_bf, levels, truncated, n, cfg, method, delta,
-                   None if delta is None else axis)
+    return TestResult(log_bf=log_bf, p_dependent=posterior_dependence(log_bf, cfg.prior_odds),
+                      level_contributions=tuple(levels), n=n, truncated=bool(truncated),
+                      method=method, config=cfg, delta_star=delta,
+                      shift_axis=None if delta is None else axis)
 
 
 def candidate_tables(t: int, samples: list, search: ShiftSearchConfig | None):

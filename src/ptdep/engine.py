@@ -15,10 +15,12 @@ practice; a cap of 20 leaves residual terms far below 1e-6.
 
 Everything here is a pure function of its inputs; results are
 deterministic, cells being accumulated in a fixed address order. This
-module holds the configuration, the result and the posterior; it maps no
-margin. Every test, :func:`test_dependence` included, maps its margins with
-:func:`ptdep.transforms.to_unit_interval` and is scored by
-:func:`ptdep.ebayes.best_candidates` over :func:`ptdep.kernels.logbf_batch`.
+module holds the configuration, the result type and the posterior; it maps
+no margin and builds no result. Every test, :func:`test_dependence`
+included, maps its margins with :func:`ptdep.transforms.to_unit_interval`,
+is scored by :func:`ptdep.ebayes.best_candidates` over
+:func:`ptdep.kernels.logbf_batch`, and gets its :class:`TestResult` from
+:func:`ptdep.ebayes.winner_result`.
 """
 
 from __future__ import annotations
@@ -150,23 +152,3 @@ def test_dependence(sample: PairedSample, cfg: PartitionConfig | None = None) ->
 
     return run_test(sample, "basic", cfg)
 
-
-def _result(log_bf: float, levels: list, truncated: bool, n: int, cfg: PartitionConfig,
-            method: str = "basic", delta_star: float | None = None,
-            shift_axis: str | None = None) -> TestResult:
-    """A test result from one sample's trimmed level sums and their total.
-
-    ``log_bf`` must be ``math.fsum(levels)``, the exactly rounded sum, so the
-    level-sum identity holds to the last digit at any sample size.
-    """
-    return TestResult(
-        log_bf=log_bf,
-        p_dependent=posterior_dependence(log_bf, cfg.prior_odds),
-        level_contributions=tuple(levels),
-        n=n,
-        truncated=bool(truncated),
-        method=method,
-        config=cfg,
-        delta_star=delta_star,
-        shift_axis=shift_axis,
-    )

@@ -98,10 +98,9 @@ class SimModel:
                     raise ValueError(f"{name} does not apply to the {self.kind} model")
 
     @property
-    def effective_x_range(self) -> tuple[float, float]:
-        if self.x_range is not None:
-            return self.x_range
-        return _X_RANGE_DEFAULTS.get(self.kind, (-2.0, 2.0))
+    def effective_x_range(self) -> tuple[float, float] | None:
+        """The range x is drawn from uniformly; None for a kind that draws no uniform x."""
+        return self.x_range or _X_RANGE_DEFAULTS.get(self.kind)
 
 
 @dataclass(frozen=True)

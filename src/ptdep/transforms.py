@@ -136,7 +136,7 @@ def wrap_at(values: np.ndarray, delta) -> np.ndarray:
     """Cut a margin at ``delta`` and wrap the low piece above the top.
 
     Values ``<= delta`` become ``(max - min) + value``; the others are
-    untouched. A column of cuts, shape (k, 1), gives one wrapped row per cut.
+    untouched.
     """
     lo = float(values.min())
     hi = float(values.max())

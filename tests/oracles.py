@@ -26,7 +26,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from ptdep import engine, kernels, log_cell_evidence
+from ptdep import ebayes, engine, kernels, log_cell_evidence
 from ptdep.ebayes import run_test
 from ptdep.transforms import to_unit_interval
 
@@ -74,7 +74,8 @@ def direct_test(sample, cfg=None):
     u, v = to_unit_interval(sample.x), to_unit_interval(sample.y)
     levels, depth, truncated = kernels.logbf_batch(u, v, cfg.depth_cap, cfg.c)
     row = levels[0, : depth[0]].tolist()
-    return engine._result(math.fsum(row), row, bool(truncated[0]), sample.n, cfg)
+    return ebayes.winner_result((math.fsum(row), None, "x", row, bool(truncated[0])), sample.n,
+                                cfg, "basic")
 
 
 def default_statistic(cfg, method="basic", scfg=None):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ptdep
-from ptdep import engine
+from ptdep import ebayes, engine
 from ptdep.cli import _check_level_sum, read_matrix, run, write_result
 from ptdep.diffscan import ExpressionMatrix
 from ptdep.errors import EmptyMatrix, ParseError, RaggedRows
@@ -88,6 +88,15 @@ class TestReadMatrix:
         with pytest.raises(RaggedRows) as err:
             read_matrix(matrix_file("a,b\n\n1,2\n\n3\n"))
         assert err.value.line == 5
+
+    def test_error_after_quoted_line_break_counts_file_lines(self, matrix_file, capsys):
+        # the quoted cell spans lines 2 and 3, so the short row is line 4
+        path = matrix_file('a,b\n"1\n",2\n3\n')
+        with pytest.raises(RaggedRows) as err:
+            read_matrix(path)
+        assert err.value.line == 4
+        assert run(["test", path]) == 2
+        assert capsys.readouterr().err == "error: expected 2 cells, found 1 (line 4)\n"
 
     def test_header_and_blank_lines_is_empty(self, matrix_file):
         with pytest.raises(EmptyMatrix):
@@ -325,7 +334,8 @@ class TestLevelSumGuard:
     def test_exact_sum_accepted_where_naive_sum_drifts(self):
         # naive left-to-right summation loses the 1.0 entirely
         levels = np.array([1e16, 1.0, -1e16, 3e-7])
-        res = engine._result(math.fsum(levels), levels, False, 10**7, engine.PartitionConfig())
+        res = ebayes.winner_result((math.fsum(levels), None, "x", levels, False), 10**7,
+                                   engine.PartitionConfig(), "basic")
         assert sum(res.level_contributions) != res.log_bf
         _check_level_sum(res)
 
@@ -495,6 +505,28 @@ class TestSweepCCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: sweep-c takes an input file or --model and --n, not both\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma", "9"), ("--reps", "3"), ("--x-min", "0"), ("--x-max", "1"),
+        ("--theta-variant", "unit"), ("--checker-pattern", "balanced"),
+        ("--sigma", "2"), ("--theta-variant", "full"), ("--checker-pattern", "verbatim"),
+    ])
+    def test_input_with_other_model_flag_exits_2_naming_it(self, flag, value, matrix_file,
+                                                           capsys):
+        # a flag is refused when given, even at the model's default value
+        path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+        assert run(["sweep-c", path, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: sweep-c takes {flag} only with --model and --n, "
+                                "not with an input file\n")
+
+    def test_model_mode_defaults_to_100_reps(self, capsys):
+        assert run(["sweep-c", "--model", "checkerboard", "--n", "5", "--c-values", "1",
+                    "--theta-variant", "unit", "--checker-pattern", "balanced"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [(row["model"], row["reps"], row["sigma"]) for row in out] == [
+            ("checkerboard", 100, 2.0)]
 
 
 @pytest.mark.parametrize("target, reason", [

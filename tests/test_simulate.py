@@ -106,6 +106,15 @@ class TestGenerate:
         with pytest.raises(ValueError, match=f"x_range does not apply to the {kind} model"):
             SimModel(kind=kind, x_range=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("kind, x_range", [
+        ("linear", (-2.0, 2.0)), ("parabolic", (-2.0, 2.0)), ("sinusoidal", (-5.0, 5.0)),
+        ("circular", None), ("checkerboard", None), ("independent", None),
+    ])
+    def test_effective_x_range_only_where_x_is_uniform(self, kind, x_range):
+        assert SimModel(kind=kind).effective_x_range == x_range
+        if x_range is not None:
+            assert SimModel(kind=kind, x_range=(0.0, 1.0)).effective_x_range == (0.0, 1.0)
+
     @pytest.mark.parametrize("kind", ["linear", "parabolic", "sinusoidal", "circular",
                                       "independent"])
     @pytest.mark.parametrize("field, value", [("theta_range", THETA_UNIT),
