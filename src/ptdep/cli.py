@@ -243,9 +243,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior-odds", type=float, default=1.0,
                    help="prior odds of independence over dependence (default 1)")
     p.add_argument("--method", choices=METHODS, default="basic")
-    p.add_argument("--grid", default="4",
-                   help="shift grid: an integer quantile count or 'midpoints' (default 4)")
-    p.add_argument("--wrap-axis", choices=("x", "xy"), default="x",
+    p.add_argument("--grid", default=None,
+                   help="ebayes shift grid: an integer quantile count or 'midpoints' "
+                        "(default 4)")
+    p.add_argument("--wrap-axis", choices=("x", "xy"), default=None,
                    help="axes searched by the ebayes centering (default x)")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (falls back to env PTDEP_SEED, then 0)")
@@ -285,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="test two columns of a CSV file for dependence")
     p_test.add_argument("input", help="CSV file (header row, one sample per row)")
-    p_test.add_argument("--x-col", default="0", help="column name or 0-based index (default 0)")
-    p_test.add_argument("--y-col", default="1", help="column name or 0-based index (default 1)")
+    p_test.add_argument("--x-col", help="column name or 0-based index (default 0)")
+    p_test.add_argument("--y-col", help="column name or 0-based index (default 1)")
     _add_common(p_test)
 
     p_scan = sub.add_parser("scan", help="test every column pair of a matrix")
@@ -318,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-c", help="sensitivity to the concentration constant")
     p_sweep.add_argument("input", nargs="?", default=None,
                          help="CSV file to test per c (omit to sweep a simulated model)")
-    p_sweep.add_argument("--x-col", default="0")
-    p_sweep.add_argument("--y-col", default="1")
+    # None marks a column flag unset, so it is refused next to --model
+    p_sweep.add_argument("--x-col", help="input file column (default 0)")
+    p_sweep.add_argument("--y-col", help="input file column (default 1)")
     p_sweep.add_argument("--c-values", default=",".join(str(v) for v in DEFAULT_C_SWEEP),
                          help="comma-separated c values (default 0.1,1,5,10)")
     _add_model(p_sweep, required=False)
@@ -348,16 +350,20 @@ def _run_config(args) -> None:
     """Validate the settings, and store their configs and the resolved seed on ``args``."""
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
-    grid_raw = str(args.grid).strip().lower()
+    axis = args.wrap_axis or "x"
+    grid_raw = "4" if args.grid is None else str(args.grid).strip().lower()
     if grid_raw == "midpoints":
-        args.shift = ShiftSearchConfig(axis_policy=args.wrap_axis, grid="midpoints")
+        args.shift = ShiftSearchConfig(axis_policy=axis, grid="midpoints")
     else:
         try:
             size = int(grid_raw)
         except ValueError:
             raise ParseError(f"--grid must be an integer or 'midpoints', got {args.grid!r}") from None
-        args.shift = ShiftSearchConfig(axis_policy=args.wrap_axis, grid="quantile",
-                                       grid_size=size)
+        args.shift = ShiftSearchConfig(axis_policy=axis, grid="quantile", grid_size=size)
+    if args.method != "ebayes":
+        for flag, value in (("--grid", args.grid), ("--wrap-axis", args.wrap_axis)):
+            if value is not None:
+                raise ParseError(f"{flag} applies only with --method ebayes")
     args.partition = PartitionConfig(c=args.c, depth_cap=args.depth_cap,
                                      prior_odds=args.prior_odds)
     args.seed = _resolve_seed(args)
@@ -375,11 +381,11 @@ def _sim_model(args) -> SimModel:
 
 
 def _read_pair(args) -> PairedSample:
-    """The two columns ``--x-col`` and ``--y-col`` of the input file."""
+    """The two columns ``--x-col`` and ``--y-col`` (default 0 and 1) of the input file."""
     m = read_matrix(args.input)
     return PairedSample(
-        x=_pick_column(m, args.x_col, "--x-col"),
-        y=_pick_column(m, args.y_col, "--y-col"),
+        x=_pick_column(m, "0" if args.x_col is None else args.x_col, "--x-col"),
+        y=_pick_column(m, "1" if args.y_col is None else args.y_col, "--y-col"),
     )
 
 
@@ -465,6 +471,10 @@ def _cmd_sweep_c(args):
     else:
         if args.model is None or args.n is None:
             raise ParseError("sweep-c needs an input file or --model and --n")
+        for flag in ("--x-col", "--y-col"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ParseError(f"sweep-c takes {flag} only with an input file, "
+                                 "not with --model and --n")
         model, reps = _sim_model(args), 100 if args.reps is None else args.reps
         for c in c_values:
             s = replicate_experiment(

@@ -287,6 +287,30 @@ def test_every_command_rejects_workers_below_one(command, matrix_file, capsys):
     assert "workers must be >= 1, got -3" in captured.err
 
 
+@pytest.mark.parametrize("flag, value", [("--grid", "6"), ("--grid", "midpoints"),
+                                         ("--wrap-axis", "xy"), ("--wrap-axis", "x")])
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda cmd: cmd[0])
+def test_every_command_refuses_a_search_flag_without_ebayes(command, flag, value, matrix_file,
+                                                             capsys):
+    # the flags set the ebayes centering search, which the basic test never runs
+    path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+    argv = [arg.format(m=path) for arg in command] + [flag, value]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} applies only with --method ebayes\n"
+    assert run(argv + ["--method", "ebayes"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda cmd: cmd[0])
+def test_every_command_checks_the_grid_before_the_method(command, matrix_file, capsys):
+    path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+    assert run([arg.format(m=path) for arg in command] + ["--grid", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid_size must be >= 2 for the quantile grid\n"
+
+
 @pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda cmd: cmd[0])
 def test_every_command_rejects_a_negative_seed(command, matrix_file, capsys, monkeypatch):
     path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
@@ -520,6 +544,28 @@ class TestSweepCCommand:
         assert captured.out == ""
         assert captured.err == (f"error: sweep-c takes {flag} only with --model and --n, "
                                 "not with an input file\n")
+
+    @pytest.mark.parametrize("flag", ["--x-col", "--y-col"])
+    def test_model_with_column_flag_exits_2_naming_it(self, flag, capsys):
+        # a column flag is refused when given, even at its file default
+        for value in ("7", "0" if flag == "--x-col" else "1"):
+            assert run(["sweep-c", "--model", "linear", "--n", "20", "--reps", "2",
+                        "--c-values", "1", flag, value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: sweep-c takes {flag} only with an input file, "
+                                    "not with --model and --n\n")
+
+    def test_file_mode_columns_default_to_0_and_1(self, matrix_file, capsys):
+        rng = np.random.default_rng(11)
+        rows = "\n".join(f"{x},{y},{z}" for x, y, z in rng.normal(size=(40, 3)))
+        path = matrix_file("x,y,z\n" + rows + "\n")
+        outputs = []
+        for cols in ([], ["--x-col", "0", "--y-col", "1"], ["--x-col", "x", "--y-col", "y"],
+                     ["--x-col", "2"]):
+            assert run(["sweep-c", path, "--c-values", "1,5", *cols]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2] != outputs[3]
 
     def test_model_mode_defaults_to_100_reps(self, capsys):
         assert run(["sweep-c", "--model", "checkerboard", "--n", "5", "--c-values", "1",

@@ -1,12 +1,16 @@
 """The sort-once kernel: against the explicit tree, and batch against single."""
 
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptdep import kernels
-from ptdep.kernels import CHUNK_POINTS, logbf_batch
+from ptdep.engine import C_RANGE
+from ptdep.kernels import CHUNK_POINTS, MAX_DEPTH_CAP, logbf_batch
+from ptdep.transforms import CLAMP_EPS
 
 from oracles import build_count_tree, log_bayes_factor
 
@@ -162,3 +166,79 @@ class TestBatchEqualsSingle:
         rng = np.random.default_rng(20)
         n = CHUNK_POINTS + 3
         _assert_rows_are_singles(rng.uniform(0, 1, (2, n)), rng.uniform(0, 1, (2, n)), 20, 5.0)
+
+
+def _tail_rows(rng, kind, rows, n):
+    """(u, v) of ``rows`` rows of n points, drawn as ``kind`` says."""
+    if kind == "ties":
+        cells = int(rng.choice([2, 8, 64, 4096]))
+        return (rng.integers(0, cells, (2, rows, n)) + 0.5) / cells
+    pts = rng.uniform(CLAMP_EPS, 1 - CLAMP_EPS, (2, rows, n))
+    if kind == "coincident":
+        block = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+        pts[:, :, block] = rng.uniform(0, 1, (2, rows, 1))
+    elif kind == "edge":
+        pts[rng.random((2, rows, n)) < 0.3] = 1 - CLAMP_EPS
+    return pts
+
+
+@st.composite
+def _tail_cases(draw, max_n=3000):
+    """Batches of up to 8 rows with ties, coincident blocks and points at the clamp."""
+    rows = draw(st.integers(1, 8))
+    n = draw(st.integers(2, max_n))
+    depth_cap = draw(st.sampled_from(range(1, MAX_DEPTH_CAP + 1)))
+    c = draw(st.sampled_from([C_RANGE[0], 5.0, C_RANGE[1]]))
+    kind = draw(st.sampled_from(["uniform", "ties", "coincident", "edge"]))
+    u, v = _tail_rows(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), kind, rows, n)
+    return (u[0] if draw(st.booleans()) else u), v, depth_cap, c
+
+
+def _with_tail_points(points, u, v, depth_cap, c):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "TAIL_POINTS", points)
+        return logbf_batch(u, v, depth_cap, c)
+
+
+# 9000 points: the per-level loop hands over to the pass within the block.
+_MID_BLOCK = (np.random.default_rng(21).uniform(0, 1, 150),
+              np.random.default_rng(22).uniform(0, 1, (60, 150)), 20, 5.0)
+
+
+class TestTailPass:
+    """The one-pass scoring of a block's last levels against the per-level loop."""
+
+    @pytest.mark.parametrize("high", [3, 12, 5000])
+    def test_cells_of_many_levels_score_as_one_level_at_a_time(self, high):
+        # small counts take the tables, large ones the direct route
+        rng = np.random.default_rng(high)
+        counts = rng.integers(0, high, (4, 400))
+        conc = 5.0 * np.arange(3, 9) ** 2
+        level = rng.integers(0, conc.size, 400)
+        got = kernels.cell_log_evidence(*counts, conc, level)
+        for lv, a in enumerate(conc):
+            one = level == lv
+            want = kernels.cell_log_evidence(*counts[:, one], float(a))
+            assert got[one].tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tail_cases())
+    @example(_MID_BLOCK)
+    def test_tail_from_level_one_and_no_tail_agree_with_shipped(self, case):
+        shipped = logbf_batch(*case)
+        for points in (sys.maxsize, -1):  # the tail from level 1; the loop alone
+            got = _with_tail_points(points, *case)
+            assert all(np.array_equal(g, w) for g, w in zip(got, shipped))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tail_cases(max_n=60))
+    def test_tail_from_level_one_matches_tree(self, case):
+        u, v, depth_cap, c = case
+        levels, depth, truncated = _with_tail_points(sys.maxsize, u, v, depth_cap, c)
+        for b, row in enumerate(v):
+            tree = build_count_tree(u if u.ndim == 1 else u[b], row, depth_cap)
+            _, tree_levels = log_bayes_factor(tree, c)
+            assert depth[b] == tree_levels.size
+            assert truncated[b] == tree.truncated
+            np.testing.assert_allclose(levels[b, :depth[b]], tree_levels, rtol=1e-12, atol=2e-9)
+            assert not levels[b, depth[b]:].any()

@@ -55,6 +55,7 @@ EXTRA = {
     "sweep-c-model": "sweep-c --model linear --n 40 --reps 10 --c-values 1,5",
     "sweep-c-ebayes-csv": "sweep-c data.csv --method ebayes --format csv",
     "error-grid-1": "test data.csv --grid 1",
+    "error-search-flags-basic": "test data.csv --wrap-axis xy --grid midpoints",
     "error-sweep-c-bare": "sweep-c",
     "error-method-bogus": "scan matrix.csv --method bogus",
     "scan-const": "scan const.csv",
