@@ -59,10 +59,10 @@ class PartitionConfig:
     def __post_init__(self):
         for name in ("c", "prior_odds"):
             value = getattr(self, name)
-            if not (value > 0.0):
-                raise ValueError(f"{name} must be positive")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if not (value > 0.0):
+                raise ValueError(f"{name} must be positive")
         lo, hi = C_RANGE
         if not (lo <= self.c <= hi):
             raise ValueError(f"c must lie in [{lo:g}, {hi:g}], got {self.c:g}")
@@ -110,9 +110,14 @@ def log_cell_evidence(counts, a: float) -> float:
     exact 0.0 (their term cancels analytically); others are scored by
     :func:`ptdep.kernels.cell_log_evidence`.
     """
-    n0, n1, n2, n3 = (int(c) for c in counts)
+    counts = tuple(counts)
+    if not all(float(k).is_integer() for k in counts):
+        raise ValueError(f"counts must be whole numbers, got {counts}")
+    n0, n1, n2, n3 = (int(k) for k in counts)
     if min(n0, n1, n2, n3) < 0:
         raise ValueError("counts must be nonnegative")
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     if not (a > 0.0):
         raise ValueError("a must be positive")
     if n0 + n1 + n2 + n3 <= 1:

@@ -4,12 +4,17 @@ Every point gets one Morton (Z-order) address (G. M. Morton, IBM, 1966):
 the binary digits of ``floor(u * 2**D)`` and ``floor(v * 2**D)``
 interleaved, level 1 in the top two bits, for depth cap D. Scaling by a
 power of two is exact, so the top 2k bits of an address name the point's
-level-k cell. Each sample's addresses are sorted once, and the kernel keeps
-the sorted addresses and the xor of each with the one before it. A point
-opens a level-k cell when that xor has a bit among the top 2k, and a parent
-cell when it has one among the top 2(k - 1); cells are runs, and each run's
-length is one quadrant count of its parent. A point is lone when it and the
-point after it both open a cell: it never shares a cell again and is dropped.
+level-k cell. Each sample's addresses are sorted once, and each point's
+separation level s is read once per block from the xor of its address with
+the one before it (:func:`_separation`): the first level at which the two
+points fall in different cells, 0 for a row's first point and D + 1 for a
+repeated address. A point opens a level-k cell when s <= k, and a parent
+cell when s < k; cells are runs, and each run's length is one quadrant
+count of its parent. A point whose ``last``, the larger of its own and its
+successor's s, is at most k is alone in its level-k cell: it never shares
+a cell again and is dropped. A row's depth, its largest s capped at D, and
+whether it is truncated, whether some s is D + 1, are written once per
+block, before any level is scored.
 
 Each level's cell terms need log-gamma at nine counts per parent cell. At
 the top levels a few cells hold many points, so those counts are evaluated
@@ -32,16 +37,15 @@ its size, besides the work per point. That fixed cost is small beside the
 top levels, where many points survive, and dominates the deep ones, where
 few do. So once at most ``TAIL_POINTS`` points of a block survive,
 :func:`_score_tail` scores all its remaining levels in one pass: each
-point's separation level, read once from its xor, says at which levels
-it is scored and where it opens a cell or a parent, and the (level,
-point) pairs are laid out level-major so that every level sum, depth and
-truncation flag is bit for bit the per-level loop's. A test of up to
-``TAIL_POINTS`` points is scored in the pass alone. On a 2-core x86 host
-(Python 3.11, numpy 2.4), timed on a 200-permutation null at n = 150 with
-its test, the switch at 2**12 points was fastest and about 9% faster than
-the per-level loop alone; 2**11 and 2**13 were each about 4% slower than
-2**12, and 2**14 about 30% slower, since the pass holds one entry per
-(level, point) pair.
+point's s and ``last`` say at which levels it is scored and where it
+opens a cell or a parent, and the (level, point) pairs are laid out
+level-major so that every level sum is bit for bit the per-level loop's.
+A test of up to ``TAIL_POINTS`` points is scored in the pass alone. On a
+2-core x86 host (Python 3.11, numpy 2.4), timed on a 200-permutation null
+at n = 150 with its test, the switch at 2**12 points was fastest and about
+9% faster than the per-level loop alone; 2**11 and 2**13 were each about
+4% slower than 2**12, and 2**14 about 30% slower, since the pass holds one
+entry per (level, point) pair.
 
 ``CHUNK_POINTS`` = 2**15 is the smallest power of two that scores the
 many-small-tests batches in one call: the default ebayes table at n = 4000
@@ -154,53 +158,78 @@ def cell_log_evidence(n0, n1, n2, n3, a, level=None):
     )
 
 
-def _add_level(k: int, shift: int, conc: float, a, x, opens, parent_row, level, depth):
+def _separation(a: np.ndarray, n: int, depth_cap: int):
+    """Each point's separation level ``s`` and ``last``, the larger of its own and its successor's.
+
+    ``a`` holds sorted rows of n addresses end to end. A point's s is the
+    first level at which its cell differs from its predecessor's: 0 for a
+    row's first point, D + 1 for an address equal to its predecessor's, and
+    otherwise D - floor(log4(x)) for the xor x of the two addresses. This is
+    the one place an xor is read: its float exponent gives floor(log2(x)),
+    exact once an xor of 2**53 or more (depth cap 27 and up) has its low
+    bits cleared, so that rounding cannot carry it to the next power of two.
+    A block's last point has no successor and keeps ``last = s``.
+    """
+    x = np.bitwise_xor(a[1:], a[:-1])
+    if depth_cap > 26:
+        np.bitwise_and(x, ~127, out=x, where=x >= 2**53)
+    # bits >> 52 is the biased exponent e = floor(log2(x)) + 1023, so
+    # (bits + 2**52) >> 53 is (e + 1) // 2, and D + 512 less that is
+    # D - floor(log4(x)).
+    bits = x.astype(np.float64).view(np.int64)
+    bits += 1 << 52
+    bits >>= 53
+    np.subtract(depth_cap + 512, bits, out=bits)
+    s = np.empty(a.size, dtype=np.int8)
+    # A zero xor reads as D + 512 and is capped at D + 1.
+    np.minimum(bits, depth_cap + 1, out=s[1:], casting="unsafe")
+    s[::n] = 0
+    last = np.empty_like(s)
+    np.maximum(s[:-1], s[1:], out=last[:-1])
+    last[-1] = s[-1]
+    return s, last
+
+
+def _add_level(k: int, depth_cap: int, c: float, a, s, parent_row, level):
     """Add the level-k cell terms of every parent to ``level``; return the next parents.
 
-    Returns the row of each level-k cell holding two or more points, and
-    whether every level-k cell does.
+    A point opens a level-k cell when ``s <= k`` and a parent cell when
+    ``s < k``. Returns the row of each level-k cell holding two or more
+    points, and whether every level-k cell does.
     """
-    runs = np.flatnonzero(opens)
+    runs = np.flatnonzero(s <= k)
     size = np.empty_like(runs)
     np.subtract(runs[1:], runs[:-1], out=size[:-1])
     size[-1] = a.size - runs[-1]
-    # A run opens a parent cell when it opens a level-(k - 1) cell.
-    run_parent = np.cumsum(x[runs] >= 1 << (shift + 2)) - 1
+    run_parent = np.cumsum(s[runs] < k) - 1
     # Row q of counts holds quadrant q of every parent.
     counts = np.zeros((4, parent_row.size), dtype=np.int64)
-    counts.ravel()[((a[runs] >> shift) & 3) * parent_row.size + run_parent] = size
-    terms = cell_log_evidence(*counts, conc)
+    counts.ravel()[((a[runs] >> 2 * (depth_cap - k)) & 3) * parent_row.size + run_parent] = size
+    terms = cell_log_evidence(*counts, c * k * k)
     # Every parent holds two or more points (lone points were dropped),
     # so each is a retained cell; a row's level sum runs over a segment.
     new_row = np.empty(parent_row.size, dtype=bool)
     new_row[0] = True
     np.not_equal(parent_row[1:], parent_row[:-1], out=new_row[1:])
     first = np.flatnonzero(new_row)
-    here = parent_row[first]
-    level[here] = np.add.reduceat(terms, first)
-    depth[here] = k
+    level[parent_row[first]] = np.add.reduceat(terms, first)
     shared = np.flatnonzero(size >= 2)
     return parent_row[run_parent[shared]], shared.size == runs.size
 
 
-def _score_tail(k0: int, depth_cap: int, c: float, a, x, parent_row, levels, depth,
-                truncated) -> None:
+def _score_tail(k0: int, depth_cap: int, c: float, a, s, last, parent_row, levels) -> None:
     """Score levels ``k0``..D of a block's surviving points in one pass.
 
-    A point opens a level-k cell when its separation level s, read once
-    from its xor, is at most k: 0 for a row's first point, D + 1 for a point
-    that coincides with the one before it. Dropping lone points never
-    changes whether a point's successor opens a cell, so every point is
-    scored at each level from ``k0`` down to the larger of its own and its
-    successor's s. The (level, point) pairs are laid out level-major, so
-    each level's runs, parents and row segments follow one another exactly
-    as :func:`_add_level` forms them, and the same sums result.
+    A point is scored at every level k from ``k0`` while ``last >= k``: it
+    opens a level-k cell when ``s <= k``, a parent when ``s < k``. Dropping
+    lone points never changes whether a point's successor opens a cell, so
+    ``last`` holds for the surviving points as it did for the whole block.
+    The (level, point) pairs are laid out level-major, so each level's
+    runs, parents and row segments follow one another exactly as
+    :func:`_add_level` forms them, and the same sums result.
     """
-    powers = 4 ** np.arange(depth_cap + 1, dtype=np.int64)
-    s = depth_cap + 1 - np.searchsorted(powers, x, side="right")
     # Each point's row, through the level-k0 parent it falls in.
     row = parent_row[np.cumsum(s < k0) - 1]
-    last = np.maximum(s, np.append(s[1:], 0))
     ks = np.arange(k0, min(int(last.max()), depth_cap) + 1)
     # Level-major (level, point) pairs: each level's points in order.
     pair = np.flatnonzero(last >= ks[:, None])
@@ -224,59 +253,40 @@ def _score_tail(k0: int, depth_cap: int, c: float, a, x, parent_row, levels, dep
     np.logical_or(parent_k[1:] != parent_k[:-1], parent_row[1:] != parent_row[:-1],
                   out=new_seg[1:])
     first = np.flatnonzero(new_seg)
-    seg_row, seg_k = parent_row[first], parent_k[first]
-    levels[seg_row, seg_k - 1] = np.add.reduceat(terms, first)
-    np.maximum.at(depth, seg_row, seg_k)
-    # Points share a level-D cell only when their addresses coincide.
-    truncated[row[x == 0]] = True
+    levels[parent_row[first], parent_k[first] - 1] = np.add.reduceat(terms, first)
 
 
 def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, truncated) -> None:
     """Fill the level sums, depths and truncation flags of a block of sorted rows.
 
-    ``a`` holds the sorted addresses and ``x`` each one's xor with the one
-    before it. A point opens a level-k cell when ``x >= 1 << 2(D - k)``, a
-    parent cell when ``x >= 1 << 2(D - k + 1)``, and is lone when it and the
-    point after it both open a cell. Each level's bookkeeping lives in
-    :func:`_add_level`, so it is freed before the lone points are dropped.
-    Once at most ``TAIL_POINTS`` points survive, :func:`_score_tail` scores
-    the remaining levels.
+    A row's depth is its largest separation level, capped at D, and it is
+    truncated when two of its addresses coincide (separation level D + 1);
+    both are written here, once. Each level's bookkeeping lives in
+    :func:`_add_level`, so it is freed before the points that are alone in
+    their level-k cell (``last <= k``) are dropped. Once at most
+    ``TAIL_POINTS`` points survive, :func:`_score_tail` scores the
+    remaining levels.
     """
     rows, n = addr.shape
     a = addr.ravel()
-    # A row's first point opens every cell: its xor, the int64 maximum,
-    # passes even 1 << 2D, which no other xor of 2D-bit addresses reaches.
-    # A point whose predecessor was dropped as lone keeps its xor with that
-    # predecessor: it opened a cell at that level, so at every deeper one.
-    x = np.empty_like(a)
-    np.bitwise_xor(a[1:], a[:-1], out=x[1:])
-    x[::n] = np.iinfo(np.int64).max
+    s, last = _separation(a, n, depth_cap)
+    deepest = s.reshape(rows, n).max(axis=1)
+    np.minimum(deepest, depth_cap, out=depth)
+    np.greater(deepest, depth_cap, out=truncated)
     # The row of each parent; at level 1 the parent is the whole row.
     parent_row = np.arange(rows)
-    for k in range(1, depth_cap + 1):
+    for k in range(1, int(depth.max()) + 1):
         if a.size <= TAIL_POINTS:
-            _score_tail(k, depth_cap, c, a, x, parent_row, levels, depth, truncated)
+            _score_tail(k, depth_cap, c, a, s, last, parent_row, levels)
             return
-        shift = 2 * (depth_cap - k)
-        opens = x >= 1 << shift
-        parent_row, every = _add_level(k, shift, c * k * k, a, x, opens, parent_row,
-                                       levels[:, k - 1], depth)
-        if k == depth_cap:
-            truncated[parent_row] = True
-            break
-        if not parent_row.size:
-            break
+        parent_row, every = _add_level(k, depth_cap, c, a, s, parent_row, levels[:, k - 1])
         if every:
             # No lone point: the next level keeps every point, so skip the copies.
             continue
         # Taking by index is cheaper than by a boolean mask with no regular
-        # pattern; each array is replaced in turn, and the index freed, to
-        # keep the working set small.
-        lone = opens.copy()
-        lone[:-1] &= opens[1:]
-        kept = np.flatnonzero(~lone)
-        x = x[kept]
-        a = a[kept]
+        # pattern; the index is freed to keep the working set small.
+        kept = np.flatnonzero(last > k)
+        a, s, last = a[kept], s[kept], last[kept]
         del kept
 
 

@@ -131,6 +131,10 @@ class TestLogCellEvidence:
             log_cell_evidence((-1, 0, 0, 0), 5.0)
         with pytest.raises(ValueError):
             log_cell_evidence((1, 1, 1, 1), 0.0)
+        with pytest.raises(ValueError, match="a must be finite, got inf"):
+            log_cell_evidence((2, 1, 0, 3), float("inf"))
+        with pytest.raises(ValueError, match="counts must be whole numbers"):
+            log_cell_evidence((2.7, 0, 0, 1.2), 5.0)
 
 
 class TestOneDimensionalHelper:
@@ -441,3 +445,8 @@ class TestConfigValidation:
     def test_bad_prior_odds(self):
         with pytest.raises(ValueError):
             PartitionConfig(prior_odds=-1.0)
+
+    @pytest.mark.parametrize("field", ["c", "prior_odds"])
+    def test_nan_is_reported_as_not_finite(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got nan$"):
+            PartitionConfig(**{field: float("nan")})

@@ -242,3 +242,46 @@ class TestTailPass:
             assert truncated[b] == tree.truncated
             np.testing.assert_allclose(levels[b, :depth[b]], tree_levels, rtol=1e-12, atol=2e-9)
             assert not levels[b, depth[b]:].any()
+
+
+def _xors_near_powers(depth_cap):
+    """Every xor within 3 of a power of two, and 3 000 just under each of 2**53..2**60."""
+    near = [(1 << i) + d for i in range(2 * depth_cap) for d in range(-3, 4)]
+    under = [(1 << i) - d for i in range(53, 61) for d in range(1, 3001)]
+    return np.unique([x for x in near + under if 0 <= x < 4**depth_cap]).astype(np.int64)
+
+
+def _distinct_cell_depths(u, v, depth_cap):
+    """Each row's depth and truncation flag, from its distinct cells at every level."""
+    depth, truncated = [], []
+    for addr in kernels._addresses(u, v, depth_cap):
+        shared = [j for j in range(depth_cap + 1)
+                  if np.unique(addr >> 2 * (depth_cap - j)).size < addr.size]
+        depth.append(min(depth_cap, shared[-1] + 1))
+        truncated.append(shared[-1] == depth_cap)
+    return depth, truncated
+
+
+class TestSeparationLevels:
+    """Separation levels, and the depth and truncation read from them."""
+
+    @pytest.mark.parametrize("depth_cap", [1, 2, 20, 26, 27, 30])
+    def test_levels_match_powers_of_four(self, depth_cap):
+        # float exponents round near powers of two; the largest xors lose bits
+        x = _xors_near_powers(depth_cap)
+        addr = np.bitwise_xor.accumulate(np.append(0, x))
+        s, last = kernels._separation(addr, addr.size, depth_cap)
+        powers = 4 ** np.arange(depth_cap + 1, dtype=np.int64)
+        want = np.append(0, depth_cap + 1 - np.searchsorted(powers, x, side="right"))
+        assert s.tolist() == want.tolist()
+        assert last.tolist() == np.maximum(want, np.append(want[1:], 0)).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tail_cases())
+    @example(_MID_BLOCK)
+    def test_depth_and_truncation_match_distinct_cells(self, case):
+        u, v, depth_cap, c = case
+        want = _distinct_cell_depths(u, v, depth_cap)
+        for points in (sys.maxsize, -1, kernels.TAIL_POINTS):
+            _, depth, truncated = _with_tail_points(points, *case)
+            assert (depth.tolist(), truncated.tolist()) == want

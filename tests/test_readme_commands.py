@@ -66,6 +66,16 @@ EXTRA = {
     "test-midpoints-xy-large": "test normal.csv --x-col g1 --y-col g2 --method ebayes "
                                "--grid midpoints --wrap-axis xy",
     "scan-ebayes-xy": "scan matrix.csv --method ebayes --wrap-axis xy",
+    # each exits 2 with one line on stderr
+    "error-power-level-perms": "power --model linear --n 20 --reps 2 --level 7 --perms -5",
+    "error-simulate-overflow": "simulate --model parabolic --x-min=-1e200 --x-max=1e200 "
+                               "--n 5 --reps 2",
+    "error-simulate-x-range-unused": "simulate --model circular --x-min -1 --x-max 1 "
+                                     "--n 5 --reps 2",
+    "error-simulate-negative-seed": "simulate --model linear --n 5 --reps 2 --seed -1",
+    "error-sweep-c-file-sigma": "sweep-c data.csv --sigma 9",
+    "error-wrap-axis-basic": "test data.csv --wrap-axis xy",
+    "error-sweep-c-model-x-col": "sweep-c --model linear --n 20 --reps 2 --x-col 7",
 }
 
 CASES = {f"readme-{i}": argv for i, argv in enumerate(readme_commands(), start=1)}
