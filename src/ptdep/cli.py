@@ -237,8 +237,9 @@ def _pick_column(m: ExpressionMatrix, spec: str, flag: str) -> np.ndarray:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c", type=float, default=5.0, help="concentration constant (default 5)")
+def _add_common(p: argparse.ArgumentParser, c: bool = True) -> None:
+    if c:  # sweep-c takes its c values from --c-values
+        p.add_argument("--c", type=float, default=5.0, help="concentration constant (default 5)")
     p.add_argument("--depth-cap", type=int, default=20, help="partition depth cap (default 20)")
     p.add_argument("--prior-odds", type=float, default=1.0,
                    help="prior odds of independence over dependence (default 1)")
@@ -248,8 +249,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "(default 4)")
     p.add_argument("--wrap-axis", choices=("x", "xy"), default=None,
                    help="axes searched by the ebayes centering (default x)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (falls back to env PTDEP_SEED, then 0)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility and checked to be at least 1; "
                         "has no effect, every command runs on one thread")
@@ -257,8 +256,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
 
-# The flags that describe a simulated model, besides --model and --n.
-_MODEL_FLAGS = ("--sigma", "--reps", "--x-min", "--x-max", "--theta-variant", "--checker-pattern")
+# The flags that describe a simulated model and its draws, besides --model and --n.
+_MODEL_FLAGS = ("--sigma", "--reps", "--x-min", "--x-max", "--theta-variant", "--checker-pattern",
+                "--seed")
 
 
 def _add_model(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -275,6 +275,7 @@ def _add_model(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--checker-pattern", choices=CHECKER_PATTERNS,
                    help="checkerboard row rule: verbatim (2u mod i_x) or balanced "
                         "(alternating block rows)")
+    p.add_argument("--seed", type=int, help="RNG seed (falls back to env PTDEP_SEED, then 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,10 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model(p_pow)
     p_pow.add_argument("--threshold", choices=("posterior", "permutation"),
                        default="posterior")
-    p_pow.add_argument("--level", type=float, default=0.05,
-                       help="significance level for the permutation threshold")
-    p_pow.add_argument("--perms", type=int, default=500,
-                       help="permutations per replicate (default 500)")
+    # None marks --level and --perms unset, so they are refused under the posterior threshold
+    p_pow.add_argument("--level", type=float,
+                       help="significance level of the permutation threshold (default 0.05)")
+    p_pow.add_argument("--perms", type=int,
+                       help="permutations per replicate of the permutation threshold "
+                            "(default 500)")
     _add_common(p_pow)
 
     p_sweep = sub.add_parser("sweep-c", help="sensitivity to the concentration constant")
@@ -325,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--c-values", default=",".join(str(v) for v in DEFAULT_C_SWEEP),
                          help="comma-separated c values (default 0.1,1,5,10)")
     _add_model(p_sweep, required=False)
-    p_sweep.set_defaults(reps=None)  # 100 for a model; None marks it unset next to a file
-    _add_common(p_sweep)
+    # reps: 100 for a model, None marks it unset next to a file; c: replaced per --c-values
+    p_sweep.set_defaults(reps=None, c=5.0)
+    _add_common(p_sweep, c=False)
 
     return parser
 
@@ -346,38 +350,44 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _refuse(args, flags, message: str) -> None:
+    """Refuse the first of ``flags`` given (not None), by ``message`` with the flag for ``{}``."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ParseError(message.format(flag))
+
+
 def _run_config(args) -> None:
-    """Validate the settings, and store their configs and the resolved seed on ``args``."""
+    """Validate the settings, and store their configs on ``args``."""
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
-    axis = args.wrap_axis or "x"
-    grid_raw = "4" if args.grid is None else str(args.grid).strip().lower()
-    if grid_raw == "midpoints":
-        args.shift = ShiftSearchConfig(axis_policy=axis, grid="midpoints")
-    else:
-        try:
-            size = int(grid_raw)
-        except ValueError:
-            raise ParseError(f"--grid must be an integer or 'midpoints', got {args.grid!r}") from None
-        args.shift = ShiftSearchConfig(axis_policy=axis, grid="quantile", grid_size=size)
-    if args.method != "ebayes":
-        for flag, value in (("--grid", args.grid), ("--wrap-axis", args.wrap_axis)):
-            if value is not None:
-                raise ParseError(f"{flag} applies only with --method ebayes")
+    grid = "4" if args.grid is None else str(args.grid).strip().lower()
+    try:
+        grid_args = {"grid": "midpoints"} if grid == "midpoints" else {"grid_size": int(grid)}
+    except ValueError:
+        raise ParseError(f"--grid must be an integer or 'midpoints', got {args.grid!r}") from None
+    args.shift = ShiftSearchConfig(axis_policy=args.wrap_axis or "x", **grid_args)
+    if args.method != "ebayes":  # after the grid check, so a bad grid is reported first
+        _refuse(args, ("--grid", "--wrap-axis"), "{} applies only with --method ebayes")
+        args.shift = None
     args.partition = PartitionConfig(c=args.c, depth_cap=args.depth_cap,
                                      prior_odds=args.prior_odds)
-    args.seed = _resolve_seed(args)
 
 
-def _sim_model(args) -> SimModel:
-    """The model the flags describe; a flag not given keeps the SimModel default."""
+def _sim_model(args) -> tuple[SimModel, int]:
+    """The model the flags describe and the seed of its draws; a flag not given
+    keeps the SimModel default."""
+    seed = _resolve_seed(args)
     if (args.x_min is None) != (args.x_max is None):
         raise ParseError("--x-min and --x-max must be given together")
+    if args.x_min is not None and not args.x_min < args.x_max:
+        raise ParseError(f"--x-min must be less than --x-max, "
+                         f"got {args.x_min!r} and {args.x_max!r}")
     given = {"sigma": args.sigma,
              "x_range": None if args.x_min is None else (args.x_min, args.x_max),
              "theta_range": {"full": THETA_FULL, "unit": THETA_UNIT}.get(args.theta_variant),
              "checker_pattern": args.checker_pattern}
-    return SimModel(kind=args.model, **{k: v for k, v in given.items() if v is not None})
+    return SimModel(kind=args.model, **{k: v for k, v in given.items() if v is not None}), seed
 
 
 def _read_pair(args) -> PairedSample:
@@ -416,33 +426,35 @@ def _cmd_diff(args):
 
 
 def _cmd_simulate(args):
-    model = _sim_model(args)
+    model, seed = _sim_model(args)
     if args.out_format == "csv":
-        results = run_replicates(model, args.n, args.reps, args.partition, args.seed,
+        results = run_replicates(model, args.n, args.reps, args.partition, seed,
                                  method=args.method, scfg=args.shift)
         payload = []
         for r, res in enumerate(results):
-            row = {
-                "rep": r, "seed": args.seed + r, "p_dependent": res.p_dependent,
-                "log_bf": res.log_bf, "truncated": res.truncated,
-            }
+            row = {"rep": r, "seed": seed + r, "p_dependent": res.p_dependent,
+                   "log_bf": res.log_bf, "truncated": res.truncated}
             for k in range(1, 6):
                 row[f"B_{k}"] = res.level_contribution(k)
             payload.append(row)
         return payload, None
-    summary = asdict(replicate_experiment(model, args.n, args.reps, args.partition, args.seed,
+    summary = asdict(replicate_experiment(model, args.n, args.reps, args.partition, seed,
                                           method=args.method, scfg=args.shift))
     percentiles = {k: summary.pop(k) for k in list(summary) if k.startswith("p")}
     return {**summary, "percentiles": percentiles}, None
 
 
 def _cmd_power(args):
+    if args.threshold == "posterior":
+        _refuse(args, ("--perms", "--level"), "{} applies only with --threshold permutation")
+    elif args.perms is not None and args.perms < 1:
+        raise ParseError(f"--perms must be >= 1, got {args.perms}")
     source = "posterior_0.5" if args.threshold == "posterior" else "permutation_quantile"
-    report = power_experiment(
-        _sim_model(args), args.n, args.reps, args.partition, args.seed,
-        method=args.method, scfg=args.shift, threshold_source=source,
-        level=args.level, n_perm=args.perms,
-    )
+    model, seed = _sim_model(args)
+    given = {"level": args.level, "n_perm": args.perms}  # a flag not given keeps its default
+    report = power_experiment(model, args.n, args.reps, args.partition, seed, method=args.method,
+                              scfg=args.shift, threshold_source=source,
+                              **{k: v for k, v in given.items() if v is not None})
     return asdict(report), None
 
 
@@ -457,10 +469,8 @@ def _cmd_sweep_c(args):
     if args.input is not None:
         if args.model is not None or args.n is not None:
             raise ParseError("sweep-c takes an input file or --model and --n, not both")
-        for flag in _MODEL_FLAGS:
-            if getattr(args, flag[2:].replace("-", "_")) is not None:
-                raise ParseError(f"sweep-c takes {flag} only with --model and --n, "
-                                 "not with an input file")
+        _refuse(args, _MODEL_FLAGS, "sweep-c takes {} only with --model and --n, "
+                                    "not with an input file")
         sample = _read_pair(args)
         for c in c_values:
             res = run_test(sample, args.method, replace(args.partition, c=c), args.shift)
@@ -471,14 +481,12 @@ def _cmd_sweep_c(args):
     else:
         if args.model is None or args.n is None:
             raise ParseError("sweep-c needs an input file or --model and --n")
-        for flag in ("--x-col", "--y-col"):
-            if getattr(args, flag[2:].replace("-", "_")) is not None:
-                raise ParseError(f"sweep-c takes {flag} only with an input file, "
-                                 "not with --model and --n")
-        model, reps = _sim_model(args), 100 if args.reps is None else args.reps
+        _refuse(args, ("--x-col", "--y-col"), "sweep-c takes {} only with an input file, "
+                                              "not with --model and --n")
+        (model, seed), reps = _sim_model(args), 100 if args.reps is None else args.reps
         for c in c_values:
             s = replicate_experiment(
-                model, args.n, reps, replace(args.partition, c=c), args.seed,
+                model, args.n, reps, replace(args.partition, c=c), seed,
                 method=args.method, scfg=args.shift,
             )
             row = {"c": c, **asdict(s)}

@@ -93,10 +93,17 @@ def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:
 
 
 def shift_search(method: str, scfg: ShiftSearchConfig | None) -> ShiftSearchConfig | None:
-    """The cut search ``method`` runs: None for "basic", ``scfg`` or the default for "ebayes"."""
+    """The cut search ``method`` runs: None for "basic", ``scfg`` or the default for "ebayes".
+
+    The basic test runs no search, so it refuses a ``scfg`` rather than ignore it.
+    """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return (scfg or ShiftSearchConfig()) if method == "ebayes" else None
+    if method == "ebayes":
+        return scfg or ShiftSearchConfig()
+    if scfg is not None:
+        raise ValueError("scfg applies only with method 'ebayes'")
+    return None
 
 
 class Segment(NamedTuple):

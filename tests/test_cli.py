@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -13,10 +14,12 @@ import pytest
 
 import ptdep
 from ptdep import ebayes, engine
-from ptdep.cli import _check_level_sum, read_matrix, run, write_result
+from ptdep.cli import _check_level_sum, build_parser, read_matrix, run, write_result
 from ptdep.diffscan import ExpressionMatrix
 from ptdep.errors import EmptyMatrix, ParseError, RaggedRows
 from ptdep.transforms import PairedSample
+
+from test_readme_commands import run_case, write_fixtures
 
 
 @pytest.fixture
@@ -311,10 +314,16 @@ def test_every_command_checks_the_grid_before_the_method(command, matrix_file, c
     assert captured.err == "error: grid_size must be >= 2 for the quantile grid\n"
 
 
-@pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda cmd: cmd[0])
-def test_every_command_rejects_a_negative_seed(command, matrix_file, capsys, monkeypatch):
-    path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
-    argv = [arg.format(m=path) for arg in command]
+# One short run of each command that draws random numbers, the only ones to read a seed.
+DRAWING_COMMANDS = [
+    ["simulate", "--model", "linear", "--n", "20", "--reps", "2"],
+    ["power", "--model", "linear", "--n", "20", "--reps", "2"],
+    ["sweep-c", "--model", "linear", "--n", "20", "--reps", "2", "--c-values", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", DRAWING_COMMANDS, ids=lambda cmd: cmd[0])
+def test_every_drawing_command_rejects_a_negative_seed(argv, capsys, monkeypatch):
     assert run(argv + ["--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -324,6 +333,19 @@ def test_every_command_rejects_a_negative_seed(command, matrix_file, capsys, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: PTDEP_SEED must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("command", [cmd for cmd in EVERY_COMMAND if "{m}" in cmd],
+                         ids=lambda cmd: cmd[0])
+def test_a_command_that_draws_nothing_reads_no_seed(command, matrix_file, capsys, monkeypatch):
+    # the flag is refused, as the flag table checks; the variable is not read at all
+    path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+    argv = [arg.format(m=path) for arg in command]
+    assert run(argv) == 0
+    want = capsys.readouterr()
+    monkeypatch.setenv("PTDEP_SEED", "abc")
+    assert run(argv) == 0
+    assert capsys.readouterr() == want
 
 
 @pytest.mark.parametrize("flag, field", [("--c", "c"), ("--prior-odds", "prior_odds")])
@@ -453,6 +475,16 @@ class TestSimulateCommand:
         assert captured.err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("command", ["simulate", "power", "sweep-c"])
+    @pytest.mark.parametrize("x_min, x_max", [("5", "1"), ("1", "1")])
+    def test_x_range_out_of_order_names_the_flags(self, command, x_min, x_max, capsys):
+        assert run([command, "--model", "linear", "--n", "20", "--reps", "2",
+                    "--x-min", x_min, "--x-max", x_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --x-min must be less than --x-max, "
+                                f"got {float(x_min)!r} and {float(x_max)!r}\n")
+
     @pytest.mark.parametrize("flags, message", [
         (["--x-min", "-10", "--x-max", "10"], "x_range does not apply to the circular model"),
         (["--theta-variant", "unit"], "theta_range does not apply to the circular model"),
@@ -482,10 +514,14 @@ class TestPowerCommand:
         assert out["threshold_source"] == "permutation_quantile"
         assert 0.0 <= out["threshold"] <= 1.0
 
-    @pytest.mark.parametrize("threshold", ["posterior", "permutation"])
-    @pytest.mark.parametrize("flags, message", [
-        (["--level", "7", "--perms", "-5"], "n_perm must be >= 1"),
-        (["--level", "7"], "level must lie in (0, 1)"),
+    @pytest.mark.parametrize("threshold, flags, message", [
+        ("permutation", ["--level", "7", "--perms", "-5"], "--perms must be >= 1, got -5"),
+        ("permutation", ["--level", "7"], "level must lie in (0, 1)"),
+        # the posterior threshold reads neither flag, whatever its value
+        ("posterior", ["--level", "7", "--perms", "-5"],
+         "--perms applies only with --threshold permutation"),
+        ("posterior", ["--level", "7"], "--level applies only with --threshold permutation"),
+        ("posterior", ["--perms", "500"], "--perms applies only with --threshold permutation"),
     ])
     def test_bad_level_or_perms_exit_2_with_one_line(self, threshold, flags, message, capsys):
         assert run(["power", "--model", "linear", "--n", "20", "--reps", "2",
@@ -493,6 +529,14 @@ class TestPowerCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_permutation_defaults_are_500_perms_at_level_0_05(self, capsys):
+        argv = ["power", "--model", "linear", "--n", "20", "--reps", "2", "--threshold",
+                "permutation"]
+        assert run(argv) == 0
+        default = capsys.readouterr().out
+        assert run(argv + ["--perms", "500", "--level", "0.05"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_checker_pattern_flag(self, capsys):
         assert run(["power", "--model", "checkerboard", "--n", "60", "--reps", "5",
@@ -604,3 +648,109 @@ class TestDeterministicOutput:
         write_result({"value": 1.0 / 3.0}, None, "json")
         out = capsys.readouterr().out
         assert "0.33333333333333331" in out
+
+
+# Each row adds one flag, with a value, to one of these runs of the six commands.
+FLAG_BASES = {
+    "test": ["test", "data.csv"],
+    "test-ebayes": ["test", "matrix.csv", "--x-col", "f", "--y-col", "a", "--method", "ebayes"],
+    "scan": ["scan", "matrix.csv"],
+    "diff": ["diff", "normal.csv", "tumour.csv", "--edge-threshold", "0"],
+    "power-posterior": ["power", "--model", "linear", "--n", "20", "--reps", "3"],
+    "sweep-c": ["sweep-c", "data.csv", "--c-values", "1"],
+}
+# the commands that draw a model: as given, with an x range, and on the checkerboard
+for _name, _head in [("simulate", ["simulate"]),
+                     ("power", ["power", "--threshold", "permutation", "--perms", "9"]),
+                     ("sweep-c-model", ["sweep-c", "--c-values", "1"])]:
+    FLAG_BASES[_name] = _head + ["--model", "linear", "--n", "20", "--reps", "3"]
+    FLAG_BASES[_name + "-range"] = FLAG_BASES[_name] + ["--x-min", "-3", "--x-max", "3"]
+    FLAG_BASES[_name + "-checker"] = _head + ["--model", "checkerboard", "--n", "20", "--reps", "3"]
+
+_COMMON_ROWS = [("--depth-cap", "2"), ("--prior-odds", "3"), ("--method", "ebayes"),
+                ("--format", "csv"), ("--output", "out.json"), ("--grid", "midpoints"),
+                ("--wrap-axis", "xy")]
+_MODEL_ROWS = [("--model", "circular"), ("--n", "25"), ("--sigma", "0.5"), ("--reps", "2"),
+               ("--seed", "9")]
+
+
+def _model_rows(base: str) -> list[tuple[str, str, str]]:
+    return ([(base, f, v) for f, v in _MODEL_ROWS]
+            + [(base + "-range", "--x-min", "-1"), (base + "-range", "--x-max", "1"),
+               (base + "-checker", "--theta-variant", "unit"),
+               (base + "-checker", "--checker-pattern", "balanced")])
+
+
+# (base, flag, value): every flag each command's parser defines, and --seed and --c where
+# a command does not take them. --workers is the one flag left out: perfbench passes it
+# to every scan, and it goes when the benchmark stops passing it.
+FLAG_TABLE = (
+    [("test", f, v) for f, v in _COMMON_ROWS + [("--c", "1"), ("--x-col", "1"),
+                                                ("--y-col", "0"), ("--seed", "9")]]
+    + [("test-ebayes", "--grid", "midpoints"), ("test-ebayes", "--wrap-axis", "xy")]
+    + [("scan", f, v) for f, v in _COMMON_ROWS + [("--c", "1"), ("--seed", "9")]]
+    + [("diff", f, v) for f, v in _COMMON_ROWS + [("--c", "1"), ("--edge-threshold", "0.5"),
+                                                ("--seed", "9")]]
+    + [("simulate", f, v) for f, v in _COMMON_ROWS + [("--c", "1")]] + _model_rows("simulate")
+    + [("power", f, v) for f, v in _COMMON_ROWS + [("--c", "1"), ("--perms", "19"),
+                                                 ("--level", "0.3")]]
+    + _model_rows("power")
+    + [("power-posterior", f, v) for f, v in [("--threshold", "permutation"), ("--perms", "7"),
+                                              ("--level", "0.2")]]
+    + [("sweep-c", f, v) for f, v in _COMMON_ROWS + [("--x-col", "1"), ("--y-col", "0"),
+                                                   ("--c-values", "1,5"), ("--c", "1"),
+                                                   ("--seed", "9")]]
+    + [("sweep-c-model", "--c-values", "1,5")] + _model_rows("sweep-c-model")
+)
+
+
+def _parser_flags() -> set[tuple[str, str]]:
+    """(command, longest option string) of every flag the parser defines, help aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {(name, max(action.option_strings, key=len))
+            for name, parser in sub.choices.items() for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)}
+
+
+def test_flag_table_has_a_row_for_every_flag():
+    rows = {(FLAG_BASES[base][0], flag) for base, flag, _ in FLAG_TABLE}
+    commands = {command for command, _ in _parser_flags()}
+    assert {FLAG_BASES[base][0] for base, _, _ in FLAG_TABLE} == commands
+    assert rows >= _parser_flags() - {(command, "--workers") for command in commands}
+    assert not any(flag == "--workers" for _, flag, _ in FLAG_TABLE)
+
+
+@pytest.fixture(scope="module")
+def flag_folder(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("flags")
+    write_fixtures(folder)
+    return folder, {}
+
+
+def _flag_run(argv, folder) -> dict:
+    """What ``argv`` printed, wrote and returned in ``folder``; its files are removed."""
+    got = run_case(argv, folder)
+    for name in got["files"]:
+        (folder / name).unlink()
+    return got
+
+
+@pytest.mark.parametrize("base, flag, value", FLAG_TABLE,
+                         ids=[f"{b}{f}" for b, f, _ in FLAG_TABLE])
+def test_every_flag_changes_the_output_or_is_refused(base, flag, value, flag_folder,
+                                                      monkeypatch):
+    folder, seen = flag_folder
+    monkeypatch.chdir(folder)
+    monkeypatch.delenv("PTDEP_SEED", raising=False)
+    argv = FLAG_BASES[base]
+    if base not in seen:
+        seen[base] = _flag_run(argv, folder)
+        assert seen[base]["exit_code"] == 0, seen[base]["stderr"]
+    got = _flag_run(argv + [flag, value], folder)
+    if got["exit_code"] == 0:
+        want = seen[base]
+        assert (got["stdout"], got["files"]) != (want["stdout"], want["files"])
+    else:
+        # a refusal: one line naming the flag, or argparse's usage and its own error
+        assert got["exit_code"] == 2 and got["stdout"] == ""
+        assert flag in got["stderr"].splitlines()[-1]

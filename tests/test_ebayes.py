@@ -396,9 +396,10 @@ class TestBatchedNull:
     @pytest.mark.parametrize("scfg", _SEARCH_CONFIGS[:2])
     def test_power_permutation_threshold_matches_statistic_route(self, scfg):
         cfg = engine.PartitionConfig()
-        kwargs = dict(n=40, reps=3, cfg=cfg, seed=5, scfg=scfg,
+        kwargs = dict(n=40, reps=3, cfg=cfg, seed=5,
                       threshold_source="permutation_quantile", n_perm=30)
-        batched = power_experiment(SimModel(kind="sinusoidal"), method="ebayes", **kwargs)
+        batched = power_experiment(SimModel(kind="sinusoidal"), method="ebayes", scfg=scfg,
+                                   **kwargs)
         looped = power_experiment(SimModel(kind="sinusoidal"),
                                   statistic=default_statistic(cfg, "ebayes", scfg), **kwargs)
         assert (batched.tpr, batched.fpr, batched.threshold) == \
@@ -517,6 +518,17 @@ def test_unknown_method_names_the_methods(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda scfg: run_test(PairedSample(x=[1.0, 2.0, 3.0], y=[3.0, 1.0, 2.0]), "basic", None, scfg),
+    lambda scfg: pairwise_scan(_MATRIX, method="basic", scfg=scfg),
+], ids=["run_test", "pairwise_scan"])
+def test_basic_method_refuses_a_search_config(call):
+    # the basic test runs no centering search, so a config for one is refused, not ignored
+    with pytest.raises(ValueError, match="scfg applies only with method 'ebayes'"):
+        call(ShiftSearchConfig(grid="midpoints"))
+    call(None)
+
+
 def _single(sample, method, cfg, scfg):
     """A sample's result through ``ebayes_test``, or ``direct_test`` for the basic test."""
     if method == "ebayes":
@@ -559,6 +571,7 @@ class TestRunTests:
     @example(_ONE_POINT, "basic", _SEARCH_CONFIGS[0], None)
     @example(_ONE_POINT, "ebayes", _SEARCH_CONFIGS[2], 1)
     def test_batch_equals_single_calls(self, samples, method, scfg, rows):
+        scfg = scfg if method == "ebayes" else None  # the basic test refuses a search config
         cfg = engine.PartitionConfig(c=2.0, prior_odds=0.5)
         n = samples[0].n
         with pytest.MonkeyPatch.context() as mp:

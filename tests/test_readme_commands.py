@@ -67,7 +67,8 @@ EXTRA = {
                                "--grid midpoints --wrap-axis xy",
     "scan-ebayes-xy": "scan matrix.csv --method ebayes --wrap-axis xy",
     # each exits 2 with one line on stderr
-    "error-power-level-perms": "power --model linear --n 20 --reps 2 --level 7 --perms -5",
+    "error-power-level-perms": "power --model linear --n 20 --reps 2 --threshold permutation "
+                               "--level 7 --perms -5",
     "error-simulate-overflow": "simulate --model parabolic --x-min=-1e200 --x-max=1e200 "
                                "--n 5 --reps 2",
     "error-simulate-x-range-unused": "simulate --model circular --x-min -1 --x-max 1 "

@@ -364,7 +364,7 @@ class TestBatchedReplicates:
     @pytest.mark.parametrize("method", ["basic", "ebayes"])
     def test_power_default_statistic_equals_statistic_route(self, method, source):
         cfg = PartitionConfig(c=2.0)
-        scfg = ShiftSearchConfig(axis_policy="xy")
+        scfg = ShiftSearchConfig(axis_policy="xy") if method == "ebayes" else None
         kwargs = dict(n=40, reps=7, cfg=cfg, seed=9, method=method, scfg=scfg,
                       threshold_source=source, n_perm=25)
         for kind in ("circular", "independent"):
