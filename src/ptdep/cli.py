@@ -451,10 +451,9 @@ def _cmd_power(args):
         raise ParseError(f"--perms must be >= 1, got {args.perms}")
     source = "posterior_0.5" if args.threshold == "posterior" else "permutation_quantile"
     model, seed = _sim_model(args)
-    given = {"level": args.level, "n_perm": args.perms}  # a flag not given keeps its default
     report = power_experiment(model, args.n, args.reps, args.partition, seed, method=args.method,
                               scfg=args.shift, threshold_source=source,
-                              **{k: v for k, v in given.items() if v is not None})
+                              level=args.level, n_perm=args.perms)
     return asdict(report), None
 
 

@@ -35,17 +35,21 @@ from .transforms import PairedSample, _as_vector, to_unit_interval, wrap_at
 # The tests a caller can name: the basic test and the ebayes-centred one.
 METHODS = ("basic", "ebayes")
 
+# The largest quantile grid: the midpoints grid already reaches every cut class.
+_MAX_GRID_SIZE = 2 ** 20
+
 
 @dataclass(frozen=True)
 class ShiftSearchConfig:
     """Candidate grid and axis policy for the centering search.
 
     ``grid`` is either "quantile" (``grid_size`` evenly spaced empirical
-    quantiles strictly inside the data range) or "midpoints" (every
-    midpoint between consecutive distinct values). ``axis_policy`` is "x"
-    or "xy"; with "xy" the two axes are searched independently and the
-    better one-axis optimum wins. The no-shift baseline is always a
-    candidate.
+    quantiles strictly inside the data range, 2 to 2^20 of them) or
+    "midpoints" (every midpoint between consecutive distinct values, which
+    reads no ``grid_size``, so one other than the default is refused).
+    ``axis_policy`` is "x" or "xy"; with "xy" the two axes are searched
+    independently and the better one-axis optimum wins. The no-shift
+    baseline is always a candidate.
 
     Every extra candidate is an extra draw at the null maximum, so the
     false positive rate of the optimised test grows with the grid. The
@@ -64,8 +68,12 @@ class ShiftSearchConfig:
             raise ValueError(f"grid must be 'quantile' or 'midpoints', got {self.grid!r}")
         if isinstance(self.grid_size, bool) or not isinstance(self.grid_size, numbers.Integral):
             raise ValueError(f"grid_size must be an integer, got {self.grid_size!r}")
+        if self.grid == "midpoints" and self.grid_size != 4:
+            raise ValueError("grid_size applies only with grid 'quantile'")
         if self.grid == "quantile" and self.grid_size < 2:
             raise ValueError("grid_size must be >= 2 for the quantile grid")
+        if self.grid_size > _MAX_GRID_SIZE:
+            raise ValueError(f"grid_size must be <= {_MAX_GRID_SIZE}, got {self.grid_size}")
 
 
 def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:

@@ -256,9 +256,11 @@ def permutation_null(
 
     Each permutation shuffles y against x (marginals are preserved
     exactly). The detection threshold is the type-1 empirical
-    ``1 - level`` quantile of the null statistics.
+    ``1 - level`` quantile of the null statistics. ``cfg`` configures the
+    default statistic, so a custom ``statistic`` refuses it.
     """
     _check_null(n_perm, level)
+    _refuse(statistic is not None, "does not apply with a custom statistic", cfg=cfg)
     return _permutation_null(sample, n_perm, cfg or PartitionConfig(), seed, statistic, level,
                              "basic", None)
 
@@ -284,6 +286,13 @@ def _permutation_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, s
         threshold=empirical_quantile(null, 1.0 - level),
         level=level,
     )
+
+
+def _refuse(when: bool, reason: str, **given) -> None:
+    """If ``when``, refuse the first of ``given`` that is set (not None): "<name> <reason>"."""
+    for name, value in given.items():
+        if when and value is not None:
+            raise ValueError(f"{name} {reason}")
 
 
 def _check_null(n_perm: int, level: float) -> None:
@@ -342,8 +351,8 @@ def power_experiment(
     scfg: ShiftSearchConfig | None = None,
     statistic: Callable[[PairedSample], float] | None = None,
     threshold_source: str = "posterior_0.5",
-    level: float = 0.05,
-    n_perm: int = 500,
+    level: float | None = None,
+    n_perm: int | None = None,
 ) -> PowerReport:
     """True/false positive rates of a dependence statistic.
 
@@ -351,19 +360,28 @@ def power_experiment(
     threshold; FPR does the same for matched replicates of the independent
     model. ``posterior_0.5`` uses the natural fixed cut at 0.5 for the
     probability statistic; ``permutation_quantile`` recalibrates the
-    threshold per replicate from ``n_perm`` re-pairings (the reported
-    threshold is then the mean across replicates). A custom ``statistic``
-    callable plugs any scalar dependence measure into the same harness;
-    without one, the replicates are scored in batches by
-    :func:`~ptdep.ebayes.run_tests`. ``level`` and ``n_perm`` are checked
-    before any replicate is drawn, whichever the threshold source.
+    threshold per replicate from ``n_perm`` re-pairings (default 500) at
+    ``level`` (default 0.05), and the reported threshold is then the mean
+    across replicates. A custom ``statistic`` callable plugs any scalar
+    dependence measure into the same harness; without one, the replicates
+    are scored in batches by :func:`~ptdep.ebayes.run_tests`.
+
+    A setting the run would not read is refused, not ignored: ``level`` and
+    ``n_perm`` under ``posterior_0.5``, and ``cfg``, ``scfg`` or a method
+    other than "basic" beside a custom ``statistic``. Every setting is
+    checked before any replicate is drawn.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     shift_search(method, scfg)  # the method check
     if threshold_source not in ("posterior_0.5", "permutation_quantile"):
         raise ValueError(f"unknown threshold_source {threshold_source!r}")
+    _refuse(threshold_source == "posterior_0.5",
+            "applies only with threshold_source 'permutation_quantile'", n_perm=n_perm, level=level)
+    level, n_perm = 0.05 if level is None else level, 500 if n_perm is None else n_perm
     _check_null(n_perm, level)
+    _refuse(statistic is not None, "does not apply with a custom statistic", cfg=cfg, scfg=scfg,
+            method=None if method == "basic" else method)
     cfg = cfg or PartitionConfig()
     null_model = SimModel(kind="independent", sigma=model.sigma)
 

@@ -35,6 +35,14 @@ class TestDeltaCandidates:
         with pytest.raises(ValueError, match="grid_size must be an integer"):
             ShiftSearchConfig(grid=grid, grid_size=grid_size)
 
+    def test_quantile_grid_size_is_at_most_2_to_the_20(self):
+        # a finer grid adds no cut class the midpoints grid misses, only memory
+        values = np.random.default_rng(2).normal(size=50)
+        assert delta_candidates(values, ShiftSearchConfig(grid_size=2 ** 20)).size == 49
+        for size in (2 ** 20 + 1, 10 ** 13):
+            with pytest.raises(ValueError, match=f"^grid_size must be <= 1048576, got {size}$"):
+                ShiftSearchConfig(grid_size=size)
+
     def test_numpy_integer_grid_size_cuts_as_int(self):
         values = np.random.default_rng(1).normal(size=200)
         cands = delta_candidates(values, ShiftSearchConfig(grid_size=np.int64(7)))
@@ -396,10 +404,9 @@ class TestBatchedNull:
     @pytest.mark.parametrize("scfg", _SEARCH_CONFIGS[:2])
     def test_power_permutation_threshold_matches_statistic_route(self, scfg):
         cfg = engine.PartitionConfig()
-        kwargs = dict(n=40, reps=3, cfg=cfg, seed=5,
-                      threshold_source="permutation_quantile", n_perm=30)
-        batched = power_experiment(SimModel(kind="sinusoidal"), method="ebayes", scfg=scfg,
-                                   **kwargs)
+        kwargs = dict(n=40, reps=3, seed=5, threshold_source="permutation_quantile", n_perm=30)
+        batched = power_experiment(SimModel(kind="sinusoidal"), cfg=cfg, method="ebayes",
+                                   scfg=scfg, **kwargs)
         looped = power_experiment(SimModel(kind="sinusoidal"),
                                   statistic=default_statistic(cfg, "ebayes", scfg), **kwargs)
         assert (batched.tpr, batched.fpr, batched.threshold) == \

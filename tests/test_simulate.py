@@ -298,7 +298,11 @@ class TestPowerExperiment:
         ({"n_perm": 0, "level": 7.0}, "n_perm must be >= 1"),
     ])
     def test_null_settings_checked_before_any_replicate(self, source, bad, message, monkeypatch):
-        # the posterior threshold reads neither, but a bad value is still refused
+        # the posterior threshold reads neither, so one given is refused, whatever its value
+        if source == "posterior_0.5":
+            refused = "n_perm" if "n_perm" in bad else "level"
+            message = f"{refused} applies only with threshold_source 'permutation_quantile'"
+
         def drawn(*args):
             raise AssertionError("a replicate was drawn")
 
@@ -316,8 +320,7 @@ class TestBatchedNull:
         sample = PairedSample(x=x, y=x + rng.normal(size=n))
         cfg = PartitionConfig(c=2.0, prior_odds=1.5)
         batched = permutation_null(sample, n_perm=120, cfg=cfg, seed=3)
-        looped = permutation_null(sample, n_perm=120, cfg=cfg, seed=3,
-                                  statistic=default_statistic(cfg))
+        looped = permutation_null(sample, n_perm=120, seed=3, statistic=default_statistic(cfg))
         assert batched.null_stats.tobytes() == looped.null_stats.tobytes()
         assert batched.threshold == looped.threshold
 
@@ -351,9 +354,8 @@ class TestBatchedNull:
     def test_power_permutation_threshold_matches_statistic_route(self):
         m = SimModel(kind="linear", sigma=2.0)
         cfg = PartitionConfig()
-        kwargs = dict(n=40, reps=4, cfg=cfg, seed=5,
-                      threshold_source="permutation_quantile", n_perm=30)
-        batched = power_experiment(m, **kwargs)
+        kwargs = dict(n=40, reps=4, seed=5, threshold_source="permutation_quantile", n_perm=30)
+        batched = power_experiment(m, cfg=cfg, **kwargs)
         looped = power_experiment(m, statistic=default_statistic(cfg), **kwargs)
         assert (batched.tpr, batched.fpr, batched.threshold) == \
             (looped.tpr, looped.fpr, looped.threshold)
@@ -365,10 +367,11 @@ class TestBatchedReplicates:
     def test_power_default_statistic_equals_statistic_route(self, method, source):
         cfg = PartitionConfig(c=2.0)
         scfg = ShiftSearchConfig(axis_policy="xy") if method == "ebayes" else None
-        kwargs = dict(n=40, reps=7, cfg=cfg, seed=9, method=method, scfg=scfg,
-                      threshold_source=source, n_perm=25)
+        null = {"n_perm": 25} if source == "permutation_quantile" else {}
+        kwargs = dict(n=40, reps=7, seed=9, threshold_source=source, **null)
         for kind in ("circular", "independent"):
-            batched = power_experiment(SimModel(kind=kind), **kwargs)
+            batched = power_experiment(SimModel(kind=kind), cfg=cfg, method=method, scfg=scfg,
+                                       **kwargs)
             looped = power_experiment(SimModel(kind=kind),
                                       statistic=default_statistic(cfg, method, scfg), **kwargs)
             assert (batched.tpr, batched.fpr, batched.threshold) == \
