@@ -449,6 +449,8 @@ def _cmd_power(args):
         _refuse(args, ("--perms", "--level"), "{} applies only with --threshold permutation")
     elif args.perms is not None and args.perms < 1:
         raise ParseError(f"--perms must be >= 1, got {args.perms}")
+    elif args.level is not None and not 0.0 < args.level < 1.0:
+        raise ParseError(f"--level must lie in (0, 1), got {args.level}")
     source = "posterior_0.5" if args.threshold == "posterior" else "permutation_quantile"
     model, seed = _sim_model(args)
     report = power_experiment(model, args.n, args.reps, args.partition, seed, method=args.method,

@@ -59,6 +59,8 @@ class PartitionConfig:
     def __post_init__(self):
         for name in ("c", "prior_odds"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             if not (value > 0.0):

@@ -29,6 +29,7 @@ seed = base_seed + r.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import tee
 from typing import Callable
@@ -73,6 +74,8 @@ class SimModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
+            raise ValueError(f"sigma must be a number, got {self.sigma!r}")
         if not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma < 0.0:

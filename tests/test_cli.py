@@ -105,6 +105,17 @@ class TestReadMatrix:
         with pytest.raises(EmptyMatrix):
             read_matrix(matrix_file("a,b\n\n\n"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "file is empty (line 1)"),
+        (",b\n1,2\n", "header contains an empty variable name (line 1)"),
+        ("a, \n1,2\n", "header contains an empty variable name (line 1)"),
+    ])
+    def test_bad_header_exits_2_with_one_line(self, text, message, matrix_file, capsys):
+        assert run(["test", matrix_file(text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("text, error", [("a,b\n1,2\n  \n", RaggedRows),
                                              ("a\n1\n \n", ParseError)])
     def test_whitespace_line_is_an_error(self, matrix_file, text, error):
@@ -168,6 +179,26 @@ class TestTestCommand:
         assert run(["test", path, "--x-col", "u", "--y-col", "w"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["n"] == 30
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--x-col", "nope", "--x-col: no column named 'nope'"),
+        ("--y-col", "9", "--y-col: column index 9 out of range (0..1)"),
+        ("--x-col", "-1", "--x-col: column index -1 out of range (0..1)"),
+    ])
+    def test_column_not_in_the_file_exits_2(self, flag, value, message, matrix_file, capsys):
+        path = matrix_file("x,y\n1,2\n2,3.5\n3,1\n")
+        assert run(["test", path, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("grid", ["4.0", "quantile", ""])
+    def test_grid_neither_integer_nor_midpoints_exits_2(self, grid, matrix_file, capsys):
+        path = matrix_file("x,y\n1,2\n2,3.5\n3,1\n")
+        assert run(["test", path, "--method", "ebayes", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --grid must be an integer or 'midpoints', got {grid!r}\n"
 
     def test_levels_sum_matches_log_bf(self, matrix_file, capsys):
         rng = np.random.default_rng(2)
@@ -335,6 +366,16 @@ def test_every_drawing_command_rejects_a_negative_seed(argv, capsys, monkeypatch
     assert captured.err == "error: PTDEP_SEED must be >= 0, got -3\n"
 
 
+@pytest.mark.parametrize("argv", DRAWING_COMMANDS, ids=lambda cmd: cmd[0])
+def test_every_drawing_command_rejects_a_seed_variable_not_an_integer(argv, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setenv("PTDEP_SEED", "abc")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: PTDEP_SEED must be an integer, got 'abc'\n"
+
+
 @pytest.mark.parametrize("command", [cmd for cmd in EVERY_COMMAND if "{m}" in cmd],
                          ids=lambda cmd: cmd[0])
 def test_a_command_that_draws_nothing_reads_no_seed(command, matrix_file, capsys, monkeypatch):
@@ -485,6 +526,14 @@ class TestSimulateCommand:
         assert captured.err == (f"error: --x-min must be less than --x-max, "
                                 f"got {float(x_min)!r} and {float(x_max)!r}\n")
 
+    @pytest.mark.parametrize("command", ["simulate", "power", "sweep-c"])
+    @pytest.mark.parametrize("flag", ["--x-min", "--x-max"])
+    def test_x_range_end_alone_exits_2(self, command, flag, capsys):
+        assert run([command, "--model", "linear", "--n", "20", "--reps", "2", flag, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --x-min and --x-max must be given together\n"
+
     @pytest.mark.parametrize("flags, message", [
         (["--x-min", "-10", "--x-max", "10"], "x_range does not apply to the circular model"),
         (["--theta-variant", "unit"], "theta_range does not apply to the circular model"),
@@ -516,7 +565,9 @@ class TestPowerCommand:
 
     @pytest.mark.parametrize("threshold, flags, message", [
         ("permutation", ["--level", "7", "--perms", "-5"], "--perms must be >= 1, got -5"),
-        ("permutation", ["--level", "7"], "level must lie in (0, 1)"),
+        ("permutation", ["--level", "7"], "--level must lie in (0, 1), got 7.0"),
+        ("permutation", ["--level", "0"], "--level must lie in (0, 1), got 0.0"),
+        ("permutation", ["--level", "nan", "--perms", "9"], "--level must lie in (0, 1), got nan"),
         # the posterior threshold reads neither flag, whatever its value
         ("posterior", ["--level", "7", "--perms", "-5"],
          "--perms applies only with --threshold permutation"),
@@ -600,6 +651,19 @@ class TestSweepCCommand:
             assert captured.err == (f"error: sweep-c takes {flag} only with an input file, "
                                     "not with --model and --n\n")
 
+    @pytest.mark.parametrize("values, message", [
+        ("1,a", "--c-values must be comma-separated numbers, got '1,a'"),
+        (",", "--c-values is empty"),
+        (" ", "--c-values is empty"),
+    ])
+    def test_c_values_not_numbers_exit_2(self, values, message, matrix_file, capsys):
+        path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
+        for source in ([path], ["--model", "linear", "--n", "20", "--reps", "2"]):
+            assert run(["sweep-c", *source, "--c-values", values]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
     def test_file_mode_columns_default_to_0_and_1(self, matrix_file, capsys):
         rng = np.random.default_rng(11)
         rows = "\n".join(f"{x},{y},{z}" for x, y, z in rng.normal(size=(40, 3)))
@@ -648,6 +712,20 @@ class TestDeterministicOutput:
         write_result({"value": 1.0 / 3.0}, None, "json")
         out = capsys.readouterr().out
         assert "0.33333333333333331" in out
+
+
+@pytest.mark.parametrize("payload, out_format, error, message", [
+    ({"x": float("nan")}, "json", ValueError, "cannot serialise non-finite number"),
+    ([{"x": float("inf")}], "csv", ValueError, "cannot serialise non-finite number"),
+    ({"x": object()}, "json", TypeError, "cannot serialise <class 'object'>"),
+    ({"x": 1.0}, "xml", ValueError, "unknown format 'xml'"),
+])
+def test_write_result_refuses_what_it_cannot_write(payload, out_format, error, message,
+                                                   capsys):
+    with pytest.raises(error) as err:
+        write_result(payload, None, out_format)
+    assert str(err.value) == message
+    assert capsys.readouterr().out == ""
 
 
 # Each row adds one flag, with a value, to one of these runs of the six commands.

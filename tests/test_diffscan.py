@@ -82,6 +82,18 @@ class TestExpressionMatrix:
         with pytest.raises(ValueError):
             ExpressionMatrix(values=[[1.0, np.inf]], var_names=("a", "b"))
 
+    @pytest.mark.parametrize("values, names, message", [
+        (np.zeros(3), ("a",), "values must be 2-D, got shape (3,)"),
+        (np.zeros((1, 1, 2)), ("a", "b"), "values must be 2-D, got shape (1, 1, 2)"),
+        (np.zeros((0, 2)), ("a", "b"), "matrix must contain at least one sample row"),
+        (np.zeros((2, 2)), ("a",), "1 names for 2 columns"),
+        (np.zeros((2, 1)), ("a", "b"), "2 names for 1 columns"),
+    ])
+    def test_wrong_shape_rejected(self, values, names, message):
+        with pytest.raises(ValueError) as err:
+            ExpressionMatrix(values=values, var_names=names)
+        assert str(err.value) == message
+
 
 class TestPairwiseScan:
     def test_three_vars_three_pairs(self):

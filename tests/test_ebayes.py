@@ -35,6 +35,16 @@ class TestDeltaCandidates:
         with pytest.raises(ValueError, match="grid_size must be an integer"):
             ShiftSearchConfig(grid=grid, grid_size=grid_size)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("axis_policy", "y", "axis_policy must be 'x' or 'xy', got 'y'"),
+        ("axis_policy", None, "axis_policy must be 'x' or 'xy', got None"),
+        ("grid", "bogus", "grid must be 'quantile' or 'midpoints', got 'bogus'"),
+    ])
+    def test_unknown_axis_policy_or_grid_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            ShiftSearchConfig(**{field: value})
+        assert str(err.value) == message
+
     def test_quantile_grid_size_is_at_most_2_to_the_20(self):
         # a finer grid adds no cut class the midpoints grid misses, only memory
         values = np.random.default_rng(2).normal(size=50)

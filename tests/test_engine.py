@@ -216,6 +216,16 @@ class TestPosteriorDependence:
     def test_prior_odds(self):
         assert posterior_dependence(0.0, 3.0) == pytest.approx(0.25, abs=1e-14)
 
+    @pytest.mark.parametrize("log_bf, prior_odds, message", [
+        (math.nan, 1.0, "log_bf must be finite"), (-math.inf, 1.0, "log_bf must be finite"),
+        (0.0, 0.0, "prior_odds must be positive"), (0.0, -1.0, "prior_odds must be positive"),
+        (0.0, math.nan, "prior_odds must be positive"),
+    ])
+    def test_non_finite_log_bf_or_non_positive_odds_rejected(self, log_bf, prior_odds, message):
+        with pytest.raises(ValueError) as err:
+            posterior_dependence(log_bf, prior_odds)
+        assert str(err.value) == message
+
 
 class TestTestDependence:
     def test_single_point_is_prior(self):
@@ -223,6 +233,16 @@ class TestTestDependence:
         assert res.p_dependent == 0.5
         assert res.log_bf == 0.0
         assert res.level_contributions == ()
+
+    def test_level_contribution_past_the_deepest_level_is_zero(self):
+        rng = np.random.default_rng(8)
+        res = engine.test_dependence(PairedSample(x=rng.normal(size=30), y=rng.normal(size=30)))
+        depth = len(res.level_contributions)
+        assert depth >= 2
+        assert [res.level_contribution(k) for k in range(1, depth + 1)] == \
+            list(res.level_contributions)
+        assert res.level_contribution(depth + 1) == 0.0
+        assert res.level_contribution(kernels.MAX_DEPTH_CAP + 1) == 0.0
 
     def test_coincident_pairs_truncate_finite(self):
         res = engine.test_dependence(PairedSample(x=[1.0, 1.0, 5.0], y=[2.0, 2.0, 7.0]))
@@ -445,6 +465,19 @@ class TestConfigValidation:
     def test_bad_prior_odds(self):
         with pytest.raises(ValueError):
             PartitionConfig(prior_odds=-1.0)
+
+    @pytest.mark.parametrize("field", ["c", "prior_odds"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "5"])
+    def test_bool_or_text_rejected(self, field, value):
+        # a bool would run as 1 or 0 and be written back as true or false
+        with pytest.raises(ValueError) as err:
+            PartitionConfig(**{field: value})
+        assert str(err.value) == f"{field} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("field", ["c", "prior_odds"])
+    @pytest.mark.parametrize("value", [2, np.float32(2.0), np.int64(2)])
+    def test_any_real_number_accepted(self, field, value):
+        assert getattr(PartitionConfig(**{field: value}), field) == 2
 
     @pytest.mark.parametrize("field", ["c", "prior_odds"])
     def test_nan_is_reported_as_not_finite(self, field):

@@ -115,7 +115,11 @@ LIBRARY_TABLE = (
        ("power_experiment", "method", "ebayes", _CUSTOM),
        ("power_experiment", "scfg", _MIDPOINTS, _CUSTOM),
        ("permutation_null", "cfg", _C1, _CUSTOM),
-       ("ShiftSearchConfig", "grid_size", 7, {"grid": "midpoints"})]
+       ("ShiftSearchConfig", "grid_size", 7, {"grid": "midpoints"}),
+       # a bool, which would otherwise run as the number 1 it equals
+       ("PartitionConfig", "c", True, {"c": 1.0}),
+       ("PartitionConfig", "prior_odds", True, {"prior_odds": 1.0}),
+       ("SimModel", "sigma", True, {"kind": "linear", "sigma": 1.0})]
 )
 
 

@@ -1,11 +1,13 @@
-"""Every CLI command in the README, plus edge branches, against golden outputs.
+"""Every command in the README, plus edge branches, against golden outputs.
 
 The README's CLI block is parsed here, so each line shown there runs as
 shown, on fixed-seed fixture files named as in the README (``data.csv``,
 ``matrix.csv``, ``normal.csv``, ``tumour.csv``), plus ``const.csv``, whose
 constant column pins the rows of a pair the tests skip. Stdout, stderr, every file
 a command writes and the exit code must equal ``tests/golden/<case>.json``
-exactly.
+exactly. Each of the README's Python blocks runs as well, as a script. The
+tests run against whichever ``ptdep`` is imported: CI installs the package
+first, so there they check what ``pip install`` ships.
 
 The goldens were captured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1;
 other versions may change last digits (and Python's argparse wording).
@@ -20,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -70,6 +73,8 @@ EXTRA = {
     # each exits 2 with one line on stderr
     "error-power-level-perms": "power --model linear --n 20 --reps 2 --threshold permutation "
                                "--level 7 --perms -5",
+    "error-power-level": "power --model linear --n 20 --reps 2 --threshold permutation "
+                         "--level 7",
     "error-simulate-overflow": "simulate --model parabolic --x-min=-1e200 --x-max=1e200 "
                                "--n 5 --reps 2",
     "error-simulate-x-range-unused": "simulate --model circular --x-min -1 --x-max 1 "
@@ -145,6 +150,17 @@ def test_readme_block_found():
     assert len(readme_commands()) >= 7
     assert all(argv[0] in ("test", "scan", "diff", "simulate", "power", "sweep-c")
                for argv in readme_commands())
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    readme = ROOT / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        re.S | re.M)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().err == ""
 
 
 def test_every_golden_has_a_case():

@@ -82,6 +82,26 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SimModel(kind="spiral")
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"sigma": -0.5}, "sigma must be >= 0"),
+        ({"sigma": True}, "sigma must be a number, got True"),
+        ({"sigma": False}, "sigma must be a number, got False"),
+        ({"sigma": np.True_}, "sigma must be a number, got np.True_"),
+        ({"sigma": "2"}, "sigma must be a number, got '2'"),
+        ({"checker_pattern": "diagonal"},
+         "checker_pattern must be one of ('verbatim', 'balanced')"),
+    ])
+    def test_bad_sigma_or_pattern_rejected(self, settings, message):
+        with pytest.raises(ValueError) as err:
+            SimModel(kind="checkerboard", **settings)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_sample_rejected(self, n):
+        with pytest.raises(ValueError) as err:
+            generate(SimModel(kind="linear"), n, seed=0)
+        assert str(err.value) == "n must be >= 1"
+
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_non_finite_sigma_rejected(self, sigma):
         # a NaN sigma passes sigma < 0 and would drop the noise
@@ -181,6 +201,13 @@ class TestReplicates:
         summary = replicate_experiment(SimModel(kind="independent"), n=1000, reps=100, seed=2)
         assert 1.0 - summary.p50 >= 0.95  # median p(independence)
 
+    @pytest.mark.parametrize("call", [run_replicates, replicate_experiment, power_experiment])
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_no_replicates_rejected(self, call, reps):
+        with pytest.raises(ValueError) as err:
+            call(SimModel(kind="linear"), 20, reps)
+        assert str(err.value) == "reps must be >= 1"
+
     def test_replicate_seeds_are_base_plus_r(self):
         results = run_replicates(SimModel(kind="independent"), n=40, reps=3, seed=100)
         expected = [generate(SimModel(kind="independent"), 40, seed=100 + r) for r in range(3)]
@@ -193,6 +220,12 @@ class TestEmpiricalQuantile:
         rng = np.random.default_rng(0)
         values = rng.normal(size=500)
         assert empirical_quantile(values, 0.95) == quantile_type1(values, 0.95)
+
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, np.nan])
+    def test_p_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError) as err:
+            empirical_quantile(np.arange(5.0), p)
+        assert str(err.value) == "p must lie in (0, 1]"
 
     def test_500_perm_level_05_is_475th(self):
         values = np.arange(1.0, 501.0)
