@@ -28,7 +28,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, astuple, replace
 
@@ -275,7 +274,7 @@ def _add_model(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--checker-pattern", choices=CHECKER_PATTERNS,
                    help="checkerboard row rule: verbatim (2u mod i_x) or balanced "
                         "(alternating block rows)")
-    p.add_argument("--seed", type=int, help="RNG seed (falls back to env PTDEP_SEED, then 0)")
+    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,21 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    seed, source = args.seed, "--seed"
-    if seed is None:
-        env = os.environ.get("PTDEP_SEED", "").strip()
-        if not env:
-            return 0
-        try:
-            seed, source = int(env), "PTDEP_SEED"
-        except ValueError:
-            raise ParseError(f"PTDEP_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ParseError(f"{source} must be >= 0, got {seed}")
-    return seed
-
-
 def _refuse(args, flags, message: str) -> None:
     """Refuse the first of ``flags`` given (not None), by ``message`` with the flag for ``{}``."""
     for flag in flags:
@@ -361,12 +345,12 @@ def _run_config(args) -> None:
     """Validate the settings, and store their configs on ``args``."""
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
-    grid = "4" if args.grid is None else str(args.grid).strip().lower()
+    grid = 4 if args.grid is None else args.grid
     try:
-        grid_args = {"grid": "midpoints"} if grid == "midpoints" else {"grid_size": int(grid)}
+        grid = int(grid)
     except ValueError:
-        raise ParseError(f"--grid must be an integer or 'midpoints', got {args.grid!r}") from None
-    args.shift = ShiftSearchConfig(axis_policy=args.wrap_axis or "x", **grid_args)
+        pass  # "midpoints", or text the config refuses
+    args.shift = ShiftSearchConfig(axis_policy=args.wrap_axis or "x", grid=grid)
     if args.method != "ebayes":  # after the grid check, so a bad grid is reported first
         _refuse(args, ("--grid", "--wrap-axis"), "{} applies only with --method ebayes")
         args.shift = None
@@ -377,7 +361,9 @@ def _run_config(args) -> None:
 def _sim_model(args) -> tuple[SimModel, int]:
     """The model the flags describe and the seed of its draws; a flag not given
     keeps the SimModel default."""
-    seed = _resolve_seed(args)
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {seed}")
     if (args.x_min is None) != (args.x_max is None):
         raise ParseError("--x-min and --x-max must be given together")
     if args.x_min is not None and not args.x_min < args.x_max:

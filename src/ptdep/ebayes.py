@@ -36,20 +36,18 @@ from .transforms import PairedSample, _as_vector, to_unit_interval, wrap_at
 METHODS = ("basic", "ebayes")
 
 # The largest quantile grid: the midpoints grid already reaches every cut class.
-_MAX_GRID_SIZE = 2 ** 20
+_MAX_GRID = 2 ** 20
 
 
 @dataclass(frozen=True)
 class ShiftSearchConfig:
     """Candidate grid and axis policy for the centering search.
 
-    ``grid`` is either "quantile" (``grid_size`` evenly spaced empirical
-    quantiles strictly inside the data range, 2 to 2^20 of them) or
-    "midpoints" (every midpoint between consecutive distinct values, which
-    reads no ``grid_size``, so one other than the default is refused).
-    ``axis_policy`` is "x" or "xy"; with "xy" the two axes are searched
-    independently and the better one-axis optimum wins. The no-shift
-    baseline is always a candidate.
+    ``grid`` is either an integer count of evenly spaced empirical quantiles
+    strictly inside the data range, 2 to 2^20 of them, or "midpoints" (every
+    midpoint between consecutive distinct values). ``axis_policy`` is "x" or
+    "xy"; with "xy" the two axes are searched independently and the better
+    one-axis optimum wins. The no-shift baseline is always a candidate.
 
     Every extra candidate is an extra draw at the null maximum, so the
     false positive rate of the optimised test grows with the grid. The
@@ -58,22 +56,19 @@ class ShiftSearchConfig:
     """
 
     axis_policy: str = "x"
-    grid: str = "quantile"
-    grid_size: int = 4
+    grid: int | str = 4
 
     def __post_init__(self):
         if self.axis_policy not in ("x", "xy"):
             raise ValueError(f"axis_policy must be 'x' or 'xy', got {self.axis_policy!r}")
-        if self.grid not in ("quantile", "midpoints"):
-            raise ValueError(f"grid must be 'quantile' or 'midpoints', got {self.grid!r}")
-        if isinstance(self.grid_size, bool) or not isinstance(self.grid_size, numbers.Integral):
-            raise ValueError(f"grid_size must be an integer, got {self.grid_size!r}")
-        if self.grid == "midpoints" and self.grid_size != 4:
-            raise ValueError("grid_size applies only with grid 'quantile'")
-        if self.grid == "quantile" and self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2 for the quantile grid")
-        if self.grid_size > _MAX_GRID_SIZE:
-            raise ValueError(f"grid_size must be <= {_MAX_GRID_SIZE}, got {self.grid_size}")
+        if self.grid == "midpoints":
+            return
+        if isinstance(self.grid, bool) or not isinstance(self.grid, numbers.Integral):
+            raise ValueError(f"grid must be an integer or 'midpoints', got {self.grid!r}")
+        if self.grid < 2:
+            raise ValueError("grid must be >= 2 for the quantile grid")
+        if self.grid > _MAX_GRID:
+            raise ValueError(f"grid must be <= {_MAX_GRID}, got {self.grid}")
 
 
 def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:
@@ -91,7 +86,7 @@ def delta_candidates(values, cfg: ShiftSearchConfig) -> np.ndarray:
         return np.empty(0)
     if cfg.grid == "midpoints":
         return 0.5 * (distinct[:-1] + distinct[1:])
-    probs = np.arange(1, cfg.grid_size + 1) / (cfg.grid_size + 1.0)
+    probs = np.arange(1, cfg.grid + 1) / (cfg.grid + 1.0)
     # + 0.0 makes a zero cut +0.0: a margin holding both zeros sorts them in input order
     q = np.quantile(ordered, probs) + 0.0
     q = q[(q > distinct[0]) & (q < distinct[-1])]

@@ -43,6 +43,28 @@ from .transforms import PairedSample
 C_RANGE = (1e-300, 1e4)
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a bool or a non-integer ``value`` of the setting ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse a bool, a non-number, or a value that is not finite and positive.
+
+    A finite positive float, the common case, skips the costlier number check:
+    the permutation null checks its prior odds once per permutation.
+    """
+    if isinstance(value, float) and 0.0 < value < math.inf:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not (value > 0.0):
+        raise ValueError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class PartitionConfig:
     """Full configuration of the partition and the evidence computation.
@@ -57,19 +79,12 @@ class PartitionConfig:
     mad_normal_consistent: ClassVar[bool] = True
 
     def __post_init__(self):
-        for name in ("c", "prior_odds"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if not (value > 0.0):
-                raise ValueError(f"{name} must be positive")
+        _check_positive("c", self.c)
+        _check_positive("prior_odds", self.prior_odds)
         lo, hi = C_RANGE
         if not (lo <= self.c <= hi):
             raise ValueError(f"c must lie in [{lo:g}, {hi:g}], got {self.c:g}")
-        if isinstance(self.depth_cap, bool) or not isinstance(self.depth_cap, numbers.Integral):
-            raise ValueError(f"depth_cap must be an integer, got {self.depth_cap!r}")
+        _check_integer("depth_cap", self.depth_cap)
         if not (1 <= self.depth_cap <= kernels.MAX_DEPTH_CAP):
             raise ValueError(f"depth_cap must be in [1, {kernels.MAX_DEPTH_CAP}]")
 
@@ -132,11 +147,11 @@ def posterior_dependence(log_bf: float, prior_odds: float = 1.0) -> float:
 
     Evaluates ``1 / (1 + prior_odds * exp(log_bf))`` through the stable
     sigmoid branches, so saturation at huge |log_bf| cannot overflow.
+    ``prior_odds`` is refused as :class:`PartitionConfig` refuses it.
     """
     if not math.isfinite(log_bf):
         raise ValueError("log_bf must be finite")
-    if not (prior_odds > 0.0):
-        raise ValueError("prior_odds must be positive")
+    _check_positive("prior_odds", prior_odds)
     z = log_bf + math.log(prior_odds)
     if z >= 0.0:
         e = math.exp(-z)

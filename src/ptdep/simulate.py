@@ -39,7 +39,7 @@ import numpy as np
 from . import kernels
 from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_rows, run_tests,
                      shift_search)
-from .engine import PartitionConfig, TestResult, posterior_dependence
+from .engine import PartitionConfig, TestResult, _check_integer, posterior_dependence
 from .transforms import PairedSample, to_unit_interval
 
 MODEL_KINDS = ("linear", "parabolic", "sinusoidal", "circular", "checkerboard", "independent")
@@ -153,8 +153,7 @@ def generate(model: SimModel, n: int, seed: int) -> PairedSample:
     huge sigma); such a sample is refused with a ``ValueError`` that names the
     parameters the kind draws from.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_counts(n=n, seed=seed)
     with np.errstate(over="ignore", invalid="ignore"):
         x, y = _draw(model, n, np.random.default_rng(seed))
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -216,8 +215,7 @@ def run_replicates(
 
     Replicates are generated as :func:`~ptdep.ebayes.run_tests` reads them.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_counts(n=n, reps=reps, seed=seed)
     samples = (generate(model, n, seed + r) for r in range(reps))
     return list(run_tests(samples, method, cfg, scfg))
 
@@ -262,6 +260,7 @@ def permutation_null(
     ``1 - level`` quantile of the null statistics. ``cfg`` configures the
     default statistic, so a custom ``statistic`` refuses it.
     """
+    _check_counts(seed=seed)
     _check_null(n_perm, level)
     _refuse(statistic is not None, "does not apply with a custom statistic", cfg=cfg)
     return _permutation_null(sample, n_perm, cfg or PartitionConfig(), seed, statistic, level,
@@ -298,10 +297,18 @@ def _refuse(when: bool, reason: str, **given) -> None:
             raise ValueError(f"{name} {reason}")
 
 
+def _check_counts(**given: int) -> None:
+    """Refuse a bool or non-integer count, a negative seed, or another count below 1."""
+    for name, value in given.items():
+        _check_integer(name, value)
+        least = 0 if name == "seed" else 1
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _check_null(n_perm: int, level: float) -> None:
     """Refuse a null of fewer than one permutation, or a level outside (0, 1)."""
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
+    _check_counts(n_perm=n_perm)
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
 
@@ -374,8 +381,7 @@ def power_experiment(
     other than "basic" beside a custom ``statistic``. Every setting is
     checked before any replicate is drawn.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_counts(n=n, reps=reps, seed=seed)
     shift_search(method, scfg)  # the method check
     if threshold_source not in ("posterior_0.5", "permutation_quantile"):
         raise ValueError(f"unknown threshold_source {threshold_source!r}")

@@ -192,13 +192,29 @@ class TestTestCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("grid", ["4.0", "quantile", ""])
+    @pytest.mark.parametrize("grid", ["4.0", "quantile", "", "Midpoints"])
     def test_grid_neither_integer_nor_midpoints_exits_2(self, grid, matrix_file, capsys):
         path = matrix_file("x,y\n1,2\n2,3.5\n3,1\n")
         assert run(["test", path, "--method", "ebayes", "--grid", grid]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --grid must be an integer or 'midpoints', got {grid!r}\n"
+        assert captured.err == f"error: grid must be an integer or 'midpoints', got {grid!r}\n"
+
+    @pytest.mark.parametrize("grid, accepted", [
+        (1, False), (2, True), (2 ** 20, True), (2 ** 20 + 1, False), (True, False),
+        (4.0, False), ("quantile", False), ("midpoints", True)])
+    def test_grid_flag_and_config_accept_and_refuse_the_same(self, grid, accepted, matrix_file,
+                                                             capsys):
+        path = matrix_file("x,y\n1,2\n2,3.5\n3,1\n")
+        code = run(["test", path, "--method", "ebayes", "--grid", str(grid)])
+        err = capsys.readouterr().err
+        if accepted:
+            ebayes.ShiftSearchConfig(grid=grid)
+            assert (code, err) == (0, "")
+        else:
+            with pytest.raises(ValueError, match="^grid must be "):
+                ebayes.ShiftSearchConfig(grid=grid)
+            assert code == 2 and err.startswith("error: grid must be "), err
 
     def test_levels_sum_matches_log_bf(self, matrix_file, capsys):
         rng = np.random.default_rng(2)
@@ -342,7 +358,7 @@ def test_every_command_checks_the_grid_before_the_method(command, matrix_file, c
     path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
     assert run([arg.format(m=path) for arg in command] + ["--grid", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: grid_size must be >= 2 for the quantile grid\n"
+    assert captured.err == "error: grid must be >= 2 for the quantile grid\n"
 
 
 # One short run of each command that draws random numbers, the only ones to read a seed.
@@ -354,39 +370,11 @@ DRAWING_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", DRAWING_COMMANDS, ids=lambda cmd: cmd[0])
-def test_every_drawing_command_rejects_a_negative_seed(argv, capsys, monkeypatch):
+def test_every_drawing_command_rejects_a_negative_seed(argv, capsys):
     assert run(argv + ["--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --seed must be >= 0, got -1\n"
-    monkeypatch.setenv("PTDEP_SEED", "-3")
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: PTDEP_SEED must be >= 0, got -3\n"
-
-
-@pytest.mark.parametrize("argv", DRAWING_COMMANDS, ids=lambda cmd: cmd[0])
-def test_every_drawing_command_rejects_a_seed_variable_not_an_integer(argv, capsys,
-                                                                      monkeypatch):
-    monkeypatch.setenv("PTDEP_SEED", "abc")
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: PTDEP_SEED must be an integer, got 'abc'\n"
-
-
-@pytest.mark.parametrize("command", [cmd for cmd in EVERY_COMMAND if "{m}" in cmd],
-                         ids=lambda cmd: cmd[0])
-def test_a_command_that_draws_nothing_reads_no_seed(command, matrix_file, capsys, monkeypatch):
-    # the flag is refused, as the flag table checks; the variable is not read at all
-    path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
-    argv = [arg.format(m=path) for arg in command]
-    assert run(argv) == 0
-    want = capsys.readouterr()
-    monkeypatch.setenv("PTDEP_SEED", "abc")
-    assert run(argv) == 0
-    assert capsys.readouterr() == want
 
 
 @pytest.mark.parametrize("flag, field", [("--c", "c"), ("--prior-odds", "prior_odds")])
@@ -484,15 +472,6 @@ class TestSimulateCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("rep,seed,p_dependent,log_bf,truncated,B_1")
         assert len(lines) == 5
-
-    def test_seed_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("PTDEP_SEED", "123")
-        assert run(["simulate", "--model", "linear", "--n", "30", "--reps", "3"]) == 0
-        first = capsys.readouterr().out
-        monkeypatch.delenv("PTDEP_SEED")
-        assert run(["simulate", "--model", "linear", "--n", "30", "--reps", "3",
-                    "--seed", "123"]) == 0
-        assert capsys.readouterr().out == first
 
     @pytest.mark.parametrize("flags, message", [
         (["--sigma=nan"], "sigma must be finite"),
@@ -819,7 +798,6 @@ def test_every_flag_changes_the_output_or_is_refused(base, flag, value, flag_fol
                                                       monkeypatch):
     folder, seen = flag_folder
     monkeypatch.chdir(folder)
-    monkeypatch.delenv("PTDEP_SEED", raising=False)
     argv = FLAG_BASES[base]
     if base not in seen:
         seen[base] = _flag_run(argv, folder)

@@ -24,21 +24,21 @@ class TestDeltaCandidates:
     def test_quantile_grid_size(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=1000)
-        cands = delta_candidates(values, ShiftSearchConfig(grid="quantile", grid_size=64))
+        cands = delta_candidates(values, ShiftSearchConfig(grid=64))
         assert cands.size == 64
         assert values.min() < cands[0] and cands[-1] < values.max()
         assert np.all(np.diff(cands) > 0)
 
-    @pytest.mark.parametrize("grid", ["quantile", "midpoints"])
-    @pytest.mark.parametrize("grid_size", [2.5, 4.0, True, "4"])
-    def test_non_integer_grid_size_rejected(self, grid, grid_size):
-        with pytest.raises(ValueError, match="grid_size must be an integer"):
-            ShiftSearchConfig(grid=grid, grid_size=grid_size)
+    @pytest.mark.parametrize("grid", [2.5, 4.0, True, "4", "quantile", None])
+    def test_grid_neither_integer_nor_midpoints_rejected(self, grid):
+        with pytest.raises(ValueError) as err:
+            ShiftSearchConfig(grid=grid)
+        assert str(err.value) == f"grid must be an integer or 'midpoints', got {grid!r}"
 
     @pytest.mark.parametrize("field, value, message", [
         ("axis_policy", "y", "axis_policy must be 'x' or 'xy', got 'y'"),
         ("axis_policy", None, "axis_policy must be 'x' or 'xy', got None"),
-        ("grid", "bogus", "grid must be 'quantile' or 'midpoints', got 'bogus'"),
+        ("grid", "bogus", "grid must be an integer or 'midpoints', got 'bogus'"),
     ])
     def test_unknown_axis_policy_or_grid_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
@@ -48,19 +48,19 @@ class TestDeltaCandidates:
     def test_quantile_grid_size_is_at_most_2_to_the_20(self):
         # a finer grid adds no cut class the midpoints grid misses, only memory
         values = np.random.default_rng(2).normal(size=50)
-        assert delta_candidates(values, ShiftSearchConfig(grid_size=2 ** 20)).size == 49
+        assert delta_candidates(values, ShiftSearchConfig(grid=2 ** 20)).size == 49
         for size in (2 ** 20 + 1, 10 ** 13):
-            with pytest.raises(ValueError, match=f"^grid_size must be <= 1048576, got {size}$"):
-                ShiftSearchConfig(grid_size=size)
+            with pytest.raises(ValueError, match=f"^grid must be <= 1048576, got {size}$"):
+                ShiftSearchConfig(grid=size)
 
     def test_numpy_integer_grid_size_cuts_as_int(self):
         values = np.random.default_rng(1).normal(size=200)
-        cands = delta_candidates(values, ShiftSearchConfig(grid_size=np.int64(7)))
-        assert cands.tolist() == delta_candidates(values, ShiftSearchConfig(grid_size=7)).tolist()
+        cands = delta_candidates(values, ShiftSearchConfig(grid=np.int64(7)))
+        assert cands.tolist() == delta_candidates(values, ShiftSearchConfig(grid=7)).tolist()
 
     def test_constant_vector(self):
         # no cut lies strictly inside a margin of one distinct value
-        for grid in ("quantile", "midpoints"):
+        for grid in (4, "midpoints"):
             cands = delta_candidates([4.0, 4.0, 4.0], ShiftSearchConfig(grid=grid))
             assert cands.dtype == np.float64 and cands.tolist() == []
 
@@ -70,10 +70,10 @@ class TestDeltaCandidates:
 
     def test_candidates_interior(self):
         values = [0.0, 0.0, 0.0, 1.0, 5.0]
-        cands = delta_candidates(values, ShiftSearchConfig(grid="quantile", grid_size=8))
+        cands = delta_candidates(values, ShiftSearchConfig(grid=8))
         assert cands.size and np.all(cands > 0.0) and np.all(cands < 5.0)
 
-    @pytest.mark.parametrize("grid", ["quantile", "midpoints"])
+    @pytest.mark.parametrize("grid", [4, "midpoints"])
     @pytest.mark.parametrize("values, message", [
         ([1.0, np.nan, 2.0, 3.0], "non-finite"),
         ([1.0, np.inf, 2.0], "non-finite"),
@@ -118,7 +118,7 @@ class TestEbayesTest:
         # leaves only the baseline row, which is the basic test
         x = np.array([0.0, 1.0] * 25)
         sample = PairedSample(x=x, y=rng.normal(size=50))
-        scfg = ShiftSearchConfig(grid="quantile", grid_size=2)
+        scfg = ShiftSearchConfig(grid=2)
         assert delta_candidates(x, scfg).size == 0
         basic = engine.test_dependence(sample)
         eb = ebayes_test(sample, scfg=scfg)
@@ -150,8 +150,8 @@ class TestEbayesTest:
         x = rng.uniform(-5, 5, 120)
         y = 2.0 * np.sin(x) + 2.0 * rng.standard_normal(120)
         sample = PairedSample(x=x, y=y)
-        p_small = ebayes_test(sample, scfg=ShiftSearchConfig(grid_size=4)).p_dependent
-        p_big = ebayes_test(sample, scfg=ShiftSearchConfig(grid_size=64)).p_dependent
+        p_small = ebayes_test(sample, scfg=ShiftSearchConfig(grid=4)).p_dependent
+        p_big = ebayes_test(sample, scfg=ShiftSearchConfig(grid=64)).p_dependent
         # the size-4 quantile grid is not a subset of the size-64 one in
         # general, but the sentinel keeps both above basic
         basic = engine.test_dependence(sample).p_dependent
@@ -164,7 +164,7 @@ class TestEbayesTest:
         x = rng.uniform(-5, 5, 60)
         y = 2.0 * np.sin(x) + rng.standard_normal(60)
         sample = PairedSample(x=x, y=y)
-        p_quant = ebayes_test(sample, scfg=ShiftSearchConfig(grid="quantile", grid_size=8))
+        p_quant = ebayes_test(sample, scfg=ShiftSearchConfig(grid=8))
         p_mid = ebayes_test(sample, scfg=ShiftSearchConfig(grid="midpoints"))
         assert p_mid.p_dependent >= p_quant.p_dependent - 1e-15
 
@@ -201,7 +201,7 @@ def _raw_cuts(values, scfg):
     if scfg.grid == "midpoints":
         distinct = np.unique(values)
         return 0.5 * (distinct[:-1] + distinct[1:])
-    q = np.quantile(values, np.arange(1, scfg.grid_size + 1) / (scfg.grid_size + 1.0))
+    q = np.quantile(values, np.arange(1, scfg.grid + 1) / (scfg.grid + 1.0))
     return q[(q > np.min(values)) & (q < np.max(values))]
 
 
@@ -239,7 +239,7 @@ def _assert_same_search(sample, cfg, scfg):
 
 _SEARCH_CONFIGS = [
     ShiftSearchConfig(),
-    ShiftSearchConfig(axis_policy="xy", grid_size=9),
+    ShiftSearchConfig(axis_policy="xy", grid=9),
     ShiftSearchConfig(grid="midpoints", axis_policy="xy"),
 ]
 
@@ -274,7 +274,7 @@ class TestBatchedCandidates:
             _assert_same_search(PairedSample(x=x, y=y), engine.PartitionConfig(c=1.0), scfg)
 
     @settings(max_examples=150, deadline=None)
-    @given(_samples(), st.sampled_from(_SEARCH_CONFIGS + [ShiftSearchConfig(grid_size=200)]))
+    @given(_samples(), st.sampled_from(_SEARCH_CONFIGS + [ShiftSearchConfig(grid=200)]))
     def test_property_equals_per_candidate_loop(self, sample, scfg):
         _assert_same_search(sample, engine.PartitionConfig(c=1.0), scfg)
 
@@ -302,7 +302,7 @@ class TestBatchedCandidates:
         if tied:
             x = np.round(x)  # many cuts land on a data value, the winning one too
         sample = PairedSample(x=x, y=np.sin(x) + 0.5 * rng.normal(size=40))
-        scfg = ShiftSearchConfig(grid_size=1000, axis_policy="xy")
+        scfg = ShiftSearchConfig(grid=1000, axis_policy="xy")
         assert delta_candidates(x, scfg).size <= np.unique(x).size
         delta = _looped_ebayes(sample, engine.PartitionConfig(), scfg)[1]
         assert delta is not None and (delta in x) == tied
@@ -360,7 +360,7 @@ class TestBatchedScan:
     def test_other_config_equals_per_pair_run_test(self):
         m = _ebayes_matrix(np.random.default_rng(31), 60)
         cfg = engine.PartitionConfig(c=0.5, depth_cap=6, prior_odds=2.0)
-        _assert_scan_equals_per_pair(m, cfg, ShiftSearchConfig(axis_policy="xy", grid_size=9))
+        _assert_scan_equals_per_pair(m, cfg, ShiftSearchConfig(axis_policy="xy", grid=9))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 30).flatmap(lambda n: st.lists(_margins(n), min_size=2, max_size=4)),
@@ -725,7 +725,7 @@ class TestCutRows:
         assert list(ebayes.cut_rows(self._values, scfg, "x"))
         assert list(ebayes.cut_rows(self._values, scfg, "y")) == []
 
-    @pytest.mark.parametrize("grid", ["quantile", "midpoints"])
+    @pytest.mark.parametrize("grid", [4, "midpoints"])
     def test_xy_policy_cuts_y_as_x(self, grid):
         scfg = ShiftSearchConfig(axis_policy="xy", grid=grid)
         on_x = list(ebayes.cut_rows(self._values, scfg, "x"))

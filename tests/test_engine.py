@@ -219,12 +219,22 @@ class TestPosteriorDependence:
     @pytest.mark.parametrize("log_bf, prior_odds, message", [
         (math.nan, 1.0, "log_bf must be finite"), (-math.inf, 1.0, "log_bf must be finite"),
         (0.0, 0.0, "prior_odds must be positive"), (0.0, -1.0, "prior_odds must be positive"),
-        (0.0, math.nan, "prior_odds must be positive"),
+        (0.0, math.nan, "prior_odds must be finite, got nan"),
+        (0.0, math.inf, "prior_odds must be finite, got inf"),
+        (-1.0, True, "prior_odds must be a number, got True"),
     ])
     def test_non_finite_log_bf_or_non_positive_odds_rejected(self, log_bf, prior_odds, message):
         with pytest.raises(ValueError) as err:
             posterior_dependence(log_bf, prior_odds)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("prior_odds", [True, np.True_, "5", math.inf, math.nan, 0.0, -1.0])
+    def test_prior_odds_refused_as_the_config_refuses_it(self, prior_odds):
+        with pytest.raises(ValueError) as want:
+            PartitionConfig(prior_odds=prior_odds)
+        with pytest.raises(ValueError) as got:
+            posterior_dependence(-1.0, prior_odds)
+        assert str(got.value) == str(want.value)
 
 
 class TestTestDependence:

@@ -61,10 +61,11 @@ _CALLS = {
     "posterior_dependence": partial(ptdep.posterior_dependence, -1.0),
     "pairwise_scan": partial(ptdep.pairwise_scan, _matrix(1)),
     "diff_scan": partial(ptdep.diff_scan, _matrix(1), _matrix(2)),
-    "run_replicates": partial(ptdep.run_replicates, _MODEL, 20, 3),
-    "replicate_experiment": partial(ptdep.replicate_experiment, _MODEL, 20, 5),
+    "generate": partial(ptdep.generate, _MODEL, n=20, seed=1),
+    "run_replicates": partial(ptdep.run_replicates, _MODEL, n=20, reps=3),
+    "replicate_experiment": partial(ptdep.replicate_experiment, _MODEL, n=20, reps=5),
     "permutation_null": partial(ptdep.permutation_null, _SAMPLE),
-    "power_experiment": partial(ptdep.power_experiment, _MODEL, 20, 3),
+    "power_experiment": partial(ptdep.power_experiment, _MODEL, n=20, reps=3),
     # a config's fields, through a call that reads them
     "PartitionConfig": lambda **kw: ptdep.test_dependence(_SAMPLE, PartitionConfig(**kw)),
     # the sine's x against its y: a cut of y, searched only under "xy", finds the shape
@@ -79,7 +80,8 @@ _EBAYES = {"method": "ebayes"}
 _PERMUTATION = {"threshold_source": "permutation_quantile", "n_perm": 9}
 _CUSTOM = {"statistic": abs_pearson}
 _REPLICATE_ROWS = [("cfg", _C1, {}), ("seed", 9, {}), ("method", "ebayes", {}),
-                   ("scfg", _MIDPOINTS, _EBAYES)]
+                   ("scfg", _MIDPOINTS, _EBAYES), ("n", 2.5, {}), ("reps", 2.5, {}),
+                   ("seed", True, {"seed": 1})]
 
 # (callable, parameter, value, base settings)
 LIBRARY_TABLE = (
@@ -104,7 +106,7 @@ LIBRARY_TABLE = (
        ("PartitionConfig", "prior_odds", 3.0, {}),
        ("ShiftSearchConfig", "axis_policy", "xy", {}),
        ("ShiftSearchConfig", "grid", "midpoints", {}),
-       ("ShiftSearchConfig", "grid_size", 16, {})]
+       ("ShiftSearchConfig", "grid", 16, {"grid": "midpoints"})]
     + [("SimModel", p, v, {"kind": kind}) for p, v, kind in [
         ("kind", "circular", "linear"), ("sigma", 0.5, "linear"),
         ("x_range", (-1.0, 1.0), "linear"), ("theta_range", (0.0, 1.0), "checkerboard"),
@@ -115,8 +117,12 @@ LIBRARY_TABLE = (
        ("power_experiment", "method", "ebayes", _CUSTOM),
        ("power_experiment", "scfg", _MIDPOINTS, _CUSTOM),
        ("permutation_null", "cfg", _C1, _CUSTOM),
-       ("ShiftSearchConfig", "grid_size", 7, {"grid": "midpoints"}),
+       # a count or a seed that is not an integer, or a seed below 0
+       ("generate", "n", 2.5, {}), ("generate", "seed", -1, {}),
+       ("power_experiment", "n", 2.5, {}), ("power_experiment", "reps", 2.5, {}),
        # a bool, which would otherwise run as the number 1 it equals
+       ("permutation_null", "n_perm", True, {"n_perm": 1}),
+       ("permutation_null", "seed", True, {"seed": 1}),
        ("PartitionConfig", "c", True, {"c": 1.0}),
        ("PartitionConfig", "prior_odds", True, {"prior_odds": 1.0}),
        ("SimModel", "sigma", True, {"kind": "linear", "sigma": 1.0})]
@@ -124,12 +130,12 @@ LIBRARY_TABLE = (
 
 
 def _settings() -> set[tuple[str, str]]:
-    """(callable, parameter) of each exported function's parameter with a default, and
-    (config, field) of each field of the three configs."""
+    """(callable, parameter) of each exported function's parameter with a default or an
+    ``int`` annotation, and (config, field) of each field of the three configs."""
     functions = [name for name in ptdep.__all__ if inspect.isfunction(getattr(ptdep, name))]
     return ({(name, p.name) for name in functions
              for p in inspect.signature(getattr(ptdep, name)).parameters.values()
-             if p.default is not p.empty}
+             if p.default is not p.empty or p.annotation == "int"}
             | {(cls.__name__, f.name) for cls in (PartitionConfig, ShiftSearchConfig, SimModel)
                for f in dataclasses.fields(cls)})
 

@@ -141,7 +141,6 @@ def run_case(argv: list[str], folder: Path) -> dict:
 def workdir(tmp_path, monkeypatch):
     write_fixtures(tmp_path)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PTDEP_SEED", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
     return tmp_path
 
@@ -181,7 +180,6 @@ def test_command_matches_golden(name, workdir):
 def _capture(folder: Path) -> None:
     write_fixtures(folder)
     os.chdir(folder)
-    os.environ.pop("PTDEP_SEED", None)
     os.environ["COLUMNS"] = "80"
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.glob("*.json"):

@@ -22,6 +22,13 @@ from ptdep.transforms import PairedSample
 
 from oracles import abs_pearson, default_statistic, direct_test, quantile_type1
 
+_LINEAR = SimModel(kind="linear")
+# Each call that draws random numbers, with settings it accepts.
+_DRAWS = {generate: {"model": _LINEAR, "n": 10, "seed": 0},
+          run_replicates: {"model": _LINEAR, "n": 10, "reps": 2, "seed": 0},
+          power_experiment: {"model": _LINEAR, "n": 10, "reps": 2, "seed": 0},
+          permutation_null: {"sample": generate(_LINEAR, 10, 0), "seed": 0}}
+
 
 class TestGenerate:
     def test_linear_noiseless(self):
@@ -100,7 +107,7 @@ class TestGenerate:
     def test_empty_sample_rejected(self, n):
         with pytest.raises(ValueError) as err:
             generate(SimModel(kind="linear"), n, seed=0)
-        assert str(err.value) == "n must be >= 1"
+        assert str(err.value) == f"n must be >= 1, got {n}"
 
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_non_finite_sigma_rejected(self, sigma):
@@ -206,7 +213,24 @@ class TestReplicates:
     def test_no_replicates_rejected(self, call, reps):
         with pytest.raises(ValueError) as err:
             call(SimModel(kind="linear"), 20, reps)
-        assert str(err.value) == "reps must be >= 1"
+        assert str(err.value) == f"reps must be >= 1, got {reps}"
+
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("call, name", [
+        (generate, "n"), (generate, "seed"), (run_replicates, "reps"),
+        (run_replicates, "seed"), (power_experiment, "reps"), (power_experiment, "seed"),
+        (permutation_null, "n_perm"), (permutation_null, "seed")])
+    def test_count_or_seed_not_an_integer_rejected(self, call, name, value):
+        # a bool would run as the 1 it equals; a float or text would fail inside numpy
+        with pytest.raises(ValueError) as err:
+            call(**{**_DRAWS[call], name: value})
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("call", list(_DRAWS))
+    def test_negative_seed_rejected(self, call):
+        with pytest.raises(ValueError) as err:
+            call(**{**_DRAWS[call], "seed": -1})
+        assert str(err.value) == "seed must be >= 0, got -1"
 
     def test_replicate_seeds_are_base_plus_r(self):
         results = run_replicates(SimModel(kind="independent"), n=40, reps=3, seed=100)
