@@ -12,6 +12,7 @@ not. Output order is fixed: lexicographic by column indices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -83,11 +84,18 @@ class DiffEdge:
     edge_class: str  # lost_in_B | gained_in_B | indeterminate
 
 
-def p_diff(p_a: float, p_b: float) -> float:
-    """Probability that dependence holds in exactly one of two conditions."""
-    for name, p in (("p_a", p_a), ("p_b", p_b)):
+def _check_probability(**given: float) -> None:
+    """Refuse a bool, a non-number, or a value outside [0, 1]."""
+    for name, p in given.items():
+        if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {p!r}")
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
+
+
+def p_diff(p_a: float, p_b: float) -> float:
+    """Probability that dependence holds in exactly one of two conditions."""
+    _check_probability(p_a=p_a, p_b=p_b)
     return p_a * (1.0 - p_b) + p_b * (1.0 - p_a)
 
 
@@ -171,6 +179,7 @@ def pairwise_scan(
 
 def classify_edge(p_a: float, p_b: float) -> str:
     """Label a changed pair by which condition carries the dependence."""
+    _check_probability(p_a=p_a, p_b=p_b)
     if p_a > 0.5 > p_b:
         return "lost_in_B"
     if p_b > 0.5 > p_a:
@@ -193,8 +202,7 @@ def diff_scan(
     degenerate in either condition are skipped. Only edges with
     ``p_diff >= threshold`` are returned; ``threshold`` must lie in [0, 1].
     """
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    _check_probability(threshold=threshold)
     if set(m_a.var_names) != set(m_b.var_names):
         raise VarMismatch("the two matrices must carry the same variable names")
     if tuple(m_a.var_names) != tuple(m_b.var_names):

@@ -66,7 +66,7 @@ class ShiftSearchConfig:
         if isinstance(self.grid, bool) or not isinstance(self.grid, numbers.Integral):
             raise ValueError(f"grid must be an integer or 'midpoints', got {self.grid!r}")
         if self.grid < 2:
-            raise ValueError("grid must be >= 2 for the quantile grid")
+            raise ValueError(f"grid must be >= 2, got {self.grid}")
         if self.grid > _MAX_GRID:
             raise ValueError(f"grid must be <= {_MAX_GRID}, got {self.grid}")
 

@@ -32,7 +32,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import tee
-from typing import Callable
 
 import numpy as np
 
@@ -86,7 +85,7 @@ class SimModel:
                 continue
             lo, hi = bounds
             if not (lo < hi):
-                raise ValueError(f"{name} must satisfy lo < hi")
+                raise ValueError(f"{name} must satisfy lo < hi, got ({lo}, {hi})")
             if not math.isfinite(hi - lo):  # an infinite end makes the width inf or nan
                 raise ValueError(f"{name} must have finite ends and width, got ({lo}, {hi})")
         if self.checker_pattern not in CHECKER_PATTERNS:
@@ -133,7 +132,7 @@ class PermutationNull:
 
 @dataclass(frozen=True)
 class PowerReport:
-    """True/false positive rates of a statistic under one generative model."""
+    """True/false positive rates of a test under one generative model."""
 
     model: str
     n: int
@@ -250,51 +249,19 @@ def permutation_null(
     n_perm: int = 500,
     cfg: PartitionConfig | None = None,
     seed: int = 0,
-    statistic: Callable[[PairedSample], float] | None = None,
     level: float = 0.05,
 ) -> PermutationNull:
-    """Null distribution of a statistic under random re-pairing of y with x.
+    """Null distribution of the basic test's p_dependent under random re-pairing of y with x.
 
     Each permutation shuffles y against x (marginals are preserved
     exactly). The detection threshold is the type-1 empirical
-    ``1 - level`` quantile of the null statistics. ``cfg`` configures the
-    default statistic, so a custom ``statistic`` refuses it.
+    ``1 - level`` quantile of the null statistics.
     """
     _check_counts(seed=seed)
     _check_null(n_perm, level)
-    _refuse(statistic is not None, "does not apply with a custom statistic", cfg=cfg)
-    return _permutation_null(sample, n_perm, cfg or PartitionConfig(), seed, statistic, level,
-                             "basic", None)
-
-
-def _permutation_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, seed: int,
-                      statistic, level: float, method: str,
-                      scfg: ShiftSearchConfig | None) -> PermutationNull:
-    """:func:`permutation_null`; without a ``statistic``, that of ``method``.
-
-    A custom ``statistic`` is called once per permutation; the default one is
-    scored in batches by :func:`_default_null`, for a sample of any size, with
-    the same draws. ``n_perm`` and ``level`` are checked by its callers.
-    """
-    rng = np.random.default_rng(seed)
-    if statistic is None:
-        null = _default_null(sample, n_perm, cfg, method, scfg, rng)
-    else:
-        null = np.empty(n_perm)
-        for i in range(n_perm):
-            null[i] = statistic(PairedSample(x=sample.x, y=rng.permutation(sample.y)))
-    return PermutationNull(
-        null_stats=null,
-        threshold=empirical_quantile(null, 1.0 - level),
-        level=level,
-    )
-
-
-def _refuse(when: bool, reason: str, **given) -> None:
-    """If ``when``, refuse the first of ``given`` that is set (not None): "<name> <reason>"."""
-    for name, value in given.items():
-        if when and value is not None:
-            raise ValueError(f"{name} {reason}")
+    null = _default_null(sample, n_perm, cfg or PartitionConfig(), "basic", None,
+                         np.random.default_rng(seed))
+    return PermutationNull(null, empirical_quantile(null, 1.0 - level), level)
 
 
 def _check_counts(**given: int) -> None:
@@ -310,7 +277,7 @@ def _check_null(n_perm: int, level: float) -> None:
     """Refuse a null of fewer than one permutation, or a level outside (0, 1)."""
     _check_counts(n_perm=n_perm)
     if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
+        raise ValueError(f"level must lie in (0, 1), got {level}")
 
 
 def _orders(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -325,7 +292,7 @@ def _orders(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
 
 def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, method: str,
                   scfg: ShiftSearchConfig | None, rng: np.random.Generator) -> np.ndarray:
-    """Null statistics of ``method``'s default statistic, scored in batches.
+    """Null p_dependent values of ``method``'s test, scored in batches.
 
     Re-pairing changes no margin, so each axis's :func:`~ptdep.ebayes.cut_rows`
     are built once, and wrapping and mapping y commute with it: each
@@ -359,54 +326,48 @@ def power_experiment(
     seed: int = 0,
     method: str = "basic",
     scfg: ShiftSearchConfig | None = None,
-    statistic: Callable[[PairedSample], float] | None = None,
     threshold_source: str = "posterior_0.5",
     level: float | None = None,
     n_perm: int | None = None,
 ) -> PowerReport:
-    """True/false positive rates of a dependence statistic.
+    """True/false positive rates of ``method``'s test.
 
-    TPR counts replicates of ``model`` whose statistic exceeds the
+    TPR counts replicates of ``model`` whose p_dependent exceeds the
     threshold; FPR does the same for matched replicates of the independent
     model. ``posterior_0.5`` uses the natural fixed cut at 0.5 for the
     probability statistic; ``permutation_quantile`` recalibrates the
     threshold per replicate from ``n_perm`` re-pairings (default 500) at
     ``level`` (default 0.05), and the reported threshold is then the mean
-    across replicates. A custom ``statistic`` callable plugs any scalar
-    dependence measure into the same harness; without one, the replicates
-    are scored in batches by :func:`~ptdep.ebayes.run_tests`.
+    across replicates. The replicates are scored in batches by
+    :func:`~ptdep.ebayes.run_tests`, and each null by the same batched route
+    as :func:`permutation_null`.
 
     A setting the run would not read is refused, not ignored: ``level`` and
-    ``n_perm`` under ``posterior_0.5``, and ``cfg``, ``scfg`` or a method
-    other than "basic" beside a custom ``statistic``. Every setting is
-    checked before any replicate is drawn.
+    ``n_perm`` under ``posterior_0.5``. Every setting is checked before any
+    replicate is drawn.
     """
     _check_counts(n=n, reps=reps, seed=seed)
     shift_search(method, scfg)  # the method check
     if threshold_source not in ("posterior_0.5", "permutation_quantile"):
         raise ValueError(f"unknown threshold_source {threshold_source!r}")
-    _refuse(threshold_source == "posterior_0.5",
-            "applies only with threshold_source 'permutation_quantile'", n_perm=n_perm, level=level)
+    for name, value in (("n_perm", n_perm), ("level", level)):
+        if threshold_source == "posterior_0.5" and value is not None:
+            raise ValueError(f"{name} applies only with threshold_source 'permutation_quantile'")
     level, n_perm = 0.05 if level is None else level, 500 if n_perm is None else n_perm
     _check_null(n_perm, level)
-    _refuse(statistic is not None, "does not apply with a custom statistic", cfg=cfg, scfg=scfg,
-            method=None if method == "basic" else method)
     cfg = cfg or PartitionConfig()
     null_model = SimModel(kind="independent", sigma=model.sigma)
 
     def sweep(sim: SimModel, base: int) -> tuple[float, float]:
         samples, scored = tee(generate(sim, n, base + r) for r in range(reps))
-        if statistic is None:
-            values = (res.p_dependent for res in run_tests(scored, method, cfg, scfg))
-        else:
-            values = map(statistic, scored)
         hits, thr = 0, 0
-        for r, (sample, value) in enumerate(zip(samples, values)):
+        for r, (sample, res) in enumerate(zip(samples, run_tests(scored, method, cfg, scfg))):
             t = 0.5
             if threshold_source == "permutation_quantile":
-                t = _permutation_null(sample, n_perm, cfg, base + _PERM_SEED_OFFSET + r,
-                                      statistic, level, method, scfg).threshold
-            hits += bool(value > t)
+                rng = np.random.default_rng(base + _PERM_SEED_OFFSET + r)
+                null = _default_null(sample, n_perm, cfg, method, scfg, rng)
+                t = empirical_quantile(null, 1.0 - level)
+            hits += bool(res.p_dependent > t)
             thr += t
         return hits / reps, thr / reps
 
@@ -417,7 +378,7 @@ def power_experiment(
         n=n,
         sigma=model.sigma,
         reps=reps,
-        method=method if statistic is None else "custom",
+        method=method,
         tpr=tpr,
         fpr=fpr,
         threshold=0.5 if threshold_source == "posterior_0.5" else 0.5 * (thr_dep + thr_null),

@@ -28,7 +28,8 @@ from scipy.integrate import quad
 
 from ptdep import ebayes, engine, kernels, log_cell_evidence
 from ptdep.ebayes import run_test
-from ptdep.transforms import to_unit_interval
+from ptdep.simulate import SimModel, generate
+from ptdep.transforms import PairedSample, to_unit_interval
 
 
 def exact_log_cell_evidence(counts, a: float) -> float:
@@ -79,24 +80,48 @@ def direct_test(sample, cfg=None):
 
 
 def default_statistic(cfg, method="basic", scfg=None):
-    """The package's dependence statistic as a custom one: ``run_test``'s p_dependent.
+    """The package's dependence statistic of one sample: ``run_test``'s p_dependent.
 
-    Passed as ``statistic=``, it makes ``power_experiment`` and
-    ``permutation_null`` score one sample per call, the looped route their
-    batched default is checked against.
+    Called once per sample, it is the looped route that the batched nulls and
+    power runs are checked against.
     """
     return lambda s: run_test(s, method, cfg, scfg).p_dependent
 
 
-def abs_pearson(sample) -> float:
-    """|Pearson r| of a sample: a custom statistic to self-test the permutation machinery.
+def looped_null(sample, n_perm, rng, stat):
+    """``stat`` of ``n_perm`` re-pairings of ``sample``, one ``rng.permutation`` of y each."""
+    return np.array([stat(PairedSample(x=sample.x, y=rng.permutation(sample.y)))
+                     for _ in range(n_perm)])
 
-    A margin without spread scores 0, without a warning.
+
+def looped_power(model, n, reps, cfg, seed, method="basic", scfg=None,
+                 threshold_source="posterior_0.5", level=0.05, n_perm=500):
+    """``power_experiment``'s (tpr, fpr, threshold), one replicate and permutation at a time.
+
+    A sweep from seed ``base`` draws replicate r with seed ``base + r`` and
+    re-pairs it with the generator of seed ``base + 2_000_003 + r``; the
+    model's sweep starts at ``seed``, the independent model's at
+    ``seed + 1_000_003``.
     """
-    if sample.n < 2 or np.ptp(sample.x) == 0 or np.ptp(sample.y) == 0:
-        return 0.0
-    r = np.corrcoef(sample.x, sample.y)[0, 1]
-    return float(abs(r)) if np.isfinite(r) else 0.0
+    stat = default_statistic(cfg, method, scfg)
+
+    def sweep(sim, base):
+        hits, thr = 0, 0
+        for r in range(reps):
+            sample = generate(sim, n, base + r)
+            t = 0.5
+            if threshold_source == "permutation_quantile":
+                rng = np.random.default_rng(base + 2_000_003 + r)
+                t = quantile_type1(looped_null(sample, n_perm, rng, stat), 1.0 - level)
+            hits += bool(stat(sample) > t)
+            thr += t
+        return hits / reps, thr / reps
+
+    tpr, thr_dep = sweep(model, seed)
+    fpr, thr_null = sweep(SimModel(kind="independent", sigma=model.sigma), seed + 1_000_003)
+    if threshold_source == "posterior_0.5":
+        return tpr, fpr, 0.5
+    return tpr, fpr, 0.5 * (thr_dep + thr_null)
 
 
 def normal_cdf_quadrature(z: float) -> float:

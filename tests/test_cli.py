@@ -358,7 +358,7 @@ def test_every_command_checks_the_grid_before_the_method(command, matrix_file, c
     path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
     assert run([arg.format(m=path) for arg in command] + ["--grid", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: grid must be >= 2 for the quantile grid\n"
+    assert captured.err == "error: grid must be >= 2, got 1\n"
 
 
 # One short run of each command that draws random numbers, the only ones to read a seed.

@@ -64,6 +64,19 @@ class TestClassifyEdge:
         assert classify_edge(0.2, 0.3) == "indeterminate"
 
 
+@pytest.mark.parametrize("call", [p_diff, classify_edge])
+@pytest.mark.parametrize("p_a, p_b, message", [
+    (True, 0.0, "p_a must be a number, got True"),
+    (0.5, "0.2", "p_b must be a number, got '0.2'"),
+    (7, -3, "p_a must lie in [0, 1], got 7"),
+    (0.5, np.nan, "p_b must lie in [0, 1], got nan"),
+])
+def test_a_probability_is_a_number_in_the_unit_interval(call, p_a, p_b, message):
+    with pytest.raises(ValueError) as err:
+        call(p_a, p_b)
+    assert str(err.value) == message
+
+
 class TestExpressionMatrix:
     def test_basic(self):
         m = ExpressionMatrix(values=[[1.0, 2.0], [3.0, 4.0]], var_names=("a", "b"))
@@ -178,6 +191,17 @@ class TestDiffScan:
         monkeypatch.setattr(diffscan, "pairwise_scan", no_scan)
         with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\]"):
             diff_scan(m_a, m_b, threshold=threshold)
+
+    def test_bool_threshold_rejected(self, monkeypatch):
+        m = _matrix(np.random.default_rng(8), 20, ["a", "b"])
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before checking the threshold")
+
+        monkeypatch.setattr(diffscan, "pairwise_scan", no_scan)
+        with pytest.raises(ValueError) as err:
+            diff_scan(m, m, threshold=True)
+        assert str(err.value) == "threshold must be a number, got True"
 
     def test_threshold_bounds_accepted(self):
         rng = np.random.default_rng(8)

@@ -13,7 +13,7 @@ from ptdep.errors import DegenerateSample
 from ptdep.simulate import SimModel, permutation_null, power_experiment, run_replicates
 from ptdep.transforms import PairedSample, wrap_at
 
-from oracles import abs_pearson, default_statistic, direct_test
+from oracles import default_statistic, direct_test, looped_null, looped_power
 
 
 class TestDeltaCandidates:
@@ -39,6 +39,8 @@ class TestDeltaCandidates:
         ("axis_policy", "y", "axis_policy must be 'x' or 'xy', got 'y'"),
         ("axis_policy", None, "axis_policy must be 'x' or 'xy', got None"),
         ("grid", "bogus", "grid must be an integer or 'midpoints', got 'bogus'"),
+        ("grid", 1, "grid must be >= 2, got 1"),
+        ("grid", -3, "grid must be >= 2, got -3"),
     ])
     def test_unknown_axis_policy_or_grid_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
@@ -403,24 +405,20 @@ class TestBatchedNull:
             y = (y > 0).astype(float)
         sample = PairedSample(x=x, y=y)
         cfg = engine.PartitionConfig(c=2.0, prior_odds=1.5)
-        stat = default_statistic(cfg, method, scfg)
         batched_rng, looped_rng = np.random.default_rng(7), np.random.default_rng(7)
         batched = simulate._default_null(sample, n_perm, cfg, method, scfg, batched_rng)
-        looped = np.array([stat(PairedSample(x=x, y=looped_rng.permutation(y)))
-                           for _ in range(n_perm)])
+        looped = looped_null(sample, n_perm, looped_rng, default_statistic(cfg, method, scfg))
         assert batched.tobytes() == looped.tobytes()
         assert batched_rng.random(3).tobytes() == looped_rng.random(3).tobytes()
 
     @pytest.mark.parametrize("scfg", _SEARCH_CONFIGS[:2])
-    def test_power_permutation_threshold_matches_statistic_route(self, scfg):
+    def test_power_permutation_threshold_matches_looped_route(self, scfg):
         cfg = engine.PartitionConfig()
-        kwargs = dict(n=40, reps=3, seed=5, threshold_source="permutation_quantile", n_perm=30)
-        batched = power_experiment(SimModel(kind="sinusoidal"), cfg=cfg, method="ebayes",
-                                   scfg=scfg, **kwargs)
-        looped = power_experiment(SimModel(kind="sinusoidal"),
-                                  statistic=default_statistic(cfg, "ebayes", scfg), **kwargs)
+        kwargs = dict(n=40, reps=3, seed=5, method="ebayes", scfg=scfg,
+                      threshold_source="permutation_quantile", n_perm=30)
+        batched = power_experiment(SimModel(kind="sinusoidal"), cfg=cfg, **kwargs)
         assert (batched.tpr, batched.fpr, batched.threshold) == \
-            (looped.tpr, looped.fpr, looped.threshold)
+            looped_power(SimModel(kind="sinusoidal"), cfg=cfg, **kwargs)
 
 
 class TestCallSizes:
@@ -469,9 +467,8 @@ class TestCallSizes:
             x, y = np.round(x), np.where(y < 0.0, 0.0, np.round(y, 1))
         sample = PairedSample(x=x, y=y)
         cfg = engine.PartitionConfig(c=2.0)
-        stat = default_statistic(cfg, method, scfg)
         looped_rng = np.random.default_rng(7)
-        want = [stat(PairedSample(x=x, y=looped_rng.permutation(y))) for _ in range(60)]
+        want = looped_null(sample, 60, looped_rng, default_statistic(cfg, method, scfg)).tolist()
         monkeypatch.setattr(kernels, "CHUNK_POINTS", rows * sample.n)
         batched_rng = np.random.default_rng(7)
         got = simulate._default_null(sample, 60, cfg, method, scfg, batched_rng)
@@ -526,10 +523,8 @@ _MODEL = SimModel(kind="linear")
     lambda: diff_scan(_MATRIX, _MATRIX, method="bogus"),
     lambda: run_replicates(_MODEL, 20, 2, method="bogus"),
     lambda: power_experiment(_MODEL, 20, 2, method="bogus"),
-    lambda: power_experiment(_MODEL, 20, 2, method="bogus", statistic=abs_pearson),
     lambda: run_test(PairedSample(x=[1.0, 2.0, 3.0], y=[3.0, 1.0, 2.0]), "bogus"),
-], ids=["pairwise_scan", "diff_scan", "run_replicates", "power_experiment",
-        "power_experiment_custom_statistic", "run_test"])
+], ids=["pairwise_scan", "diff_scan", "run_replicates", "power_experiment", "run_test"])
 def test_unknown_method_names_the_methods(call):
     with pytest.raises(ValueError, match=re.escape(str(METHODS))):
         call()
@@ -658,10 +653,9 @@ class TestHugeRangeMargin:
         sample = PairedSample(x=_HUGE_X * 3, y=_HUGE_Y * 3)
         cfg = engine.PartitionConfig()
         batched = simulate._default_null(sample, 40, cfg, "ebayes", scfg, np.random.default_rng(8))
-        rng = np.random.default_rng(8)
-        stat = default_statistic(cfg, "ebayes", scfg)
-        looped = [stat(PairedSample(x=sample.x, y=rng.permutation(sample.y))) for _ in range(40)]
-        assert batched.tolist() == looped
+        looped = looped_null(sample, 40, np.random.default_rng(8),
+                             default_statistic(cfg, "ebayes", scfg))
+        assert batched.tobytes() == looped.tobytes()
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -18,9 +19,9 @@ from ptdep.simulate import (
     replicate_experiment,
     run_replicates,
 )
-from ptdep.transforms import PairedSample
+from ptdep.transforms import PairedSample, to_unit_interval
 
-from oracles import abs_pearson, default_statistic, direct_test, quantile_type1
+from oracles import default_statistic, direct_test, looped_null, looped_power, quantile_type1
 
 _LINEAR = SimModel(kind="linear")
 # Each call that draws random numbers, with settings it accepts.
@@ -124,8 +125,16 @@ class TestGenerate:
 
     @pytest.mark.parametrize("field", ["x_range", "theta_range"])
     def test_nan_range_end_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} must satisfy lo < hi"):
+        with pytest.raises(ValueError) as err:
             SimModel(kind="linear", **{field: (np.nan, 1.0)})
+        assert str(err.value) == f"{field} must satisfy lo < hi, got (nan, 1.0)"
+
+    @pytest.mark.parametrize("field", ["x_range", "theta_range"])
+    @pytest.mark.parametrize("bounds", [(2.0, 1.0), (1.0, 1.0)])
+    def test_unordered_range_rejected_with_its_value(self, field, bounds):
+        with pytest.raises(ValueError) as err:
+            SimModel(kind="linear", **{field: bounds})
+        assert str(err.value) == f"{field} must satisfy lo < hi, got ({bounds[0]}, {bounds[1]})"
 
 
     @pytest.mark.parametrize("kind", ["circular", "checkerboard", "independent"])
@@ -259,29 +268,33 @@ class TestEmpiricalQuantile:
 
 
 class TestPermutationNull:
-    def test_marginals_preserved(self):
+    def test_marginals_preserved(self, monkeypatch):
         rng = np.random.default_rng(2)
         sample = PairedSample(x=rng.normal(size=30), y=rng.normal(size=30))
-        seen = {}
+        rows, batch = [], kernels.logbf_batch
 
-        def spy(s):
-            seen["x"] = s.x
-            seen["y"] = s.y
-            return 0.0
+        def spy(u, v, *args):
+            rows.extend(zip(*np.broadcast_arrays(np.atleast_2d(u), np.atleast_2d(v))))
+            return batch(u, v, *args)
 
-        permutation_null(sample, n_perm=1, seed=0, statistic=spy)
-        assert np.array_equal(np.sort(seen["x"]), np.sort(sample.x))
-        assert np.array_equal(np.sort(seen["y"]), np.sort(sample.y))
+        monkeypatch.setattr(kernels, "logbf_batch", spy)
+        permutation_null(sample, n_perm=7, seed=0)
+        u, v = to_unit_interval(sample.x), to_unit_interval(sample.y)
+        assert len(rows) == 7
+        for x_row, y_row in rows:
+            assert x_row.tobytes() == u.tobytes()
+            assert np.sort(y_row).tobytes() == np.sort(v).tobytes()
+        assert any(y_row.tobytes() != v.tobytes() for _, y_row in rows)
 
     def test_threshold_is_type1_quantile(self):
         rng = np.random.default_rng(3)
         sample = PairedSample(x=rng.normal(size=50), y=rng.normal(size=50))
-        null = permutation_null(sample, n_perm=100, seed=1, statistic=abs_pearson, level=0.05)
+        null = permutation_null(sample, n_perm=100, seed=1, level=0.05)
         assert null.threshold == quantile_type1(null.null_stats, 0.95)
 
     def test_coverage_on_independent_data(self):
-        # derived self-consistency check: the original statistic should fall
-        # below the 0.95 null quantile about 95% of the time
+        # derived self-consistency check: the observed p_dependent should fall
+        # at or below the 0.95 null quantile about 95% of the time
         rng = np.random.default_rng(4)
         below = 0
         trials = 200
@@ -289,22 +302,47 @@ class TestPermutationNull:
             x = rng.normal(size=40)
             y = rng.normal(size=40)
             sample = PairedSample(x=x, y=y)
-            null = permutation_null(sample, n_perm=199, seed=1000 + t, statistic=abs_pearson)
-            if abs_pearson(sample) <= null.threshold:
+            null = permutation_null(sample, n_perm=199, seed=1000 + t)
+            if direct_test(sample).p_dependent <= null.threshold:
                 below += 1
         assert 0.90 <= below / trials <= 0.99
+
+    @pytest.mark.parametrize("level", [1.5, 0.0, 1.0, np.nan])
+    def test_level_outside_unit_interval_rejected_with_its_value(self, level):
+        with pytest.raises(ValueError) as err:
+            permutation_null(PairedSample(x=[1.0, 2.0], y=[2.0, 1.0]), level=level)
+        assert str(err.value) == f"level must lie in (0, 1), got {level}"
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         sample = PairedSample(x=rng.normal(size=30), y=rng.normal(size=30))
-        a = permutation_null(sample, n_perm=50, seed=9, statistic=abs_pearson)
-        b = permutation_null(sample, n_perm=50, seed=9, statistic=abs_pearson)
+        a = permutation_null(sample, n_perm=50, seed=9)
+        b = permutation_null(sample, n_perm=50, seed=9)
         assert np.array_equal(a.null_stats, b.null_stats)
 
-    def test_constant_margin_scores_zero_without_warning(self):
-        # the suite turns warnings into errors, so np.corrcoef's divide warning would fail here
-        null = permutation_null(PairedSample([1, 1, 1, 2], [1, 1, 1, 1]), 5, statistic=abs_pearson)
-        assert null.null_stats.tolist() == [0.0] * 5
+    # (model kind, seed, SHA-256 of null_stats, threshold) of the benchmark's
+    # calib inputs: generate(SimModel(kind), 150, seed) re-paired 200 times
+    _CALIB = [
+        ("linear", 13000, "0502b08af445610f5987e49c63a8ffd558a0996b342130bb65d3b618d34001ea",
+         "0x1.45f1ba1df7068p-1"),
+        ("parabolic", 13001, "6c038baef7c55b017ba4caed5d23658d46c97ab577c7063c60bc370d115ab32e",
+         "0x1.682acf58177a6p-1"),
+        ("sinusoidal", 13002, "7b78a4853b5b706bc6e4c2ddcc23559dde68eb29c881548f587bc0f0cac2be98",
+         "0x1.4d9683005d67dp-1"),
+        ("circular", 13003, "e30447dd6cf90ed29c315d04ba5fc32fca4b1e831bd3b2138278c4a9689c3765",
+         "0x1.34f12a1dd1bbdp-1"),
+        ("checkerboard", 13004, "3a2582ed8dab0c6e7890b84759276afdb8275ad143133208e29127c5c74f22e9",
+         "0x1.7a8647de64638p-1"),
+        ("independent", 13005, "274369a427a9c2552abf2c5bd1431b1217314009a594984d813e511cd6d1abcb",
+         "0x1.7c110eebcf035p-1"),
+    ]
+
+    @pytest.mark.parametrize("kind, seed, digest, threshold", _CALIB, ids=[c[0] for c in _CALIB])
+    def test_benchmark_calib_null_is_pinned(self, kind, seed, digest, threshold):
+        # pinned across commits; captured with numpy 2.4.6, as the goldens are
+        null = permutation_null(generate(SimModel(kind=kind), 150, seed), n_perm=200)
+        assert hashlib.sha256(null.null_stats.tobytes()).hexdigest() == digest
+        assert null.threshold.hex() == threshold
 
 
 class TestPowerExperiment:
@@ -323,17 +361,10 @@ class TestPowerExperiment:
         # the basic test's false positive rate at the 0.5 cut sits around 0.13
         assert 0.05 <= report.fpr <= 0.25
 
-    def test_pearson_plugin_with_permutation_threshold(self):
-        report = power_experiment(
-            SimModel(kind="linear", sigma=1.0),
-            n=60,
-            reps=30,
-            seed=2,
-            statistic=abs_pearson,
-            threshold_source="permutation_quantile",
-            n_perm=99,
-        )
-        assert report.method == "custom"
+    def test_permutation_threshold_holds_the_false_positive_rate(self):
+        report = power_experiment(SimModel(kind="linear", sigma=1.0), n=60, reps=30, seed=2,
+                                  threshold_source="permutation_quantile", n_perm=99)
+        assert report.method == "basic"
         assert report.tpr >= 0.9
         assert report.fpr <= 0.2
 
@@ -377,9 +408,9 @@ class TestBatchedNull:
         sample = PairedSample(x=x, y=x + rng.normal(size=n))
         cfg = PartitionConfig(c=2.0, prior_odds=1.5)
         batched = permutation_null(sample, n_perm=120, cfg=cfg, seed=3)
-        looped = permutation_null(sample, n_perm=120, seed=3, statistic=default_statistic(cfg))
-        assert batched.null_stats.tobytes() == looped.null_stats.tobytes()
-        assert batched.threshold == looped.threshold
+        looped = looped_null(sample, 120, np.random.default_rng(3), default_statistic(cfg))
+        assert batched.null_stats.tobytes() == looped.tobytes()
+        assert batched.threshold == quantile_type1(looped, 0.95)
 
     def test_single_point_is_prior(self):
         null = permutation_null(PairedSample(x=[1.0], y=[2.0]), n_perm=5)
@@ -408,20 +439,18 @@ class TestBatchedNull:
         small, large = peak(full), peak(full + 1800)
         assert large <= small + 32 * 1024
 
-    def test_power_permutation_threshold_matches_statistic_route(self):
+    def test_power_permutation_threshold_matches_looped_route(self):
         m = SimModel(kind="linear", sigma=2.0)
         cfg = PartitionConfig()
         kwargs = dict(n=40, reps=4, seed=5, threshold_source="permutation_quantile", n_perm=30)
         batched = power_experiment(m, cfg=cfg, **kwargs)
-        looped = power_experiment(m, statistic=default_statistic(cfg), **kwargs)
-        assert (batched.tpr, batched.fpr, batched.threshold) == \
-            (looped.tpr, looped.fpr, looped.threshold)
+        assert (batched.tpr, batched.fpr, batched.threshold) == looped_power(m, cfg=cfg, **kwargs)
 
 
 class TestBatchedReplicates:
     @pytest.mark.parametrize("source", ["posterior_0.5", "permutation_quantile"])
     @pytest.mark.parametrize("method", ["basic", "ebayes"])
-    def test_power_default_statistic_equals_statistic_route(self, method, source):
+    def test_power_equals_looped_route(self, method, source):
         cfg = PartitionConfig(c=2.0)
         scfg = ShiftSearchConfig(axis_policy="xy") if method == "ebayes" else None
         null = {"n_perm": 25} if source == "permutation_quantile" else {}
@@ -429,10 +458,8 @@ class TestBatchedReplicates:
         for kind in ("circular", "independent"):
             batched = power_experiment(SimModel(kind=kind), cfg=cfg, method=method, scfg=scfg,
                                        **kwargs)
-            looped = power_experiment(SimModel(kind=kind),
-                                      statistic=default_statistic(cfg, method, scfg), **kwargs)
             assert (batched.tpr, batched.fpr, batched.threshold) == \
-                (looped.tpr, looped.fpr, looped.threshold)
+                looped_power(SimModel(kind=kind), cfg=cfg, method=method, scfg=scfg, **kwargs)
 
     def test_working_set_does_not_grow_with_reps(self):
         m = SimModel(kind="circular")
