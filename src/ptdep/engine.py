@@ -125,21 +125,21 @@ def log_cell_evidence(counts, a: float) -> float:
     ``counts`` are the four quadrant occupancies and ``a`` the per-quadrant
     concentration. Cells with at most one point are short-circuited to an
     exact 0.0 (their term cancels analytically); others are scored by
-    :func:`ptdep.kernels.cell_log_evidence`.
+    :func:`ptdep.kernels.cell_log_evidence`. A bool or a non-number is
+    refused as a count, and ``a`` is refused as :class:`PartitionConfig`
+    refuses ``c``'s type and sign.
     """
     counts = tuple(counts)
-    if not all(float(k).is_integer() for k in counts):
+    if not all(isinstance(k, numbers.Real) and not isinstance(k, bool) and float(k).is_integer()
+               for k in counts):
         raise ValueError(f"counts must be whole numbers, got {counts}")
     n0, n1, n2, n3 = (int(k) for k in counts)
     if min(n0, n1, n2, n3) < 0:
         raise ValueError("counts must be nonnegative")
-    if not math.isfinite(a):
-        raise ValueError(f"a must be finite, got {a}")
-    if not (a > 0.0):
-        raise ValueError("a must be positive")
+    _check_positive("a", a)
     if n0 + n1 + n2 + n3 <= 1:
         return 0.0
-    return float(kernels.cell_log_evidence(n0, n1, n2, n3, a))
+    return float(kernels.cell_log_evidence(n0, n1, n2, n3, float(a)))
 
 
 def posterior_dependence(log_bf: float, prior_odds: float = 1.0) -> float:

@@ -16,6 +16,16 @@ a cell again and is dropped. A row's depth, its largest s capped at D, and
 whether it is truncated, whether some s is D + 1, are written once per
 block, before any level is scored.
 
+Counting and scoring are each written once. :func:`_count` is the one
+counting step: it turns the points of one level, or of several laid out
+level-major, into each parent cell's four quadrant counts. :func:`_add_sums`
+is the one scorer: it scores those counts through :func:`cell_log_evidence`
+and sums the terms of each row's parents at one level into that row's level
+sum. Its callers differ only in how they key the sums: a level scored on
+its own keys them by parent row into that level's column, so the cell term
+reads its tables without offsets, and the pass over several levels keys
+them by ``row * D + level - 1`` into the flat level table.
+
 Each level's cell terms need log-gamma at nine counts per parent cell. At
 the top levels a few cells hold many points, so those counts are evaluated
 directly; lower down many cells hold few points, so three small tables
@@ -35,17 +45,17 @@ test, the single-sample basic test included, reaches the kernel through
 Scoring one level costs some tens of microseconds of numpy calls whatever
 its size, besides the work per point. That fixed cost is small beside the
 top levels, where many points survive, and dominates the deep ones, where
-few do. So once at most ``TAIL_POINTS`` points of a block survive,
-:func:`_score_tail` scores all its remaining levels in one pass: each
-point's s and ``last`` say at which levels it is scored and where it
-opens a cell or a parent, and the (level, point) pairs are laid out
-level-major so that every level sum is bit for bit the per-level loop's.
-A test of up to ``TAIL_POINTS`` points is scored in the pass alone. On a
-2-core x86 host (Python 3.11, numpy 2.4), timed on a 200-permutation null
-at n = 150 with its test, the switch at 2**12 points was fastest and about
-9% faster than the per-level loop alone; 2**11 and 2**13 were each about
-4% slower than 2**12, and 2**14 about 30% slower, since the pass holds one
-entry per (level, point) pair.
+few do. So the top levels are counted and scored one at a time
+(:func:`_score_level`), and once at most ``TAIL_POINTS`` points of a block
+survive, :func:`_score_tail` counts and scores all its remaining levels in
+one pass: each point's s and ``last`` say at which levels it is scored,
+and the (level, point) pairs are laid out level-major, so that every level
+sum is bit for bit the per-level loop's. A test of up to ``TAIL_POINTS``
+points is scored in the pass alone. On a 2-core x86 host (Python 3.11,
+numpy 2.4), timed on a 200-permutation null at n = 150 with its test, the
+switch at 2**12 points was fastest and about 9% faster than the per-level
+loop alone; 2**11 and 2**13 were each about 4% slower than 2**12, and 2**14
+about 30% slower, since the pass holds one entry per (level, point) pair.
 
 ``CHUNK_POINTS`` = 2**15 is the smallest power of two that scores the
 many-small-tests batches in one call: the default ebayes table at n = 4000
@@ -71,7 +81,8 @@ MAX_DEPTH_CAP = 30
 CHUNK_POINTS = 2**15
 
 # Surviving points of a block at or below which its remaining levels are
-# scored in one pass by :func:`_score_tail`.
+# counted in one call of the counting step and scored in one call of the
+# scorer, by :func:`_score_tail`; above it each level takes one call of each.
 TAIL_POINTS = 2**12
 
 
@@ -190,29 +201,55 @@ def _separation(a: np.ndarray, n: int, depth_cap: int):
     return s, last
 
 
-def _add_level(k: int, depth_cap: int, c: float, a, s, parent_row, level):
-    """Add the level-k cell terms of every parent to ``level``; return the next parents.
+def _count(a, s, k, depth_cap: int):
+    """Quadrant counts of the level-k parent cells of points laid out level-major.
 
-    A point opens a level-k cell when ``s <= k`` and a parent cell when
-    ``s < k``. Returns the row of each level-k cell holding two or more
-    points, and whether every level-k cell does.
+    ``a`` and ``s`` hold the addresses and separation levels of the points
+    of one or more levels, each level's points in order, and ``k`` is one
+    level for all points or one level per point. A point opens a level-k
+    cell when ``s <= k`` and a parent cell when ``s < k``, so cells are runs
+    and each run's length is one quadrant count of its parent. Returns the
+    counts, row q holding quadrant q of every parent, and the first point,
+    length and parent of each run.
     """
     runs = np.flatnonzero(s <= k)
     size = np.empty_like(runs)
     np.subtract(runs[1:], runs[:-1], out=size[:-1])
     size[-1] = a.size - runs[-1]
+    if isinstance(k, np.ndarray):
+        k = k[runs]
     run_parent = np.cumsum(s[runs] < k) - 1
-    # Row q of counts holds quadrant q of every parent.
-    counts = np.zeros((4, parent_row.size), dtype=np.int64)
-    counts.ravel()[((a[runs] >> 2 * (depth_cap - k)) & 3) * parent_row.size + run_parent] = size
-    terms = cell_log_evidence(*counts, c * k * k)
-    # Every parent holds two or more points (lone points were dropped),
-    # so each is a retained cell; a row's level sum runs over a segment.
-    new_row = np.empty(parent_row.size, dtype=bool)
-    new_row[0] = True
-    np.not_equal(parent_row[1:], parent_row[:-1], out=new_row[1:])
-    first = np.flatnonzero(new_row)
-    level[parent_row[first]] = np.add.reduceat(terms, first)
+    parents = int(run_parent[-1]) + 1
+    counts = np.zeros((4, parents), dtype=np.int64)
+    counts.ravel()[((a[runs] >> 2 * (depth_cap - k)) & 3) * parents + run_parent] = size
+    return counts, runs, size, run_parent
+
+
+def _add_sums(out, key, counts, a, level=None) -> None:
+    """Set ``out[key]`` to the sum of the cell terms over each run of equal ``key``.
+
+    ``counts`` holds the quadrant counts of one parent cell per column, and
+    ``a`` and ``level`` are passed on to :func:`cell_log_evidence`. Every
+    parent holds two or more points (lone points were dropped), so each is a
+    retained cell, and the parents of one level of one row are consecutive.
+    """
+    terms = cell_log_evidence(*counts, a, level)
+    new = np.empty(key.size, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    out[key[first]] = np.add.reduceat(terms, first)
+
+
+def _score_level(k: int, depth_cap: int, c: float, a, s, parent_row, levels):
+    """Score level k of a block's surviving points; return the next parents.
+
+    The sums are keyed by parent row into level k's column, so the cell term
+    reads its tables without offsets. Returns the row of each level-k cell
+    holding two or more points, and whether every level-k cell does.
+    """
+    counts, runs, size, run_parent = _count(a, s, k, depth_cap)
+    _add_sums(levels[:, k - 1], parent_row, counts, c * k * k)
     shared = np.flatnonzero(size >= 2)
     return parent_row[run_parent[shared]], shared.size == runs.size
 
@@ -220,13 +257,13 @@ def _add_level(k: int, depth_cap: int, c: float, a, s, parent_row, level):
 def _score_tail(k0: int, depth_cap: int, c: float, a, s, last, parent_row, levels) -> None:
     """Score levels ``k0``..D of a block's surviving points in one pass.
 
-    A point is scored at every level k from ``k0`` while ``last >= k``: it
-    opens a level-k cell when ``s <= k``, a parent when ``s < k``. Dropping
-    lone points never changes whether a point's successor opens a cell, so
-    ``last`` holds for the surviving points as it did for the whole block.
-    The (level, point) pairs are laid out level-major, so each level's
-    runs, parents and row segments follow one another exactly as
-    :func:`_add_level` forms them, and the same sums result.
+    A point is scored at every level k from ``k0`` while ``last >= k``.
+    Dropping lone points never changes whether a point's successor opens a
+    cell, so ``last`` holds for the surviving points as it did for the whole
+    block. The (level, point) pairs are laid out level-major, so each
+    level's runs, parents and row segments follow one another exactly as
+    :func:`_score_level` forms them, and the same sums result. The sums are
+    keyed by ``row * D + level - 1`` into the flat level table.
     """
     # Each point's row, through the level-k0 parent it falls in.
     row = parent_row[np.cumsum(s < k0) - 1]
@@ -236,24 +273,11 @@ def _score_tail(k0: int, depth_cap: int, c: float, a, s, last, parent_row, level
     k = pair // a.size
     pt = pair - k * a.size
     k += k0
-    runs = np.flatnonzero(s[pt] <= k)
-    size = np.diff(runs, append=pt.size)
-    k, pt = k[runs], pt[runs]
-    opens_parent = s[pt] < k
-    run_parent = np.cumsum(opens_parent) - 1
-    parents = run_parent[-1] + 1
-    counts = np.zeros((4, parents), dtype=np.int64)
-    counts.ravel()[((a[pt] >> 2 * (depth_cap - k)) & 3) * parents + run_parent] = size
-    first_run = np.flatnonzero(opens_parent)
-    parent_k, parent_row = k[first_run], row[pt[first_run]]
-    terms = cell_log_evidence(*counts, c * ks * ks, parent_k - k0)
-    # A row's level sum runs over a segment of parents of one level and row.
-    new_seg = np.empty(parents, dtype=bool)
-    new_seg[0] = True
-    np.logical_or(parent_k[1:] != parent_k[:-1], parent_row[1:] != parent_row[:-1],
-                  out=new_seg[1:])
-    first = np.flatnonzero(new_seg)
-    levels[parent_row[first], parent_k[first] - 1] = np.add.reduceat(terms, first)
+    counts, runs, _, run_parent = _count(a[pt], s[pt], k, depth_cap)
+    # Every run of a parent has its row and level, so any one may write its key.
+    key = np.empty(counts.shape[1], dtype=np.int64)
+    key[run_parent] = row[pt[runs]] * depth_cap + k[runs] - 1
+    _add_sums(levels.ravel(), key, counts, c * ks * ks, key % depth_cap + 1 - k0)
 
 
 def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, truncated) -> None:
@@ -261,9 +285,9 @@ def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, trun
 
     A row's depth is its largest separation level, capped at D, and it is
     truncated when two of its addresses coincide (separation level D + 1);
-    both are written here, once. Each level's bookkeeping lives in
-    :func:`_add_level`, so it is freed before the points that are alone in
-    their level-k cell (``last <= k``) are dropped. Once at most
+    both are written here, once. Each level is scored by
+    :func:`_score_level`, whose arrays are freed before the points that are
+    alone in their level-k cell (``last <= k``) are dropped. Once at most
     ``TAIL_POINTS`` points survive, :func:`_score_tail` scores the
     remaining levels.
     """
@@ -279,7 +303,7 @@ def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, trun
         if a.size <= TAIL_POINTS:
             _score_tail(k, depth_cap, c, a, s, last, parent_row, levels)
             return
-        parent_row, every = _add_level(k, depth_cap, c, a, s, parent_row, levels[:, k - 1])
+        parent_row, every = _score_level(k, depth_cap, c, a, s, parent_row, levels)
         if every:
             # No lone point: the next level keeps every point, so skip the copies.
             continue

@@ -126,15 +126,25 @@ class TestLogCellEvidence:
                     + lg(0, 4) + 4 * lg(0, 1) - 4 * lg(0, 2))
         assert log_cell_evidence(counts, a) == pytest.approx(float(want), rel=1e-9)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            log_cell_evidence((-1, 0, 0, 0), 5.0)
-        with pytest.raises(ValueError):
-            log_cell_evidence((1, 1, 1, 1), 0.0)
-        with pytest.raises(ValueError, match="a must be finite, got inf"):
-            log_cell_evidence((2, 1, 0, 3), float("inf"))
-        with pytest.raises(ValueError, match="counts must be whole numbers"):
-            log_cell_evidence((2.7, 0, 0, 1.2), 5.0)
+    @pytest.mark.parametrize("counts, a, message", [
+        ((-1, 0, 0, 0), 5.0, "counts must be nonnegative"),
+        ((1, 1, 1, 1), 0.0, "a must be positive"),
+        ((2, 1, 0, 3), float("inf"), "a must be finite, got inf"),
+        ((2.7, 0, 0, 1.2), 5.0, "counts must be whole numbers, got (2.7, 0, 0, 1.2)"),
+        # a bool or a non-number, refused as PartitionConfig refuses it for c
+        ((2, 0, 0, 2), True, "a must be a number, got True"),
+        ((2, 0, 0, 2), "5", "a must be a number, got '5'"),
+        ((True, 0, 0, True), 5.0, "counts must be whole numbers, got (True, 0, 0, True)"),
+        (("2", 0, 0, 2), 5.0, "counts must be whole numbers, got ('2', 0, 0, 2)"),
+    ])
+    def test_validation(self, counts, a, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            log_cell_evidence(counts, a)
+
+    def test_a_of_any_real_type_is_scored_in_double_precision(self):
+        want = log_cell_evidence((2, 0, 0, 2), 5.0)
+        for a in (5, np.float32(5.0), np.int64(5)):
+            assert log_cell_evidence((2, 0, 0, 2), a) == want
 
 
 class TestOneDimensionalHelper:

@@ -1,5 +1,6 @@
 """The sort-once kernel: against the explicit tree, and batch against single."""
 
+import hashlib
 import sys
 
 import numpy as np
@@ -200,6 +201,43 @@ def _with_tail_points(points, u, v, depth_cap, c):
         return logbf_batch(u, v, depth_cap, c)
 
 
+def _pinned_batches(count=320, seed=20150):
+    """A fixed set of batches, each of every kind and at both ends of ``C_RANGE`` in turn.
+
+    Rows 1-8, n 2-3000 (mostly small, so the set stays quick), depth cap 1-30. Every
+    draw is an integer or a uniform, so the set is the same on every platform.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        rows = int(rng.integers(1, 9))
+        n = int(rng.integers(2, int(rng.choice([16, 128, 1024, 3001]))))
+        depth_cap = int(rng.integers(1, MAX_DEPTH_CAP + 1))
+        kind = ("uniform", "ties", "coincident", "edge")[i // 2 % 4]
+        u, v = _tail_rows(rng, kind, rows, n)
+        yield (u[0] if rng.integers(2) else u), v, depth_cap, C_RANGE[i % 2]
+
+
+def _pinned_digest(points):
+    """SHA-256 of the dtype and bytes of every output over :func:`_pinned_batches`."""
+    digest = hashlib.sha256()
+    for case in _pinned_batches():
+        for out in _with_tail_points(points, *case):
+            digest.update(out.dtype.str.encode())
+            digest.update(out.tobytes())
+    return digest.hexdigest()
+
+
+# The kernel's outputs over the pinned batches, with numpy 2.4.6 and scipy 1.17.1 (the
+# versions the goldens were captured with); a change of kernel must keep every bit.
+PINNED_DIGEST = "df22230bee0afe6d5bb7c75722815cdf79a96065230a06b00a4fdf1e519773d9"
+
+
+@pytest.mark.parametrize("points", [sys.maxsize, -1, kernels.TAIL_POINTS],
+                         ids=["tail-from-level-1", "no-tail", "shipped"])
+def test_outputs_are_pinned_bit_for_bit(points):
+    assert _pinned_digest(points) == PINNED_DIGEST
+
+
 # 9000 points: the per-level loop hands over to the pass within the block.
 _MID_BLOCK = (np.random.default_rng(21).uniform(0, 1, 150),
               np.random.default_rng(22).uniform(0, 1, (60, 150)), 20, 5.0)
@@ -242,6 +280,45 @@ class TestTailPass:
             assert truncated[b] == tree.truncated
             np.testing.assert_allclose(levels[b, :depth[b]], tree_levels, rtol=1e-12, atol=2e-9)
             assert not levels[b, depth[b]:].any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tail_cases(max_n=60))
+    def test_each_scored_cell_has_the_trees_counts(self, case):
+        u, v, depth_cap, _ = case
+        want = {}
+        for b, row in enumerate(v):
+            tree = build_count_tree(u if u.ndim == 1 else u[b], row, depth_cap)
+            for cell in sorted(tree.cells, key=lambda cell: cell.address):
+                want.setdefault((b, cell.level), []).append(cell.counts)
+        for points in (sys.maxsize, -1, kernels.TAIL_POINTS):
+            assert _scored_cells(points, u, v, depth_cap) == want
+
+
+def _scored_cells(points, u, v, depth_cap):
+    """Each retained cell's counts as the scorer receives them, by (row, level), in order.
+
+    Scored at c = 1, so a cell's concentration k**2 names its level k.
+    """
+    cells = {}
+    add_sums = kernels._add_sums
+
+    def record(out, key, counts, a, level=None):
+        k = np.rint(np.sqrt(a if level is None else a[level])).astype(np.int64)
+        if level is None:
+            rows = key
+        else:  # flat keys, row * D + level - 1
+            rows = key // depth_cap
+            assert (key % depth_cap + 1 == k).all()
+        for b, lv, col in zip(rows.tolist(), np.broadcast_to(k, key.shape).tolist(),
+                              counts.T.tolist()):
+            cells.setdefault((b, lv), []).append(tuple(col))
+        add_sums(out, key, counts, a, level)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "TAIL_POINTS", points)
+        mp.setattr(kernels, "_add_sums", record)
+        logbf_batch(u, v, depth_cap, 1.0)
+    return cells
 
 
 def _xors_near_powers(depth_cap):

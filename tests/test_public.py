@@ -1,10 +1,13 @@
 """The package's public names: each one exported resolves, removed ones are gone, and
 each setting a public callable takes changes its result or is refused."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,41 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(mod, name), f"{module}.{name}"
             assert name not in getattr(mod, "__all__", ())
+
+
+def _private_definitions(module: ast.Module):
+    """(name, node) of each private top-level function and constant of a module."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(node: ast.AST):
+    """Each name that ``node`` reads: a bare name, an attribute or an imported name."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_private_helper_is_used():
+    # a helper that a refactor leaves behind is referred to only by its own definition
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(Path(ptdep.__file__).parent.glob("*.py"))]
+    used = Counter(name for module in modules for name in _references(module))
+    unused = [name for module in modules for name, node in _private_definitions(module)
+              if used[name] == Counter(_references(node))[name]]
+    assert not unused
 
 
 def test_the_permutation_route_takes_no_statistic():
