@@ -15,10 +15,11 @@ with all numbers serialised to 17 significant digits, so identical
 configurations produce byte-identical files and values round-trip exactly.
 
 Each command's handler computes a payload (a dict or a list of row dicts)
-and the CSV columns it fixes, if any. :func:`run` alone validates the
-settings, writes the payload and maps errors to exit codes: 0 success, 2
-input or validation error or an output path that cannot be written, 3
-degenerate data in single-test mode.
+and the CSV columns it fixes, if any. Settings are passed to the library as
+given, and the library refuses a bad value. :func:`run` alone writes the
+payload, names the flag of a refused setting and maps errors to exit codes:
+0 success, 2 input or validation error or an output path that cannot be
+written, 3 degenerate data in single-test mode.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ SCAN_CSV_COLUMNS = (
     "delta_star", "truncated", "error",
 )
 DIFF_CSV_COLUMNS = ("var_a", "var_b", "p_dep_A", "p_dep_B", "p_diff", "class")
+
+# Library names that a flag of another name sets; any other setting's flag is its
+# name with dashes. A library refusal opens with the name of the setting it
+# refuses, which run replaces by its flag, and the permutation threshold source
+# is replaced wherever a refusal names it.
+_FLAGS = {"n_perm": "--perms", "x_range": "--x-min/--x-max", "threshold": "--edge-threshold",
+          "axis_policy": "--wrap-axis", "theta_range": "--theta-variant",
+          "threshold_source 'permutation_quantile'": "--threshold permutation"}
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +128,7 @@ def _check_level_sum(res: TestResult) -> None:
     total = math.fsum(res.level_contributions)
     tol = 1e-10 * max(1, len(res.level_contributions))
     if abs(total - res.log_bf) > tol:
-        raise ValueError("level contributions do not sum to log_bf; refusing to write")
+        raise ValueError("the level contributions do not sum to log_bf; refusing to write")
 
 
 def pair_to_row(pr: PairResult) -> dict:
@@ -310,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model(p_pow)
     p_pow.add_argument("--threshold", choices=("posterior", "permutation"),
                        default="posterior")
-    # None marks --level and --perms unset, so they are refused under the posterior threshold
+    # None marks --level and --perms unset: the library refuses them under --threshold posterior
     p_pow.add_argument("--level", type=float,
                        help="significance level of the permutation threshold (default 0.05)")
     p_pow.add_argument("--perms", type=int,
@@ -342,9 +351,14 @@ def _refuse(args, flags, message: str) -> None:
 
 
 def _run_config(args) -> None:
-    """Validate the settings, and store their configs on ``args``."""
+    """Store the settings' configs on ``args``; their configs refuse a bad value.
+
+    The CLI refuses only --workers, which sets nothing, and --grid or
+    --wrap-axis without ``--method ebayes``: both set one library setting,
+    ``scfg``, so the library's refusal could name neither flag.
+    """
     if args.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {args.workers}")
+        raise ParseError(f"--workers must be >= 1, got {args.workers}")
     grid = 4 if args.grid is None else args.grid
     try:
         grid = int(grid)
@@ -362,13 +376,8 @@ def _sim_model(args) -> tuple[SimModel, int]:
     """The model the flags describe and the seed of its draws; a flag not given
     keeps the SimModel default."""
     seed = 0 if args.seed is None else args.seed
-    if seed < 0:
-        raise ParseError(f"--seed must be >= 0, got {seed}")
     if (args.x_min is None) != (args.x_max is None):
         raise ParseError("--x-min and --x-max must be given together")
-    if args.x_min is not None and not args.x_min < args.x_max:
-        raise ParseError(f"--x-min must be less than --x-max, "
-                         f"got {args.x_min!r} and {args.x_max!r}")
     given = {"sigma": args.sigma,
              "x_range": None if args.x_min is None else (args.x_min, args.x_max),
              "theta_range": {"full": THETA_FULL, "unit": THETA_UNIT}.get(args.theta_variant),
@@ -431,12 +440,6 @@ def _cmd_simulate(args):
 
 
 def _cmd_power(args):
-    if args.threshold == "posterior":
-        _refuse(args, ("--perms", "--level"), "{} applies only with --threshold permutation")
-    elif args.perms is not None and args.perms < 1:
-        raise ParseError(f"--perms must be >= 1, got {args.perms}")
-    elif args.level is not None and not 0.0 < args.level < 1.0:
-        raise ParseError(f"--level must lie in (0, 1), got {args.level}")
     source = "posterior_0.5" if args.threshold == "posterior" else "permutation_quantile"
     model, seed = _sim_model(args)
     report = power_experiment(model, args.n, args.reps, args.partition, seed, method=args.method,
@@ -492,6 +495,21 @@ _HANDLERS = {
 }
 
 
+def _name_flags(message: str, args) -> str:
+    """``message`` with the setting it opens with, and the permutation threshold source,
+    named by the flags that set them.
+
+    ``c`` is named ``--c-values`` under sweep-c; another setting by
+    :data:`_FLAGS`, or, if the command has a flag of its name, by that flag.
+    A message that opens with no setting keeps its first word.
+    """
+    name, space, rest = message.partition(" ")
+    flags = {**_FLAGS, "c": "--c-values"} if args.command == "sweep-c" else _FLAGS
+    name = flags.get(name, "--" + name.replace("_", "-") if name in vars(args) else name)
+    source = "threshold_source 'permutation_quantile'"
+    return name + space + rest.replace(source, _FLAGS[source])
+
+
 def run(argv=None) -> int:
     """Parse arguments and execute one command; returns the exit code."""
     args = build_parser().parse_args(argv)
@@ -503,7 +521,7 @@ def run(argv=None) -> int:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return 3
     except (PtdepError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_name_flags(str(exc), args)}", file=sys.stderr)
         return 2
     return 0
 

@@ -12,7 +12,6 @@ not. Output order is fixed: lexicographic by column indices.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_rows, shift_search,
                      winner_result)
-from .engine import PartitionConfig, TestResult
+from .engine import PartitionConfig, TestResult, _check_real
 from .errors import DegenerateSample, VarMismatch
 from .transforms import to_unit_interval
 
@@ -84,18 +83,10 @@ class DiffEdge:
     edge_class: str  # lost_in_B | gained_in_B | indeterminate
 
 
-def _check_probability(**given: float) -> None:
-    """Refuse a bool, a non-number, or a value outside [0, 1]."""
-    for name, p in given.items():
-        if isinstance(p, bool) or not isinstance(p, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {p!r}")
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"{name} must lie in [0, 1], got {p}")
-
-
 def p_diff(p_a: float, p_b: float) -> float:
     """Probability that dependence holds in exactly one of two conditions."""
-    _check_probability(p_a=p_a, p_b=p_b)
+    _check_real("p_a", p_a, 0.0, 1.0, "[]")
+    _check_real("p_b", p_b, 0.0, 1.0, "[]")
     return p_a * (1.0 - p_b) + p_b * (1.0 - p_a)
 
 
@@ -179,7 +170,8 @@ def pairwise_scan(
 
 def classify_edge(p_a: float, p_b: float) -> str:
     """Label a changed pair by which condition carries the dependence."""
-    _check_probability(p_a=p_a, p_b=p_b)
+    _check_real("p_a", p_a, 0.0, 1.0, "[]")
+    _check_real("p_b", p_b, 0.0, 1.0, "[]")
     if p_a > 0.5 > p_b:
         return "lost_in_B"
     if p_b > 0.5 > p_a:
@@ -202,7 +194,7 @@ def diff_scan(
     degenerate in either condition are skipped. Only edges with
     ``p_diff >= threshold`` are returned; ``threshold`` must lie in [0, 1].
     """
-    _check_probability(threshold=threshold)
+    _check_real("threshold", threshold, 0.0, 1.0, "[]")
     if set(m_a.var_names) != set(m_b.var_names):
         raise VarMismatch("the two matrices must carry the same variable names")
     if tuple(m_a.var_names) != tuple(m_b.var_names):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -49,20 +50,32 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_positive(name: str, value) -> None:
-    """Refuse a bool, a non-number, or a value that is not finite and positive.
+def _check_real(name: str, value, lo: float | None = None, hi: float = math.inf,
+                ends: str = "()") -> None:
+    """Refuse a bool or a non-number ``value`` of the setting ``name``; with ``lo`` given,
+    also a number outside the interval from ``lo`` to ``hi``.
 
-    A finite positive float, the common case, skips the costlier number check:
-    the permutation null checks its prior odds once per permutation.
+    ``ends`` holds the interval's brackets, "(" or "[" and then ")" or "]". An
+    interval with no upper end first refuses a number that is not finite, or
+    an integer that no float holds; it is named "positive" when open at 0, and
+    ">= lo" when closed. A float strictly inside, the common case, skips the
+    costlier number check: the permutation null checks its prior odds once
+    per permutation.
     """
-    if isinstance(value, float) and 0.0 < value < math.inf:
+    if isinstance(value, float) and (lo is None or lo < value < hi):
         return
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if lo is None:
+        return
+    big = isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max
+    if hi == math.inf and (big or not math.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value}")
-    if not (value > 0.0):
-        raise ValueError(f"{name} must be positive")
+    if lo < value < hi or (value, ends[0]) == (lo, "[") or (value, ends[1]) == (hi, "]"):
+        return
+    least = "positive" if ends[0] == "(" else f">= {lo:g}"
+    shown = f"be {least}" if hi == math.inf else f"lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    raise ValueError(f"{name} must {shown}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -79,14 +92,13 @@ class PartitionConfig:
     mad_normal_consistent: ClassVar[bool] = True
 
     def __post_init__(self):
-        _check_positive("c", self.c)
-        _check_positive("prior_odds", self.prior_odds)
-        lo, hi = C_RANGE
-        if not (lo <= self.c <= hi):
-            raise ValueError(f"c must lie in [{lo:g}, {hi:g}], got {self.c:g}")
+        _check_real("c", self.c, 0.0)
+        _check_real("prior_odds", self.prior_odds, 0.0)
+        _check_real("c", self.c, *C_RANGE, "[]")
         _check_integer("depth_cap", self.depth_cap)
         if not (1 <= self.depth_cap <= kernels.MAX_DEPTH_CAP):
-            raise ValueError(f"depth_cap must be in [1, {kernels.MAX_DEPTH_CAP}]")
+            raise ValueError(f"depth_cap must be in [1, {kernels.MAX_DEPTH_CAP}], "
+                             f"got {self.depth_cap}")
 
 
 @dataclass(frozen=True)
@@ -126,17 +138,18 @@ def log_cell_evidence(counts, a: float) -> float:
     concentration. Cells with at most one point are short-circuited to an
     exact 0.0 (their term cancels analytically); others are scored by
     :func:`ptdep.kernels.cell_log_evidence`. A bool or a non-number is
-    refused as a count, and ``a`` is refused as :class:`PartitionConfig`
-    refuses ``c``'s type and sign.
+    refused as a count, and so are counts whose total no float holds; ``a`` is
+    refused as :class:`PartitionConfig` refuses ``c``'s type and sign.
     """
     counts = tuple(counts)
-    if not all(isinstance(k, numbers.Real) and not isinstance(k, bool) and float(k).is_integer()
-               for k in counts):
+    if not all(isinstance(k, numbers.Real) and not isinstance(k, bool)
+               and (isinstance(k, numbers.Integral) or float(k).is_integer()) for k in counts):
         raise ValueError(f"counts must be whole numbers, got {counts}")
     n0, n1, n2, n3 = (int(k) for k in counts)
     if min(n0, n1, n2, n3) < 0:
-        raise ValueError("counts must be nonnegative")
-    _check_positive("a", a)
+        raise ValueError(f"counts must be nonnegative, got {counts}")
+    _check_real("counts", n0 + n1 + n2 + n3, 0, ends="[)")
+    _check_real("a", a, 0.0)
     if n0 + n1 + n2 + n3 <= 1:
         return 0.0
     return float(kernels.cell_log_evidence(n0, n1, n2, n3, float(a)))
@@ -151,7 +164,7 @@ def posterior_dependence(log_bf: float, prior_odds: float = 1.0) -> float:
     """
     if not math.isfinite(log_bf):
         raise ValueError("log_bf must be finite")
-    _check_positive("prior_odds", prior_odds)
+    _check_real("prior_odds", prior_odds, 0.0)
     z = log_bf + math.log(prior_odds)
     if z >= 0.0:
         e = math.exp(-z)

@@ -324,7 +324,7 @@ def logbf_batch(u, v, depth_cap: int, c: float):
     tells whether points of sample b still shared a cell at the depth cap.
     """
     if depth_cap < 1 or depth_cap > MAX_DEPTH_CAP:
-        raise ValueError(f"depth_cap must be in [1, {MAX_DEPTH_CAP}]")
+        raise ValueError(f"depth_cap must be in [1, {MAX_DEPTH_CAP}], got {depth_cap}")
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
     batch, n = np.broadcast_shapes(u.shape, v.shape)

@@ -29,7 +29,6 @@ seed = base_seed + r.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import tee
 
@@ -38,7 +37,8 @@ import numpy as np
 from . import kernels
 from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_rows, run_tests,
                      shift_search)
-from .engine import PartitionConfig, TestResult, _check_integer, posterior_dependence
+from .engine import (PartitionConfig, TestResult, _check_integer, _check_real,
+                     posterior_dependence)
 from .transforms import PairedSample, to_unit_interval
 
 MODEL_KINDS = ("linear", "parabolic", "sinusoidal", "circular", "checkerboard", "independent")
@@ -73,23 +73,23 @@ class SimModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
-        if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
-            raise ValueError(f"sigma must be a number, got {self.sigma!r}")
-        if not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
+        _check_real("sigma", self.sigma, 0.0, ends="[)")
         for name in ("x_range", "theta_range"):
             bounds = getattr(self, name)
             if bounds is None:
                 continue
+            if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+                raise ValueError(f"{name} must be a pair (lo, hi), got {bounds!r}")
             lo, hi = bounds
+            _check_real(name, lo)
+            _check_real(name, hi)
             if not (lo < hi):
                 raise ValueError(f"{name} must satisfy lo < hi, got ({lo}, {hi})")
             if not math.isfinite(hi - lo):  # an infinite end makes the width inf or nan
                 raise ValueError(f"{name} must have finite ends and width, got ({lo}, {hi})")
         if self.checker_pattern not in CHECKER_PATTERNS:
-            raise ValueError(f"checker_pattern must be one of {CHECKER_PATTERNS}")
+            raise ValueError(f"checker_pattern must be one of {CHECKER_PATTERNS}, "
+                             f"got {self.checker_pattern!r}")
         # a parameter the kind never draws from is refused, not ignored; sigma is
         # kept for independent, whose model is the null of every power experiment
         if self.x_range is not None and self.kind not in _X_RANGE_DEFAULTS:
@@ -237,8 +237,7 @@ def replicate_experiment(
 
 def empirical_quantile(values: np.ndarray, p: float) -> float:
     """Type-1 (order statistic) empirical quantile: x_(ceil(n*p)) 1-indexed."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
+    _check_real("p", p, 0.0, 1.0, "(]")
     s = np.sort(np.asarray(values, dtype=np.float64))
     rank = max(1, math.ceil(s.size * p))
     return float(s[rank - 1])
@@ -276,8 +275,7 @@ def _check_counts(**given: int) -> None:
 def _check_null(n_perm: int, level: float) -> None:
     """Refuse a null of fewer than one permutation, or a level outside (0, 1)."""
     _check_counts(n_perm=n_perm)
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_real("level", level, 0.0, 1.0)
 
 
 def _orders(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -198,7 +198,7 @@ class TestTestCommand:
         assert run(["test", path, "--method", "ebayes", "--grid", grid]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: grid must be an integer or 'midpoints', got {grid!r}\n"
+        assert captured.err == f"error: --grid must be an integer or 'midpoints', got {grid!r}\n"
 
     @pytest.mark.parametrize("grid, accepted", [
         (1, False), (2, True), (2 ** 20, True), (2 ** 20 + 1, False), (True, False),
@@ -214,7 +214,7 @@ class TestTestCommand:
         else:
             with pytest.raises(ValueError, match="^grid must be "):
                 ebayes.ShiftSearchConfig(grid=grid)
-            assert code == 2 and err.startswith("error: grid must be "), err
+            assert code == 2 and err.startswith("error: --grid must be "), err
 
     def test_levels_sum_matches_log_bf(self, matrix_file, capsys):
         rng = np.random.default_rng(2)
@@ -284,7 +284,7 @@ class TestScanCommand:
         assert run(["scan", path, "--workers", "-3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "workers must be >= 1" in captured.err
+        assert captured.err == "error: --workers must be >= 1, got -3\n"
 
     def test_scan_csv_columns(self, matrix_file, capsys):
         rng = np.random.default_rng(7)
@@ -334,7 +334,7 @@ def test_every_command_rejects_workers_below_one(command, matrix_file, capsys):
     assert run(argv + ["--workers", "-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "workers must be >= 1, got -3" in captured.err
+    assert captured.err == "error: --workers must be >= 1, got -3\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--grid", "6"), ("--grid", "midpoints"),
@@ -358,7 +358,7 @@ def test_every_command_checks_the_grid_before_the_method(command, matrix_file, c
     path = matrix_file("a,b\n1,2\n2,3.5\n3,1\n4,4\n")
     assert run([arg.format(m=path) for arg in command] + ["--grid", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: grid must be >= 2, got 1\n"
+    assert captured.err == "error: --grid must be >= 2, got 1\n"
 
 
 # One short run of each command that draws random numbers, the only ones to read a seed.
@@ -383,7 +383,9 @@ def test_non_finite_config_exits_2_naming_the_field(flag, field, matrix_file, ca
     assert run(["test", path, flag, "inf"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {field} must be finite, got inf\n"
+    assert captured.err == f"error: {flag} must be finite, got inf\n"
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+        engine.PartitionConfig(**{field: math.inf})
 
 
 def test_c_outside_range_exits_2_naming_the_range(matrix_file, capsys):
@@ -391,7 +393,7 @@ def test_c_outside_range_exits_2_naming_the_range(matrix_file, capsys):
     assert run(["test", path, "--c", "1e15"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: c must lie in [1e-300, 10000], got 1e+15\n"
+    assert captured.err == "error: --c must lie in [1e-300, 10000], got 1000000000000000.0\n"
 
 
 @pytest.mark.parametrize("command", [["test"], ["scan", "--wrap-axis", "xy"]], ids=lambda c: c[0])
@@ -442,7 +444,9 @@ class TestDiffCommand:
         p2 = matrix_file(text, "b.csv")
         assert run(["diff", p1, p2, "--edge-threshold", threshold]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "threshold must lie in [0, 1]" in captured.err
+        assert captured.out == ""
+        assert captured.err == (f"error: --edge-threshold must lie in [0, 1], "
+                                f"got {float(threshold)}\n")
 
     def test_diff_csv_schema(self, matrix_file, capsys):
         rng = np.random.default_rng(9)
@@ -474,9 +478,9 @@ class TestSimulateCommand:
         assert len(lines) == 5
 
     @pytest.mark.parametrize("flags, message", [
-        (["--sigma=nan"], "sigma must be finite"),
-        (["--x-min=-1e308", "--x-max=1e308"], "x_range must have finite ends and width"),
-        (["--x-min=-inf", "--x-max=1"], "x_range must have finite ends and width"),
+        (["--sigma=nan"], "--sigma must be finite"),
+        (["--x-min=-1e308", "--x-max=1e308"], "--x-min/--x-max must have finite ends and width"),
+        (["--x-min=-inf", "--x-max=1"], "--x-min/--x-max must have finite ends and width"),
         (["--model", "parabolic", "--x-min=-1e200", "--x-max=1e200"],
          "the parabolic model gives non-finite values at sigma=2.0 "
          "and x_range=(-1e+200, 1e+200)"),
@@ -502,8 +506,8 @@ class TestSimulateCommand:
                     "--x-min", x_min, "--x-max", x_max]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: --x-min must be less than --x-max, "
-                                f"got {float(x_min)!r} and {float(x_max)!r}\n")
+        assert captured.err == (f"error: --x-min/--x-max must satisfy lo < hi, "
+                                f"got ({float(x_min)!r}, {float(x_max)!r})\n")
 
     @pytest.mark.parametrize("command", ["simulate", "power", "sweep-c"])
     @pytest.mark.parametrize("flag", ["--x-min", "--x-max"])
@@ -514,9 +518,11 @@ class TestSimulateCommand:
         assert captured.err == "error: --x-min and --x-max must be given together\n"
 
     @pytest.mark.parametrize("flags, message", [
-        (["--x-min", "-10", "--x-max", "10"], "x_range does not apply to the circular model"),
-        (["--theta-variant", "unit"], "theta_range does not apply to the circular model"),
-        (["--checker-pattern", "balanced"], "checker_pattern does not apply to the circular model"),
+        (["--x-min", "-10", "--x-max", "10"],
+         "--x-min/--x-max does not apply to the circular model"),
+        (["--theta-variant", "unit"], "--theta-variant does not apply to the circular model"),
+        (["--checker-pattern", "balanced"],
+         "--checker-pattern does not apply to the circular model"),
         (["--sigma", "1e308"], "the circular model gives non-finite values at sigma=1e+308"),
     ])
     def test_parameter_the_model_does_not_use_exits_2(self, flags, message, capsys):
@@ -810,3 +816,38 @@ def test_every_flag_changes_the_output_or_is_refused(base, flag, value, flag_fol
         # a refusal: one line naming the flag, or argparse's usage and its own error
         assert got["exit_code"] == 2 and got["stdout"] == ""
         assert flag in got["stderr"].splitlines()[-1]
+
+
+# One bad value of each flag whose value the library checks: (flag, argv). The library
+# refuses it, and the CLI names the flag in place of the setting.
+_LINEAR = ["--model", "linear", "--n", "20", "--reps", "2"]
+_PERMUTATION = ["power", *_LINEAR, "--threshold", "permutation"]
+REFUSAL_TABLE = [
+    ("--c", ["test", "data.csv", "--c", "0"]),
+    ("--depth-cap", ["test", "data.csv", "--depth-cap", "0"]),
+    ("--prior-odds", ["test", "data.csv", "--prior-odds", "-1"]),
+    ("--grid", ["test", "data.csv", "--method", "ebayes", "--grid", "1"]),
+    ("--edge-threshold", ["diff", "normal.csv", "tumour.csv", "--edge-threshold", "2"]),
+    ("--n", ["simulate", "--model", "linear", "--n", "0", "--reps", "2"]),
+    ("--reps", ["simulate", "--model", "linear", "--n", "20", "--reps", "0"]),
+    ("--seed", ["simulate", *_LINEAR, "--seed", "-1"]),
+    ("--sigma", ["simulate", *_LINEAR, "--sigma", "-1"]),
+    ("--x-min/--x-max", ["simulate", *_LINEAR, "--x-min", "1", "--x-max", "1"]),
+    ("--perms", [*_PERMUTATION, "--perms", "0"]),
+    ("--level", [*_PERMUTATION, "--level", "1"]),
+    ("--theta-variant", ["simulate", *_LINEAR, "--theta-variant", "unit"]),
+    ("--checker-pattern", ["simulate", *_LINEAR, "--checker-pattern", "balanced"]),
+    ("--c-values", ["sweep-c", "data.csv", "--c-values", "0"]),
+]
+LIBRARY_NAMES = ("n_perm", "x_range", "threshold_source", "axis_policy", "depth_cap",
+                 "prior_odds", "theta_range", "checker_pattern")
+
+
+@pytest.mark.parametrize("flag, argv", REFUSAL_TABLE, ids=[flag for flag, _ in REFUSAL_TABLE])
+def test_every_library_refusal_names_the_flag(flag, argv, flag_folder, monkeypatch):
+    folder, _ = flag_folder
+    monkeypatch.chdir(folder)
+    got = _flag_run(argv, folder)
+    assert (got["exit_code"], got["stdout"]) == (2, "")
+    assert got["stderr"].startswith(f"error: {flag} ") and got["stderr"].count("\n") == 1
+    assert not any(name in got["stderr"] for name in LIBRARY_NAMES), got["stderr"]

@@ -127,8 +127,8 @@ class TestLogCellEvidence:
         assert log_cell_evidence(counts, a) == pytest.approx(float(want), rel=1e-9)
 
     @pytest.mark.parametrize("counts, a, message", [
-        ((-1, 0, 0, 0), 5.0, "counts must be nonnegative"),
-        ((1, 1, 1, 1), 0.0, "a must be positive"),
+        ((-1, 0, 0, 0), 5.0, "counts must be nonnegative, got (-1, 0, 0, 0)"),
+        ((1, 1, 1, 1), 0.0, "a must be positive, got 0.0"),
         ((2, 1, 0, 3), float("inf"), "a must be finite, got inf"),
         ((2.7, 0, 0, 1.2), 5.0, "counts must be whole numbers, got (2.7, 0, 0, 1.2)"),
         # a bool or a non-number, refused as PartitionConfig refuses it for c
@@ -136,6 +136,8 @@ class TestLogCellEvidence:
         ((2, 0, 0, 2), "5", "a must be a number, got '5'"),
         ((True, 0, 0, True), 5.0, "counts must be whole numbers, got (True, 0, 0, True)"),
         (("2", 0, 0, 2), 5.0, "counts must be whole numbers, got ('2', 0, 0, 2)"),
+        # a count that no float holds, which the kernel could not score
+        ((10**400, 0, 0, 0), 5.0, f"counts must be finite, got {10**400}"),
     ])
     def test_validation(self, counts, a, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -228,7 +230,8 @@ class TestPosteriorDependence:
 
     @pytest.mark.parametrize("log_bf, prior_odds, message", [
         (math.nan, 1.0, "log_bf must be finite"), (-math.inf, 1.0, "log_bf must be finite"),
-        (0.0, 0.0, "prior_odds must be positive"), (0.0, -1.0, "prior_odds must be positive"),
+        (0.0, 0.0, "prior_odds must be positive, got 0.0"),
+        (0.0, -1.0, "prior_odds must be positive, got -1.0"),
         (0.0, math.nan, "prior_odds must be finite, got nan"),
         (0.0, math.inf, "prior_odds must be finite, got inf"),
         (-1.0, True, "prior_odds must be a number, got True"),

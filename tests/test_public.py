@@ -163,7 +163,15 @@ LIBRARY_TABLE = (
        ("PartitionConfig", "c", True, {"c": 1.0}),
        ("PartitionConfig", "prior_odds", True, {"prior_odds": 1.0}),
        ("SimModel", "sigma", True, {"kind": "linear", "sigma": 1.0}),
-       ("diff_scan", "threshold", True, {"threshold": 1.0})]
+       ("diff_scan", "threshold", True, {"threshold": 1.0}),
+       # text or None where a number is meant, a range of bools or of other than two ends
+       ("power_experiment", "level", "0.1", {**_PERMUTATION, "level": 0.05}),
+       ("permutation_null", "level", None, {"level": 0.05}),
+       ("SimModel", "x_range", ("a", "b"), {"kind": "parabolic"}),
+       ("SimModel", "theta_range", ("a", "b"), {"kind": "checkerboard",
+                                                "checker_pattern": "balanced"}),
+       ("SimModel", "x_range", (False, True), {"kind": "linear", "x_range": (0, 1)}),
+       ("SimModel", "x_range", (1, 2, 3), {"kind": "sinusoidal"})]
 )
 
 

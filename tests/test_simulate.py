@@ -91,13 +91,13 @@ class TestGenerate:
             SimModel(kind="spiral")
 
     @pytest.mark.parametrize("settings, message", [
-        ({"sigma": -0.5}, "sigma must be >= 0"),
+        ({"sigma": -0.5}, "sigma must be >= 0, got -0.5"),
         ({"sigma": True}, "sigma must be a number, got True"),
         ({"sigma": False}, "sigma must be a number, got False"),
         ({"sigma": np.True_}, "sigma must be a number, got np.True_"),
         ({"sigma": "2"}, "sigma must be a number, got '2'"),
         ({"checker_pattern": "diagonal"},
-         "checker_pattern must be one of ('verbatim', 'balanced')"),
+         "checker_pattern must be one of ('verbatim', 'balanced'), got 'diagonal'"),
     ])
     def test_bad_sigma_or_pattern_rejected(self, settings, message):
         with pytest.raises(ValueError) as err:
@@ -258,7 +258,13 @@ class TestEmpiricalQuantile:
     def test_p_outside_unit_interval_rejected(self, p):
         with pytest.raises(ValueError) as err:
             empirical_quantile(np.arange(5.0), p)
-        assert str(err.value) == "p must lie in (0, 1]"
+        assert str(err.value) == f"p must lie in (0, 1], got {p}"
+
+    @pytest.mark.parametrize("p", ["0.5", None])
+    def test_p_not_a_number_rejected(self, p):
+        with pytest.raises(ValueError) as err:
+            empirical_quantile(np.arange(5.0), p)
+        assert str(err.value) == f"p must be a number, got {p!r}"
 
     def test_500_perm_level_05_is_475th(self):
         values = np.arange(1.0, 501.0)
