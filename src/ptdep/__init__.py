@@ -1,4 +1,10 @@
-"""Analytic Bayesian nonparametric dependence testing on recursive quadrant partitions."""
+"""Analytic Bayesian nonparametric dependence testing on recursive quadrant partitions.
+
+The names of :mod:`ptdep.simulate` are loaded on first use, so a program
+that only tests or scans data never loads the simulator.
+"""
+
+from importlib import import_module
 
 from .transforms import (
     PairedSample,
@@ -30,17 +36,11 @@ from .errors import (
     RaggedRows,
     VarMismatch,
 )
-from .simulate import (
-    PermutationNull,
-    PowerReport,
-    ReplicateSummary,
-    SimModel,
-    generate,
-    permutation_null,
-    power_experiment,
-    replicate_experiment,
-    run_replicates,
-)
+
+_SIMULATE_NAMES = ("PermutationNull", "PowerReport", "ReplicateSummary", "SimModel", "generate",
+                   "permutation_null", "power_experiment", "replicate_experiment",
+                   "run_replicates")
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -78,3 +78,12 @@ __all__ = [
     "run_replicates",
     "test_dependence",
 ]
+
+
+def __getattr__(name: str):
+    """A name of :mod:`ptdep.simulate`, which is imported on the first such lookup."""
+    if name not in _SIMULATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(".simulate", __name__), name)
+    globals()[name] = value
+    return value

@@ -14,10 +14,13 @@ sample per row; a leading byte-order mark is ignored. Output is JSON or CSV
 with all numbers serialised to 17 significant digits, so identical
 configurations produce byte-identical files and values round-trip exactly.
 
-Each command's handler computes a payload (a dict or a list of row dicts)
-and the CSV columns it fixes, if any. Settings are passed to the library as
-given, and the library refuses a bad value. :func:`run` alone writes the
-payload, names the flag of a refused setting and maps errors to exit codes:
+Each command's handler computes a payload (a dict or an iterable of row
+dicts) and the CSV columns it fixes, if any; ``scan`` and ``diff`` check
+their input and settings, then hand over rows that are scored as they are
+written. Only the model commands load :mod:`ptdep.simulate`. Settings are
+passed to the library as given, and the library refuses a bad value.
+:func:`run` alone writes the payload, names the flag of a refused setting
+and maps errors to exit codes:
 0 success, 2 input or validation error or an output path that cannot be
 written, 3 degenerate data in single-test mode.
 """
@@ -26,28 +29,24 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import gc
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, astuple, replace
+from functools import lru_cache
+from itertools import chain, islice
+from json.encoder import encode_basestring
+from types import SimpleNamespace
 
 import numpy as np
 
-from .diffscan import DiffEdge, ExpressionMatrix, PairResult, diff_scan, pairwise_scan
+from ._models import CHECKER_PATTERNS, MODEL_KINDS, THETA_FULL, THETA_UNIT
+from .diffscan import DiffEdge, ExpressionMatrix, PairResult, _edge_stream, _pair_stream
 from .ebayes import METHODS, ShiftSearchConfig, run_test
 from .engine import PartitionConfig, TestResult
 from .errors import DegenerateSample, EmptyMatrix, ParseError, PtdepError, RaggedRows
-from .simulate import (
-    CHECKER_PATTERNS,
-    MODEL_KINDS,
-    SimModel,
-    THETA_FULL,
-    THETA_UNIT,
-    power_experiment,
-    replicate_experiment,
-    run_replicates,
-)
 from .transforms import PairedSample
 
 DEFAULT_C_SWEEP = (0.1, 1.0, 5.0, 10.0)
@@ -71,30 +70,57 @@ _FLAGS = {"n_perm": "--perms", "x_range": "--x-min/--x-max", "threshold": "--edg
 # serialisation
 
 
+def _float(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError("cannot serialise non-finite number")
+    return "%.17g" % v
+
+
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    v = float(x)
-    if not math.isfinite(v):
-        raise ValueError("cannot serialise non-finite number")
-    return format(v, ".17g")
+    return _float(float(x))
 
 
 def _json_value(obj) -> str:
-    if obj is None:
-        return "null"
+    exact = _JSON_TYPES.get(type(obj))
+    if exact is not None:
+        return exact(obj)
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return encode_basestring(obj)
     if isinstance(obj, (bool, int, float, np.integer, np.floating)):
         return _fmt(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
+        return _json_array(obj)
     if isinstance(obj, dict):
-        items = (json.dumps(str(k)) + ": " + _json_value(v) for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
+        return _json_object(obj)
     raise TypeError(f"cannot serialise {type(obj)!r}")
+
+
+def _json_array(obj) -> str:
+    return "[" + ", ".join(map(_json_value, obj)) + "]"
+
+
+def _json_object(obj: dict) -> str:
+    values = [_JSON_TYPES.get(type(v), _json_value)(v) for v in obj.values()]
+    return _json_template(tuple(obj)) % tuple(values)
+
+
+# The encoder of each of these exact types, looked up before the general rules of
+# _json_value and giving what they give: a str as json.dumps gives it with
+# ensure_ascii=False.
+_JSON_TYPES = {type(None): lambda _: "null", str: encode_basestring, bool: _fmt, int: str,
+               float: _float, list: _json_array, tuple: _json_array, dict: _json_object}
+
+
+@lru_cache(maxsize=64)
+def _json_template(keys: tuple) -> str:
+    """The JSON text of a dict with ``keys``, each value a ``%s``, so that rows of one
+    set of columns encode their keys once. Every payload's keys are str."""
+    items = (json.dumps(str(k)).replace("%", "%%") + ": %s" for k in keys)
+    return "{" + ", ".join(items) + "}"
 
 
 def _csv_cell(v) -> str:
@@ -102,7 +128,7 @@ def _csv_cell(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    return _fmt(v)
+    return _float(v) if type(v) is float else _fmt(v)
 
 
 def result_to_dict(res: TestResult) -> dict:
@@ -141,38 +167,73 @@ def edge_to_row(e: DiffEdge) -> dict:
     return dict(zip(DIFF_CSV_COLUMNS, astuple(e)))
 
 
-def _emit(text: str, path: str | None) -> None:
+# Lines of output formatted before they are written, at most: one block of rows.
+_BLOCK_LINES = 1024
+
+
+def _json_lines(rows):
+    """The JSON array of ``rows``, one row at a time, with its brackets and separators."""
+    lead = "["
+    for row in rows:
+        yield lead + _json_value(row)
+        lead = ", "
+    yield ("[]" if lead == "[" else "]") + "\n"
+
+
+def _csv_lines(rows, columns: tuple[str, ...] | None):
+    """The CSV header ``columns`` (None: the first row's keys), then each row's line."""
+    rows = iter(rows)
+    if columns is None:
+        first = next(rows)
+        rows, columns = chain([first], rows), tuple(first)
+    line = []
+    writer = csv.writer(SimpleNamespace(write=line.append), lineterminator="\n")
+    for cells in chain([columns], ([_csv_cell(row.get(c)) for c in columns] for row in rows)):
+        writer.writerow(cells)
+        yield line.pop()
+
+
+def _emit(lines, path: str | None) -> None:
+    """Write ``lines`` to ``path``, or to stdout if None, in blocks of :data:`_BLOCK_LINES`.
+
+    The file is opened once the first block is formatted, so output that
+    fails to format by then leaves no file; a later failure removes it.
+    """
+    lines = iter(lines)
+    blocks = iter(lambda: "".join(islice(lines, _BLOCK_LINES)), "")
     if path is None:
-        sys.stdout.write(text)
+        for block in blocks:
+            sys.stdout.write(block)
         return
+    first = next(blocks, "")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise PtdepError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def _rows_to_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in columns])
-    return buf.getvalue()
+    try:
+        with fh:
+            fh.writelines(chain([first], blocks))
+    except BaseException as exc:
+        os.remove(path)
+        if isinstance(exc, OSError):
+            raise PtdepError(f"cannot write {path}: {exc.strerror}") from exc
+        raise
 
 
 def write_result(payload, path: str | None, out_format: str = "json",
                  columns: tuple[str, ...] | None = None) -> None:
-    """Serialise a payload (dict or list of row dicts) to JSON or CSV."""
+    """Serialise a payload, a dict or an iterable of row dicts, to JSON or CSV.
+
+    Rows are formatted as they are read and written in blocks, so a stream
+    of rows is never held whole.
+    """
     if out_format == "json":
-        _emit(_json_value(payload) + "\n", path)
+        lines = [_json_value(payload) + "\n"] if isinstance(payload, dict) else _json_lines(payload)
     elif out_format == "csv":
-        if isinstance(payload, dict):
-            payload = [payload]
-        cols = columns or tuple(payload[0].keys())
-        _emit(_rows_to_csv(payload, cols), path)
+        lines = _csv_lines([payload] if isinstance(payload, dict) else payload, columns)
     else:
         raise ValueError(f"unknown format {out_format!r}")
+    _emit(lines, path)
 
 
 # ---------------------------------------------------------------------------
@@ -207,26 +268,33 @@ def read_matrix(path: str) -> ExpressionMatrix:
                 raise RaggedRows(
                     f"expected {len(names)} cells, found {len(row)}", line=line_no
                 )
-            parsed: list[float] = []
-            for col_no, cell in enumerate(row, start=1):
-                text = cell.strip()
-                if text == "":
-                    raise ParseError("empty cell", line=line_no, column=col_no)
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ParseError(
-                        f"not a number: {text!r}", line=line_no, column=col_no
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"non-finite value: {text!r}", line=line_no, column=col_no
-                    )
-                parsed.append(value)
-            data.append(parsed)
+            try:  # a row of finite numbers, the common case, in one pass
+                parsed = list(map(float, row))
+                finite = math.isfinite(sum(parsed))
+            except ValueError:
+                finite = False
+            data.append(parsed if finite else _parse_cells(row, line_no))
     if not data:
         raise EmptyMatrix("matrix has a header but no data rows", line=1)
     return ExpressionMatrix(values=np.array(data, dtype=np.float64), var_names=tuple(names))
+
+
+def _parse_cells(row: list[str], line_no: int) -> list[float]:
+    """The cells of a row as finite floats, checked one by one: the first cell that
+    is empty, not a number or not finite raises a :class:`ParseError`."""
+    parsed: list[float] = []
+    for col_no, cell in enumerate(row, start=1):
+        text = cell.strip()
+        if text == "":
+            raise ParseError("empty cell", line=line_no, column=col_no)
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"not a number: {text!r}", line=line_no, column=col_no) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value: {text!r}", line=line_no, column=col_no)
+        parsed.append(value)
+    return parsed
 
 
 def _pick_column(m: ExpressionMatrix, spec: str, flag: str) -> np.ndarray:
@@ -372,9 +440,11 @@ def _run_config(args) -> None:
                                      prior_odds=args.prior_odds)
 
 
-def _sim_model(args) -> tuple[SimModel, int]:
+def _sim_model(args):
     """The model the flags describe and the seed of its draws; a flag not given
     keeps the SimModel default."""
+    from .simulate import SimModel
+
     seed = 0 if args.seed is None else args.seed
     if (args.x_min is None) != (args.x_max is None):
         raise ParseError("--x-min and --x-max must be given together")
@@ -409,18 +479,19 @@ def _cmd_test(args):
 
 
 def _cmd_scan(args):
-    results = pairwise_scan(read_matrix(args.input), args.partition, method=args.method,
-                            scfg=args.shift)
-    return [pair_to_row(pr) for pr in results], SCAN_CSV_COLUMNS
+    pairs = _pair_stream(read_matrix(args.input), args.partition, args.method, args.shift)
+    return map(pair_to_row, pairs), SCAN_CSV_COLUMNS
 
 
 def _cmd_diff(args):
-    edges = diff_scan(read_matrix(args.input_a), read_matrix(args.input_b), args.partition,
-                      threshold=args.edge_threshold, method=args.method, scfg=args.shift)
-    return [edge_to_row(e) for e in edges], DIFF_CSV_COLUMNS
+    edges = _edge_stream(read_matrix(args.input_a), read_matrix(args.input_b), args.partition,
+                         args.edge_threshold, args.method, args.shift)
+    return map(edge_to_row, edges), DIFF_CSV_COLUMNS
 
 
 def _cmd_simulate(args):
+    from .simulate import replicate_experiment, run_replicates
+
     model, seed = _sim_model(args)
     if args.out_format == "csv":
         results = run_replicates(model, args.n, args.reps, args.partition, seed,
@@ -440,6 +511,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_power(args):
+    from .simulate import power_experiment
+
     source = "posterior_0.5" if args.threshold == "posterior" else "permutation_quantile"
     model, seed = _sim_model(args)
     report = power_experiment(model, args.n, args.reps, args.partition, seed, method=args.method,
@@ -473,6 +546,8 @@ def _cmd_sweep_c(args):
             raise ParseError("sweep-c needs an input file or --model and --n")
         _refuse(args, ("--x-col", "--y-col"), "sweep-c takes {} only with an input file, "
                                               "not with --model and --n")
+        from .simulate import replicate_experiment
+
         (model, seed), reps = _sim_model(args), 100 if args.reps is None else args.reps
         for c in c_values:
             s = replicate_experiment(
@@ -527,6 +602,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # The modules loaded by now live until exit, so the cyclic collector, which
+    # also runs at exit, need not walk them again.
+    gc.freeze()
     sys.exit(run())
 
 

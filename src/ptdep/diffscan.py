@@ -7,11 +7,14 @@ probability that a pair's dependence status changed:
     p_diff = pA * (1 - pB) + pB * (1 - pA)
 
 which is largest when one condition shows dependence and the other does
-not. Output order is fixed: lexicographic by column indices.
+not. Output order is fixed: lexicographic by column indices. Both scans
+are streams, scored as they are read; the public functions return them
+as lists.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -105,19 +108,22 @@ def _column_maps(m: ExpressionMatrix):
 
 
 def _search(cols: list, units: list, axis: str,
-            search: ShiftSearchConfig | None, cfg: PartitionConfig) -> dict:
-    """The winning row of each pair on ``axis``, keyed by its column indices.
+            search: ShiftSearchConfig | None, cfg: PartitionConfig):
+    """Yield ``((i, j), winner)`` of each pair with a table on ``axis``, as it is scored.
 
     Column c's pairs are one run of tables: each of its :func:`cut_rows` on
     ``axis``, built as kernel calls take them, against the stacked maps of its
     partners; on x, the unwrapped row comes first. Its partners, listed as
     it is scored, are the mapped columns after it on x and before it on y; a
     degenerate column, whose map ``units[c]`` is None, has none. A column
-    with no partners, or on y with no cut rows, holds no table.
+    with no partners, or on y with no cut rows, holds no table. So x yields
+    its pairs in lexicographic order, and y by their second column. The keys
+    held are those of the tables read but not yet yielded.
     """
-    keys = []
+    keys, tables = deque(), 0
 
     def block(c: int):
+        nonlocal tables
         partners = [p for p in (range(c + 1, len(cols)) if axis == "x" else range(c))
                     if units[p] is not None]
         if units[c] is None or not partners:
@@ -126,13 +132,48 @@ def _search(cols: list, units: list, axis: str,
         head = (None, units[c]) if axis == "x" else next(rows, None)
         if head is None:  # no usable cut: no table
             return
-        first, fixed = len(keys), np.stack([units[p] for p in partners])
+        first, fixed = tables, np.stack([units[p] for p in partners])
+        tables += len(partners)
         keys.extend((c, p) if axis == "x" else (p, c) for p in partners)
         for delta, row in chain([head], rows):
             yield Segment(first, axis, delta, row, fixed)
 
-    winners = list(best_candidates(map(block, range(len(cols))), cfg))
-    return dict(zip(keys, winners))
+    for winner in best_candidates(map(block, range(len(cols))), cfg):
+        yield keys.popleft(), winner
+
+
+def _pair_stream(m: ExpressionMatrix, cfg: PartitionConfig | None, method: str,
+                 scfg: ShiftSearchConfig | None):
+    """The :func:`pairwise_scan` of ``m``, checked now and scored as it is read."""
+    if m.n_vars < 2:
+        raise ValueError("need at least two variables to scan")
+    search = shift_search(method, scfg)
+    return _scored_pairs(m, cfg or PartitionConfig(), method, search)
+
+
+def _scored_pairs(m: ExpressionMatrix, cfg: PartitionConfig, method: str,
+                  search: ShiftSearchConfig | None):
+    """Yield each pair's :class:`PairResult` in output order, as its x table is scored.
+
+    Under "xy" the y pass runs first and its winners are held until their
+    pairs come up: a pair is final only once both passes scored it, and y
+    reaches pair (i, j) only at column j. Otherwise the y pass scores nothing
+    and the scan holds its columns and one kernel call's rows, not its pairs.
+    """
+    cols, units, errors = _column_maps(m)
+    held = dict(_search(cols, units, "y", search, cfg))
+    scored = _search(cols, units, "x", search, cfg)
+    for i in range(m.n_vars):
+        for j in range(i + 1, m.n_vars):
+            result, error = None, errors[i] or errors[j]
+            if error is None:
+                _, winner = next(scored)
+                y = held.pop((i, j), None)
+                if y is not None and y[0] < winner[0]:  # x's row on ties
+                    winner = y
+                result = winner_result(winner, m.n_samples, cfg, method)
+            yield PairResult(var_a=m.var_names[i], var_b=m.var_names[j], result=result,
+                             error=error)
 
 
 def pairwise_scan(
@@ -147,25 +188,12 @@ def pairwise_scan(
     failing the scan. Output order is lexicographic by column indices.
 
     Each column is mapped once. Axis x is searched over each pair's first
-    column against every later one, then axis y over the second column
+    column against every later one, and axis y over the second column
     against every earlier one, where a y-row wins only when strictly better.
     The y pass finds no cut rows unless the search is ebayes with "xy", as
     :func:`cut_rows` decides. A pair's result is bit for bit its ``run_test``.
     """
-    if m.n_vars < 2:
-        raise ValueError("need at least two variables to scan")
-    search = shift_search(method, scfg)
-    cfg = cfg or PartitionConfig()
-    cols, units, errors = _column_maps(m)
-    best = _search(cols, units, "x", search, cfg)
-    for pair, winner in _search(cols, units, "y", search, cfg).items():
-        best[pair] = min(best[pair], winner, key=lambda w: w[0])  # x's row on ties
-    scored = {pair: winner_result(w, m.n_samples, cfg, method) for pair, w in best.items()}
-    return [
-        PairResult(var_a=m.var_names[i], var_b=m.var_names[j], result=scored.get((i, j)),
-                   error=errors[i] or errors[j])
-        for i in range(m.n_vars) for j in range(i + 1, m.n_vars)
-    ]
+    return list(_pair_stream(m, cfg, method, scfg))
 
 
 def classify_edge(p_a: float, p_b: float) -> str:
@@ -194,31 +222,32 @@ def diff_scan(
     degenerate in either condition are skipped. Only edges with
     ``p_diff >= threshold`` are returned; ``threshold`` must lie in [0, 1].
     """
+    return list(_edge_stream(m_a, m_b, cfg, threshold, method, scfg))
+
+
+def _edge_stream(m_a: ExpressionMatrix, m_b: ExpressionMatrix, cfg: PartitionConfig | None,
+                 threshold: float, method: str, scfg: ShiftSearchConfig | None):
+    """The :func:`diff_scan` of ``m_a`` and ``m_b``, checked now and scored as it is read:
+    the two conditions' pair streams, zipped."""
     _check_real("threshold", threshold, 0.0, 1.0, "[]")
     if set(m_a.var_names) != set(m_b.var_names):
         raise VarMismatch("the two matrices must carry the same variable names")
     if tuple(m_a.var_names) != tuple(m_b.var_names):
         order = [m_b.var_names.index(n) for n in m_a.var_names]
         m_b = ExpressionMatrix(values=m_b.values[:, order], var_names=m_a.var_names)
+    pairs = zip(_pair_stream(m_a, cfg, method, scfg), _pair_stream(m_b, cfg, method, scfg))
+    return _edges(pairs, threshold)
 
-    res_a = pairwise_scan(m_a, cfg, method=method, scfg=scfg)
-    res_b = pairwise_scan(m_b, cfg, method=method, scfg=scfg)
-    edges: list[DiffEdge] = []
-    for pa, pb in zip(res_a, res_b):
+
+def _edges(pairs, threshold: float):
+    """Yield the edge of each pair of ``pairs``, scored in A and in B, whose ``p_diff``
+    reaches ``threshold``."""
+    for pa, pb in pairs:
         if pa.result is None or pb.result is None:
             continue
         prob_a = pa.result.p_dependent
         prob_b = pb.result.p_dependent
         prob_diff = p_diff(prob_a, prob_b)
         if prob_diff >= threshold:
-            edges.append(
-                DiffEdge(
-                    var_a=pa.var_a,
-                    var_b=pa.var_b,
-                    p_dep_a=prob_a,
-                    p_dep_b=prob_b,
-                    p_diff=prob_diff,
-                    edge_class=classify_edge(prob_a, prob_b),
-                )
-            )
-    return edges
+            yield DiffEdge(var_a=pa.var_a, var_b=pa.var_b, p_dep_a=prob_a, p_dep_b=prob_b,
+                           p_diff=prob_diff, edge_class=classify_edge(prob_a, prob_b))

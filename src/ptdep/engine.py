@@ -50,17 +50,25 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _finite(value) -> bool:
+    """Whether the real number ``value`` is finite and a float holds it. An integer or
+    a fraction is compared exactly, so one too large for a float is not converted."""
+    if isinstance(value, numbers.Rational):
+        return abs(value) <= sys.float_info.max
+    return math.isfinite(value)
+
+
 def _check_real(name: str, value, lo: float | None = None, hi: float = math.inf,
                 ends: str = "()") -> None:
     """Refuse a bool or a non-number ``value`` of the setting ``name``; with ``lo`` given,
     also a number outside the interval from ``lo`` to ``hi``.
 
     ``ends`` holds the interval's brackets, "(" or "[" and then ")" or "]". An
-    interval with no upper end first refuses a number that is not finite, or
-    an integer that no float holds; it is named "positive" when open at 0, and
-    ">= lo" when closed. A float strictly inside, the common case, skips the
-    costlier number check: the permutation null checks its prior odds once
-    per permutation.
+    interval with no upper end first refuses a number that is not
+    :func:`_finite`; it is named "positive" when open at 0, and ">= lo" when
+    closed. A float strictly inside, the common case, skips the costlier
+    number check: the permutation null checks its prior odds once per
+    permutation.
     """
     if isinstance(value, float) and (lo is None or lo < value < hi):
         return
@@ -68,8 +76,7 @@ def _check_real(name: str, value, lo: float | None = None, hi: float = math.inf,
         raise ValueError(f"{name} must be a number, got {value!r}")
     if lo is None:
         return
-    big = isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max
-    if hi == math.inf and (big or not math.isfinite(value)):
+    if hi == math.inf and not _finite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if lo < value < hi or (value, ends[0]) == (lo, "[") or (value, ends[1]) == (hi, "]"):
         return

@@ -35,17 +35,13 @@ from itertools import tee
 import numpy as np
 
 from . import kernels
+# the model names, kept where the CLI's parser reads them without loading this module
+from ._models import CHECKER_PATTERNS, MODEL_KINDS, THETA_FULL, THETA_UNIT  # noqa: F401
 from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_rows, run_tests,
                      shift_search)
-from .engine import (PartitionConfig, TestResult, _check_integer, _check_real,
+from .engine import (PartitionConfig, TestResult, _check_integer, _check_real, _finite,
                      posterior_dependence)
 from .transforms import PairedSample, to_unit_interval
-
-MODEL_KINDS = ("linear", "parabolic", "sinusoidal", "circular", "checkerboard", "independent")
-
-THETA_FULL = (0.0, 2.0 * math.pi)
-THETA_UNIT = (0.0, 1.0)
-CHECKER_PATTERNS = ("verbatim", "balanced")
 
 # Default x ranges keep each shape's defining feature in play at sigma = 2:
 # a modest linear signal, a symmetric parabola, a sine with ~1.5 periods.
@@ -85,8 +81,9 @@ class SimModel:
             _check_real(name, hi)
             if not (lo < hi):
                 raise ValueError(f"{name} must satisfy lo < hi, got ({lo}, {hi})")
-            if not math.isfinite(hi - lo):  # an infinite end makes the width inf or nan
+            if not all(map(_finite, (lo, hi, hi - lo))):
                 raise ValueError(f"{name} must have finite ends and width, got ({lo}, {hi})")
+            object.__setattr__(self, name, tuple(bounds))  # a list is kept as a tuple: hashable
         if self.checker_pattern not in CHECKER_PATTERNS:
             raise ValueError(f"checker_pattern must be one of {CHECKER_PATTERNS}, "
                              f"got {self.checker_pattern!r}")

@@ -14,10 +14,17 @@ is checked against the factorial oracle above.
 :func:`direct_test` is the basic test scored by one plain kernel call,
 outside the package's candidate-table route, so batched routes are checked
 against something other than themselves.
+
+:func:`json_text` and :func:`csv_text` write the CLI's output formats the
+plain way, a whole payload at once through ``json.dumps`` and ``csv.writer``,
+so the streamed writer is checked byte for byte against them.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -77,6 +84,38 @@ def direct_test(sample, cfg=None):
     row = levels[0, : depth[0]].tolist()
     return ebayes.winner_result((math.fsum(row), None, "x", row, bool(truncated[0])), sample.n,
                                 cfg, "basic")
+
+
+def json_text(obj) -> str:
+    """``obj`` as JSON: ", " and ": " separators, a str as ``json.dumps`` gives it with
+    ``ensure_ascii=False``, a key as it gives it by default, and a number to 17
+    significant digits."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(json_text(v) for v in obj) + "]"
+    return "{" + ", ".join(json.dumps(str(k)) + ": " + json_text(v) for k, v in obj.items()) + "}"
+
+
+def csv_text(rows, columns) -> str:
+    """``rows`` as CSV under the header ``columns``: None as an empty cell, a str as it
+    is, and any other value as :func:`json_text` writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        cells = (row.get(col) for col in columns)
+        writer.writerow(["" if v is None else v if isinstance(v, str) else json_text(v)
+                         for v in cells])
+    return buf.getvalue()
 
 
 def default_statistic(cfg, method="basic", scfg=None):

@@ -6,19 +6,23 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptdep
-from ptdep import ebayes, engine
+from ptdep import cli, ebayes, engine
 from ptdep.cli import _check_level_sum, build_parser, read_matrix, run, write_result
-from ptdep.diffscan import ExpressionMatrix
+from ptdep.diffscan import ExpressionMatrix, diff_scan, pairwise_scan
 from ptdep.errors import EmptyMatrix, ParseError, RaggedRows
 from ptdep.transforms import PairedSample
 
+from oracles import csv_text, json_text
 from test_readme_commands import run_case, write_fixtures
 
 
@@ -851,3 +855,143 @@ def test_every_library_refusal_names_the_flag(flag, argv, flag_folder, monkeypat
     assert (got["exit_code"], got["stdout"]) == (2, "")
     assert got["stderr"].startswith(f"error: {flag} ") and got["stderr"].count("\n") == 1
     assert not any(name in got["stderr"] for name in LIBRARY_NAMES), got["stderr"]
+
+
+# ---------------------------------------------------------------------------
+# scan and diff write their rows as they are scored
+
+
+def _write_values(path: Path, values, names) -> None:
+    _write_matrix(ExpressionMatrix(values=values, var_names=names), str(path))
+
+
+def _scan_peak(path: Path, out: Path) -> int:
+    """Peak traced bytes of one in-process ``ptdep scan``."""
+    tracemalloc.start()
+    try:
+        assert run(["scan", str(path), "-o", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_holds_its_columns_not_its_pairs(tmp_path):
+    rng = np.random.default_rng(18)
+    paths = {}
+    for n_vars in (3, 100, 600):
+        paths[n_vars] = tmp_path / f"m{n_vars}.csv"
+        _write_values(paths[n_vars], rng.standard_normal((20, n_vars)),
+                      [f"v{j}" for j in range(n_vars)])
+    out = tmp_path / "out.json"
+    assert run(["scan", str(paths[3]), "-o", str(out)]) == 0  # warm caches
+    peak = {n_vars: _scan_peak(paths[n_vars], out) for n_vars in (100, 600)}
+    assert len(json.loads(out.read_text(encoding="utf-8"))) == 600 * 599 // 2
+    # 174 750 more pairs: holding even one float (24 bytes) per pair passes 16 bytes each
+    added = (600 * 599 - 100 * 99) // 2
+    assert peak[600] - peak[100] < 16 * added
+
+
+# Names a writer must quote or escape: a space, a double quote, a comma, non-ASCII
+# text and a percent sign.
+_NAMES = ("a", "b c", 'q"t', "é", "x,y", "%s")
+
+
+@st.composite
+def _tied_matrices(draw, names):
+    """A matrix over ``names``: few distinct values, so ties, and maybe a constant column."""
+    n = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, draw(st.integers(2, 6)), size=(n, len(names))) * 0.5
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, len(names) - 1))] = 1.25
+    return values
+
+
+_XY = ["--method", "ebayes", "--wrap-axis", "xy"]
+_XY_SEARCH = {"method": "ebayes", "scfg": ebayes.ShiftSearchConfig(axis_policy="xy")}
+
+
+def _outputs(argv: list[str], out: Path) -> dict[str, str]:
+    """What ``argv`` writes to ``out`` in each format."""
+    texts = {}
+    for fmt in ("json", "csv"):
+        assert run(argv + ["--format", fmt, "-o", str(out)]) == 0
+        texts[fmt] = out.read_text(encoding="utf-8")
+    return texts
+
+
+@pytest.fixture(scope="module")
+def stream_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("stream")
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n_vars=st.integers(2, len(_NAMES)))
+def test_streamed_rows_are_the_plain_writers_bytes(stream_folder, data, n_vars):
+    folder = stream_folder
+    names = _NAMES[:n_vars]
+    path_a, path_b, out = folder / "a.csv", folder / "b.csv", folder / "out.txt"
+    _write_values(path_a, data.draw(_tied_matrices(names)), names)
+    _write_values(path_b, data.draw(_tied_matrices(names[::-1])), names[::-1])
+    m_a, m_b = read_matrix(str(path_a)), read_matrix(str(path_b))
+
+    rows = [cli.pair_to_row(p) for p in pairwise_scan(m_a, **_XY_SEARCH)]
+    assert _outputs(["scan", str(path_a), *_XY], out) == {
+        "json": json_text(rows) + "\n", "csv": csv_text(rows, cli.SCAN_CSV_COLUMNS)}
+
+    edges = [cli.edge_to_row(e) for e in diff_scan(m_a, m_b, threshold=0.0, **_XY_SEARCH)]
+    argv = ["diff", str(path_a), str(path_b), "--edge-threshold", "0", *_XY]
+    assert _outputs(argv, out) == {
+        "json": json_text(edges) + "\n", "csv": csv_text(edges, cli.DIFF_CSV_COLUMNS)}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "{one}"], "need at least two variables to scan"),
+    (["scan", "{bad}"], "not a number: 'x' (line 3, column 2)"),
+    (["diff", "{m}", "{other}"], "the two matrices must carry the same variable names"),
+    (["diff", "{m}", "{m}", "--edge-threshold", "2"], "--edge-threshold must lie in [0, 1]"),
+], ids=["one-column", "bad-cell", "names-differ", "threshold"])
+def test_a_refused_scan_writes_no_file(argv, message, matrix_file, tmp_path, capsys):
+    files = {"one": matrix_file("a\n1\n2\n", "one.csv"),
+             "bad": matrix_file("a,b\n1,2\n3,x\n", "bad.csv"),
+             "m": matrix_file("a,b\n1,2\n2,1\n3,3\n", "m.csv"),
+             "other": matrix_file("a,c\n1,2\n2,1\n3,3\n", "other.csv")}
+    out = tmp_path / "out.json"
+    assert run([arg.format(**files) for arg in argv] + ["-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_a_scan_failing_partway_removes_its_file(out_format, matrix_file, tmp_path,
+                                                 monkeypatch, capsys):
+    rng = np.random.default_rng(19)
+    path = tmp_path / "m.csv"
+    _write_values(path, rng.standard_normal((30, 8)), [f"v{j}" for j in range(8)])
+    row_of = cli.pair_to_row
+
+    def fail_at_the_eleventh_row(pair):
+        if (pair.var_a, pair.var_b) == ("v1", "v5"):
+            raise ValueError("cannot serialise non-finite number")
+        return row_of(pair)
+
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 4)  # so two blocks are written before it
+    monkeypatch.setattr(cli, "pair_to_row", fail_at_the_eleventh_row)
+    out = tmp_path / "out.txt"
+    assert run(["scan", str(path), "--format", out_format, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: cannot serialise non-finite number\n"
+    assert not out.exists()
+
+
+def test_scan_leaves_the_simulator_unloaded(matrix_file, tmp_path):
+    path = matrix_file("a,b,c\n1,2,3\n2,1,2\n3,3,1\n")
+    code = ("import sys; from ptdep import cli; code = cli.run(sys.argv[1:]); "
+            "import json; print(json.dumps(sorted(sys.modules))); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(ptdep.__file__).resolve().parents[1]))
+    out = tmp_path / "out.json"
+    proc = subprocess.run([sys.executable, "-c", code, "scan", path, "-o", str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = json.loads(proc.stdout)
+    assert "ptdep.diffscan" in loaded and "ptdep.simulate" not in loaded
+    assert len(json.loads(out.read_text(encoding="utf-8"))) == 3

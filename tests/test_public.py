@@ -5,7 +5,11 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -171,7 +175,10 @@ LIBRARY_TABLE = (
        ("SimModel", "theta_range", ("a", "b"), {"kind": "checkerboard",
                                                 "checker_pattern": "balanced"}),
        ("SimModel", "x_range", (False, True), {"kind": "linear", "x_range": (0, 1)}),
-       ("SimModel", "x_range", (1, 2, 3), {"kind": "sinusoidal"})]
+       ("SimModel", "x_range", (1, 2, 3), {"kind": "sinusoidal"}),
+       # a number too large for a float, refused before anything converts it
+       ("PartitionConfig", "prior_odds", Fraction(10**400), {"prior_odds": 2.0}),
+       ("SimModel", "x_range", (0, 10**400), {"kind": "linear", "x_range": (-1, 1)})]
 )
 
 
@@ -221,3 +228,27 @@ def test_every_setting_changes_the_result_or_is_refused(call, param, value, base
         assert str(exc).split()[0] == param, exc
     else:
         assert got != want
+
+
+def test_the_simulator_loads_on_first_use():
+    # a fresh interpreter: this process has long loaded every module
+    code = """if True:
+        import sys
+        import ptdep
+        assert "ptdep.simulate" not in sys.modules
+        names = {}
+        exec("from ptdep import *", names)
+        assert "ptdep.simulate" in sys.modules
+        assert all(names[name] is getattr(ptdep, name) for name in ptdep.__all__)
+        assert ptdep.SimModel is sys.modules["ptdep.simulate"].SimModel
+        try:
+            ptdep.no_such_name
+        except AttributeError as exc:
+            assert str(exc) == "module 'ptdep' has no attribute 'no_such_name'"
+        else:
+            raise AssertionError("no AttributeError")
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(ptdep.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -137,6 +137,15 @@ class TestGenerate:
         assert str(err.value) == f"{field} must satisfy lo < hi, got ({bounds[0]}, {bounds[1]})"
 
 
+    @pytest.mark.parametrize("kind, field", [("linear", "x_range"),
+                                             ("checkerboard", "theta_range")])
+    def test_range_given_as_a_list_is_kept_as_a_tuple(self, kind, field):
+        listed = SimModel(kind=kind, **{field: [0.0, 1.0]})
+        paired = SimModel(kind=kind, **{field: (0.0, 1.0)})
+        assert getattr(listed, field) == (0.0, 1.0)
+        assert listed == paired and hash(listed) == hash(paired)
+        assert len({listed, paired}) == 1
+
     @pytest.mark.parametrize("kind", ["circular", "checkerboard", "independent"])
     def test_x_range_refused_where_x_is_not_uniform(self, kind):
         with pytest.raises(ValueError, match=f"x_range does not apply to the {kind} model"):
