@@ -19,6 +19,9 @@ dicts) and the CSV columns it fixes, if any; ``scan`` and ``diff`` check
 their input and settings, then hand over rows that are scored as they are
 written. Only the model commands load :mod:`ptdep.simulate`. Settings are
 passed to the library as given, and the library refuses a bad value.
+Output goes out in blocks as it is formatted: a command that fails after
+its first block removes the file it wrote (a regular file only), and on
+stdout leaves the blocks before the failure.
 :func:`run` alone writes the payload, names the flag of a refused setting
 and maps errors to exit codes:
 0 success, 2 input or validation error or an output path that cannot be
@@ -33,7 +36,9 @@ import gc
 import json
 import math
 import os
+import stat
 import sys
+from contextlib import suppress
 from dataclasses import asdict, astuple, replace
 from functools import lru_cache
 from itertools import chain, islice
@@ -85,17 +90,16 @@ def _fmt(x) -> str:
 
 
 def _json_value(obj) -> str:
-    exact = _JSON_TYPES.get(type(obj))
-    if exact is not None:
-        return exact(obj)
-    if isinstance(obj, str):
-        return encode_basestring(obj)
-    if isinstance(obj, (bool, int, float, np.integer, np.floating)):
+    return _JSON_TYPES.get(type(obj), _json_other)(obj)
+
+
+def _json_other(obj) -> str:
+    """A numpy number, or an instance of a subclass of a type of :data:`_JSON_TYPES`."""
+    if isinstance(obj, (np.integer, np.floating)):
         return _fmt(obj)
-    if isinstance(obj, (list, tuple)):
-        return _json_array(obj)
-    if isinstance(obj, dict):
-        return _json_object(obj)
+    for kind, encode in _JSON_TYPES.items():
+        if isinstance(obj, kind):
+            return encode(obj)
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
@@ -104,15 +108,16 @@ def _json_array(obj) -> str:
 
 
 def _json_object(obj: dict) -> str:
-    values = [_JSON_TYPES.get(type(v), _json_value)(v) for v in obj.values()]
+    # _json_value inlined: a scan writes one dict per pair
+    values = [_JSON_TYPES.get(type(v), _json_other)(v) for v in obj.values()]
     return _json_template(tuple(obj)) % tuple(values)
 
 
-# The encoder of each of these exact types, looked up before the general rules of
-# _json_value and giving what they give: a str as json.dumps gives it with
-# ensure_ascii=False.
-_JSON_TYPES = {type(None): lambda _: "null", str: encode_basestring, bool: _fmt, int: str,
-               float: _float, list: _json_array, tuple: _json_array, dict: _json_object}
+# The encoder of each type that JSON output holds: a str as json.dumps gives it
+# with ensure_ascii=False, an int by its digits even where a subclass renames it.
+_JSON_TYPES = {type(None): lambda _: "null", str: encode_basestring, bool: _fmt,
+               int: int.__repr__, float: _float, list: _json_array, tuple: _json_array,
+               dict: _json_object}
 
 
 @lru_cache(maxsize=64)
@@ -128,7 +133,7 @@ def _csv_cell(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    return _float(v) if type(v) is float else _fmt(v)
+    return _fmt(v)
 
 
 def result_to_dict(res: TestResult) -> dict:
@@ -197,7 +202,10 @@ def _emit(lines, path: str | None) -> None:
     """Write ``lines`` to ``path``, or to stdout if None, in blocks of :data:`_BLOCK_LINES`.
 
     The file is opened once the first block is formatted, so output that
-    fails to format by then leaves no file; a later failure removes it.
+    fails to format by then leaves no file; a later failure removes it if the
+    path names a regular file, not a link, a device or a pipe. Stdout gets
+    each block as it is formatted, so a failure after the first block leaves
+    the blocks before it there.
     """
     lines = iter(lines)
     blocks = iter(lambda: "".join(islice(lines, _BLOCK_LINES)), "")
@@ -208,13 +216,16 @@ def _emit(lines, path: str | None) -> None:
     first = next(blocks, "")
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
+        opened = os.fstat(fh.fileno())
     except OSError as exc:
         raise PtdepError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with fh:
             fh.writelines(chain([first], blocks))
     except BaseException as exc:
-        os.remove(path)
+        with suppress(OSError):  # the failure reported is the write's, not the removal's
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(path)):
+                os.remove(path)
         if isinstance(exc, OSError):
             raise PtdepError(f"cannot write {path}: {exc.strerror}") from exc
         raise

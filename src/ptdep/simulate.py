@@ -81,7 +81,7 @@ class SimModel:
             _check_real(name, hi)
             if not (lo < hi):
                 raise ValueError(f"{name} must satisfy lo < hi, got ({lo}, {hi})")
-            if not all(map(_finite, (lo, hi, hi - lo))):
+            if not (_finite(lo) and _finite(hi) and _finite(hi - lo)):  # width once ends fit
                 raise ValueError(f"{name} must have finite ends and width, got ({lo}, {hi})")
             object.__setattr__(self, name, tuple(bounds))  # a list is kept as a tuple: hashable
         if self.checker_pattern not in CHECKER_PATTERNS:

@@ -1,11 +1,15 @@
 import argparse
+import collections
 import csv
 import dataclasses
+import enum
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -717,6 +721,22 @@ def test_write_result_refuses_what_it_cannot_write(payload, out_format, error, m
     assert capsys.readouterr().out == ""
 
 
+class _Level(enum.IntEnum):
+    TWO = 2
+
+
+def test_write_result_writes_numpy_numbers_and_subclasses_by_value(capsys):
+    pair = collections.namedtuple("Pair", "a b")
+    text = type("Text", (str,), {})
+    payload = {"f32": np.float32(0.1), "f64": np.float64(1 / 3), "i64": np.int64(-7),
+               "level": _Level.TWO, "pair": pair(1, text('\u00e9"')),
+               "nested": collections.OrderedDict(on=True)}
+    plain = {"f32": float(np.float32(0.1)), "f64": 1 / 3, "i64": -7, "level": 2,
+             "pair": [1, '\u00e9"'], "nested": {"on": True}}
+    write_result(payload, None, "json")
+    assert capsys.readouterr().out == json_text(plain) + "\n"
+
+
 # Each row adds one flag, with a value, to one of these runs of the six commands.
 FLAG_BASES = {
     "test": ["test", "data.csv"],
@@ -962,9 +982,10 @@ def test_a_refused_scan_writes_no_file(argv, message, matrix_file, tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out_format", ["json", "csv"])
-def test_a_scan_failing_partway_removes_its_file(out_format, matrix_file, tmp_path,
-                                                 monkeypatch, capsys):
+@pytest.fixture
+def failing_scan(tmp_path, monkeypatch):
+    """A matrix of 8 columns whose scan fails at its eleventh row, written in blocks
+    of 4 lines, so two blocks are written before it."""
     rng = np.random.default_rng(19)
     path = tmp_path / "m.csv"
     _write_values(path, rng.standard_normal((30, 8)), [f"v{j}" for j in range(8)])
@@ -975,12 +996,47 @@ def test_a_scan_failing_partway_removes_its_file(out_format, matrix_file, tmp_pa
             raise ValueError("cannot serialise non-finite number")
         return row_of(pair)
 
-    monkeypatch.setattr(cli, "_BLOCK_LINES", 4)  # so two blocks are written before it
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 4)
     monkeypatch.setattr(cli, "pair_to_row", fail_at_the_eleventh_row)
+    return str(path)
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_a_scan_failing_partway_removes_its_file(out_format, failing_scan, tmp_path, capsys):
     out = tmp_path / "out.txt"
-    assert run(["scan", str(path), "--format", out_format, "-o", str(out)]) == 2
+    assert run(["scan", failing_scan, "--format", out_format, "-o", str(out)]) == 2
     assert capsys.readouterr().err == "error: cannot serialise non-finite number\n"
     assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_scan_failing_partway_keeps_a_pipe_it_writes_to(failing_scan, tmp_path, capsys):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert run(["scan", failing_scan, "--format", "csv", "-o", str(pipe)]) == 2
+    finally:
+        reader.join(timeout=60)
+    assert capsys.readouterr().err == "error: cannot serialise non-finite number\n"
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert got[0].decode().count("\n") == 8  # the header and 7 rows
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_a_scan_failing_partway_leaves_its_first_blocks_on_stdout(out_format, failing_scan,
+                                                                 monkeypatch, capsys):
+    argv = ["scan", failing_scan, "--format", out_format]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: cannot serialise non-finite number\n"
+    monkeypatch.undo()  # the same scan, whole
+    assert run(argv) == 0
+    whole = capsys.readouterr().out
+    rows = {"json": out.count('{"var_a"'), "csv": out.count("\n") - 1}[out_format]
+    assert whole.startswith(out) and rows == {"json": 8, "csv": 7}[out_format]
 
 
 def test_scan_leaves_the_simulator_unloaded(matrix_file, tmp_path):

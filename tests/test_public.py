@@ -178,7 +178,9 @@ LIBRARY_TABLE = (
        ("SimModel", "x_range", (1, 2, 3), {"kind": "sinusoidal"}),
        # a number too large for a float, refused before anything converts it
        ("PartitionConfig", "prior_odds", Fraction(10**400), {"prior_odds": 2.0}),
-       ("SimModel", "x_range", (0, 10**400), {"kind": "linear", "x_range": (-1, 1)})]
+       ("SimModel", "x_range", (0, 10**400), {"kind": "linear", "x_range": (-1, 1)}),
+       ("SimModel", "x_range", (0.0, 10**400), {"kind": "linear", "x_range": (-1.0, 1.0)}),
+       ("SimModel", "x_range", (0.5, Fraction(10**400)), {"kind": "linear", "x_range": (0.5, 1)})]
 )
 
 
