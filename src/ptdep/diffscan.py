@@ -20,11 +20,10 @@ from itertools import chain
 
 import numpy as np
 
-from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_rows, shift_search,
-                     winner_result)
+from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_rows, margin_codes,
+                     shift_search, winner_result)
 from .engine import PartitionConfig, TestResult, _check_real
 from .errors import DegenerateSample, VarMismatch
-from .transforms import to_unit_interval
 
 
 @dataclass(frozen=True)
@@ -93,29 +92,30 @@ def p_diff(p_a: float, p_b: float) -> float:
     return p_a * (1.0 - p_b) + p_b * (1.0 - p_a)
 
 
-def _column_maps(m: ExpressionMatrix):
-    """Each column, contiguous, with its map to the unit interval or its degenerate error."""
-    cols, units, errors = [], [], []
+def _column_codes(m: ExpressionMatrix, depth_cap: int):
+    """Each column, contiguous, with its :func:`~ptdep.ebayes.margin_codes` or its
+    degenerate error."""
+    cols, codes, errors = [], [], []
     for j in range(m.n_vars):
         cols.append(np.ascontiguousarray(m.values[:, j]))
         try:
-            units.append(to_unit_interval(cols[j]))
+            codes.append(margin_codes(cols[j], depth_cap))
             errors.append(None)
         except DegenerateSample as exc:
-            units.append(None)
+            codes.append(None)
             errors.append(str(exc))
-    return cols, units, errors
+    return cols, codes, errors
 
 
-def _search(cols: list, units: list, axis: str,
+def _search(cols: list, codes: list, axis: str,
             search: ShiftSearchConfig | None, cfg: PartitionConfig):
     """Yield ``((i, j), winner)`` of each pair with a table on ``axis``, as it is scored.
 
     Column c's pairs are one run of tables: each of its :func:`cut_rows` on
-    ``axis``, built as kernel calls take them, against the stacked maps of its
+    ``axis``, built as kernel calls take them, against the stacked codes of its
     partners; on x, the unwrapped row comes first. Its partners, listed as
-    it is scored, are the mapped columns after it on x and before it on y; a
-    degenerate column, whose map ``units[c]`` is None, has none. A column
+    it is scored, are the coded columns after it on x and before it on y; a
+    degenerate column, whose ``codes[c]`` is None, has none. A column
     with no partners, or on y with no cut rows, holds no table. So x yields
     its pairs in lexicographic order, and y by their second column. The keys
     held are those of the tables read but not yet yielded.
@@ -125,14 +125,14 @@ def _search(cols: list, units: list, axis: str,
     def block(c: int):
         nonlocal tables
         partners = [p for p in (range(c + 1, len(cols)) if axis == "x" else range(c))
-                    if units[p] is not None]
-        if units[c] is None or not partners:
+                    if codes[p] is not None]
+        if codes[c] is None or not partners:
             return
-        rows = cut_rows(cols[c], search, axis)
-        head = (None, units[c]) if axis == "x" else next(rows, None)
+        rows = cut_rows(cols[c], search, axis, cfg.depth_cap)
+        head = (None, codes[c]) if axis == "x" else next(rows, None)
         if head is None:  # no usable cut: no table
             return
-        first, fixed = tables, np.stack([units[p] for p in partners])
+        first, fixed = tables, np.stack([codes[p] for p in partners])
         tables += len(partners)
         keys.extend((c, p) if axis == "x" else (p, c) for p in partners)
         for delta, row in chain([head], rows):
@@ -160,9 +160,9 @@ def _scored_pairs(m: ExpressionMatrix, cfg: PartitionConfig, method: str,
     reaches pair (i, j) only at column j. Otherwise the y pass scores nothing
     and the scan holds its columns and one kernel call's rows, not its pairs.
     """
-    cols, units, errors = _column_maps(m)
-    held = dict(_search(cols, units, "y", search, cfg))
-    scored = _search(cols, units, "x", search, cfg)
+    cols, codes, errors = _column_codes(m, cfg.depth_cap)
+    held = dict(_search(cols, codes, "y", search, cfg))
+    scored = _search(cols, codes, "x", search, cfg)
     for i in range(m.n_vars):
         for j in range(i + 1, m.n_vars):
             result, error = None, errors[i] or errors[j]
@@ -187,11 +187,12 @@ def pairwise_scan(
     Degenerate columns skip their pairs with a recorded reason instead of
     failing the scan. Output order is lexicographic by column indices.
 
-    Each column is mapped once. Axis x is searched over each pair's first
-    column against every later one, and axis y over the second column
-    against every earlier one, where a y-row wins only when strictly better.
-    The y pass finds no cut rows unless the search is ebayes with "xy", as
-    :func:`cut_rows` decides. A pair's result is bit for bit its ``run_test``.
+    Each column is mapped and coded once. Axis x is searched over each
+    pair's first column against every later one, and axis y over the second
+    column against every earlier one, where a y-row wins only when strictly
+    better. The y pass finds no cut rows unless the search is ebayes with
+    "xy", as :func:`cut_rows` decides. A pair's result is bit for bit its
+    ``run_test``.
     """
     return list(_pair_stream(m, cfg, method, scfg))
 

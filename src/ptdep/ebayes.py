@@ -113,8 +113,9 @@ class Segment(NamedTuple):
     """One candidate row of tables ``first`` to ``first + B - 1``.
 
     ``row`` is the margin of ``axis`` wrapped at ``delta`` (None: unwrapped)
-    and mapped, (n,) shared by the B tables or (B, n); ``fixed`` is the other
-    margin, (n,) shared or (B, n).
+    and coded by :func:`margin_codes`, (n,) shared by the B tables or (B, n);
+    ``fixed`` is the other margin's codes, (n,) shared or (B, n). Segments
+    carry codes, so the kernel codes no coordinate.
     """
 
     first: int
@@ -137,18 +138,25 @@ class Segment(NamedTuple):
                        self.fixed[lo:hi] if self.fixed.ndim == 2 else self.fixed)
 
 
-def cut_rows(values: np.ndarray, search: ShiftSearchConfig | None, axis: str):
+def margin_codes(values, depth_cap: int) -> np.ndarray:
+    """The :func:`~ptdep.kernels.half_codes` at ``depth_cap`` of a margin mapped by
+    :func:`~ptdep.transforms.to_unit_interval`: every route maps and codes here."""
+    return kernels.half_codes(to_unit_interval(values), depth_cap)
+
+
+def cut_rows(values: np.ndarray, search: ShiftSearchConfig | None, axis: str, depth_cap: int):
     """Yield ``(delta, row)`` for each usable cut of the margin on ``axis``, in grid order.
 
     This is the one place a search becomes cut rows. The basic test's
     ``search`` of None cuts no axis, and axis "y" is cut only under the "xy"
     policy; every route asks for both axes and takes what comes.
 
-    Each row is the margin wrapped at one cut of the grid and mapped again,
-    one cut at a time, as the caller takes it. A cut that collapses the
-    wrapped margin onto too few values defines no partition, so it cannot be
-    the optimum and is skipped; so is a cut whose wrap overflows the float
-    range, on a margin spanning more than it. A margin of fewer than two
+    Each row is the margin wrapped at one cut of the grid and mapped and
+    coded again at ``depth_cap`` (:func:`margin_codes`), one cut at a time,
+    as the caller takes it. A cut that collapses the wrapped margin onto too
+    few values defines no partition, so it cannot be the optimum and is
+    skipped; so is a cut whose wrap overflows the float range, on a margin
+    spanning more than it. A margin of fewer than two
     distinct values has no cuts.
     """
     if search is None or (axis == "y" and search.axis_policy != "xy"):
@@ -159,7 +167,7 @@ def cut_rows(values: np.ndarray, search: ShiftSearchConfig | None, axis: str):
         if not np.isfinite(wrapped).all():
             continue
         try:
-            row = to_unit_interval(wrapped)
+            row = margin_codes(wrapped, depth_cap)
         except DegenerateSample:
             continue
         yield delta, row
@@ -213,15 +221,16 @@ def _score_call(call, size: int, cfg: PartitionConfig, best: dict) -> None:
 
 
 def _margin(call, size: int, axis: str) -> np.ndarray:
-    """The call's coordinates on ``axis``, in a shape that broadcasts to its rows.
+    """The call's codes on ``axis``, in a shape that broadcasts to its rows.
 
     A lone segment's part, or one (n,) part that every segment shares, is
-    passed as it is; else each segment's part is copied in, row by row.
+    passed as it is; else each segment's part is copied in, row by row, into
+    an array of the parts' type.
     """
     parts = [seg.row if seg.axis == axis else seg.fixed for seg in call]
     if len(parts) == 1 or (parts[0].ndim == 1 and all(part is parts[0] for part in parts)):
         return parts[0]
-    out, lo = np.empty((size, parts[0].shape[-1])), 0
+    out, lo = np.empty((size, parts[0].shape[-1]), dtype=parts[0].dtype), 0
     for seg, part in zip(call, parts):
         out[lo:lo + seg.tables] = part
         lo += seg.tables
@@ -247,18 +256,18 @@ def winner_result(winner, n: int, cfg: PartitionConfig, method: str) -> TestResu
                       shift_axis=None if delta is None else axis)
 
 
-def candidate_tables(t: int, samples: list, search: ShiftSearchConfig | None):
+def candidate_tables(t: int, samples: list, search: ShiftSearchConfig | None, depth_cap: int):
     """The segments of samples' tables t, t + 1, ..., lazily: one of their unwrapped
     rows, then each sample's :func:`cut_rows` of x and of y under ``search``."""
-    xs = [to_unit_interval(s.x) for s in samples]
-    ys = [to_unit_interval(s.y) for s in samples]
+    xs = [margin_codes(s.x, depth_cap) for s in samples]
+    ys = [margin_codes(s.y, depth_cap) for s in samples]
     # a lone sample's margins as they are: copying a large one costs a share of its test
     u, v = (xs[0], ys[0]) if len(samples) == 1 else (np.stack(xs), np.stack(ys))
     yield Segment(t, "x", None, u, v)
     for b, sample in enumerate(samples):
-        for delta, row in cut_rows(sample.x, search, "x"):
+        for delta, row in cut_rows(sample.x, search, "x", depth_cap):
             yield Segment(t + b, "x", delta, row, ys[b])
-        for delta, row in cut_rows(sample.y, search, "y"):
+        for delta, row in cut_rows(sample.y, search, "y", depth_cap):
             yield Segment(t + b, "y", delta, row, xs[b])
 
 
@@ -293,7 +302,8 @@ def run_tests(samples, method: str, cfg: PartitionConfig | None = None,
     samples = _same_size(first, samples)
     step = kernels.rows_per_call(first.n)
     blocks = iter(lambda: list(islice(samples, step)), [])
-    tables = (candidate_tables(t, block, search) for t, block in zip(count(0, step), blocks))
+    tables = (candidate_tables(t, block, search, cfg.depth_cap)
+              for t, block in zip(count(0, step), blocks))
     for winner in best_candidates(tables, cfg):
         yield winner_result(winner, first.n, cfg, method)
 

@@ -17,8 +17,11 @@ Everything here is a pure function of its inputs; results are
 deterministic, cells being accumulated in a fixed address order. This
 module holds the configuration, the result type and the posterior; it maps
 no margin and builds no result. Every test, :func:`test_dependence`
-included, maps its margins with :func:`ptdep.transforms.to_unit_interval`,
-is scored by :func:`ptdep.ebayes.best_candidates` over
+included, maps and codes each margin once with
+:func:`ptdep.ebayes.margin_codes` (the map
+:func:`ptdep.transforms.to_unit_interval`, then the Morton half-codes of
+:func:`ptdep.kernels.half_codes` at the depth cap), is scored by
+:func:`ptdep.ebayes.best_candidates` over
 :func:`ptdep.kernels.logbf_batch`, and gets its :class:`TestResult` from
 :func:`ptdep.ebayes.winner_result`.
 """

@@ -4,7 +4,11 @@ Every point gets one Morton (Z-order) address (G. M. Morton, IBM, 1966):
 the binary digits of ``floor(u * 2**D)`` and ``floor(v * 2**D)``
 interleaved, level 1 in the top two bits, for depth cap D. Scaling by a
 power of two is exact, so the top 2k bits of an address name the point's
-level-k cell. Each sample's addresses are sorted once, and each point's
+level-k cell. The kernel takes each margin as its half-codes
+(:func:`half_codes`), one coordinate's digits spread to the even bits, so
+an address is ``cx | cy << 1``. A route codes each margin once, and a
+re-pairing of the margins, as a permutation null draws, moves codes, not
+coordinates. Each sample's addresses are sorted once, and each point's
 separation level s is read once per block from the xor of its address with
 the one before it (:func:`_separation`): the first level at which the two
 points fall in different cells, 0 for a row's first point and D + 1 for a
@@ -34,11 +38,13 @@ route with fewer log-gamma evaluations, and both give the same floats. It
 also scores cells of several levels in one call, each at its own level's
 concentration.
 
-A batch is B samples of n points, given as ``u`` and ``v`` that broadcast
-to (B, n), so a margin shared by every sample is passed once. Samples never
-interact: each row's result is bit for bit what the row gives alone. A
-batch is scored in calls of at most ``CHUNK_POINTS`` points, never
-splitting a row, which bounds the working set of large batches. Every
+A batch is B samples of n points, given as codes ``cx`` and ``cy`` that
+broadcast to (B, n), so a margin shared by every sample is passed once;
+each call's addresses are made in one new array and sorted in place.
+Samples never interact: each row's result is bit for bit what the row
+gives alone. A batch is scored in calls of at most ``CHUNK_POINTS``
+points, never splitting a row, which bounds the working set of large
+batches. Every
 test, the single-sample basic test included, reaches the kernel through
 :func:`ptdep.ebayes.best_candidates`.
 
@@ -101,12 +107,38 @@ def _spread(cells: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _addresses(u: np.ndarray, v: np.ndarray, depth_cap: int) -> np.ndarray:
-    """Row-sorted Morton addresses of the points (u, v), shape (B, n)."""
-    scale = float(2**depth_cap)
-    ax = _spread((u * scale).astype(np.int64))
-    ay = _spread((v * scale).astype(np.int64))
-    return np.sort(ax | (ay << 1), axis=-1)
+def _check_depth_cap(depth_cap: int) -> None:
+    """Refuse a depth cap whose addresses would not fit an int64 with a bit to spare."""
+    if depth_cap < 1 or depth_cap > MAX_DEPTH_CAP:
+        raise ValueError(f"depth_cap must be in [1, {MAX_DEPTH_CAP}], got {depth_cap}")
+
+
+def half_codes(u, depth_cap: int) -> np.ndarray:
+    """Each coordinate's Morton half-code: ``floor(u * 2**depth_cap)`` with bit i moved to bit 2i.
+
+    This is the one place coordinates become integers. A coordinate outside
+    [0, 1), NaN and inf included, has no cell and is refused with a
+    ``ValueError`` that names it, checked before the cast.
+    """
+    _check_depth_cap(depth_cap)
+    u = np.asarray(u, dtype=np.float64)
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):  # a NaN fails both
+        bad = u[~((u >= 0.0) & (u < 1.0))].flat[0]
+        raise ValueError(f"coordinates must lie in [0, 1), got {bad}")
+    return _spread((u * float(2**depth_cap)).astype(np.int64))
+
+
+def _addresses(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Row-sorted Morton addresses ``cx | cy << 1`` of points given by their half-codes.
+
+    The addresses are made in one new array, shaped as the codes broadcast,
+    and sorted in place; the codes, which callers share, are never written.
+    """
+    addr = np.empty(np.broadcast_shapes(cx.shape, cy.shape), dtype=np.int64)
+    np.left_shift(cy, 1, out=addr)
+    addr |= cx
+    addr.sort(axis=-1)
+    return addr
 
 
 def cell_log_evidence(n0, n1, n2, n3, a, level=None):
@@ -314,20 +346,19 @@ def _score_block(addr: np.ndarray, depth_cap: int, c: float, levels, depth, trun
         del kept
 
 
-def logbf_batch(u, v, depth_cap: int, c: float):
+def logbf_batch(cx, cy, depth_cap: int, c: float):
     """Per-level log evidence of every sample in a batch.
 
-    ``u`` and ``v`` hold unit-square coordinates and broadcast to (B, n).
-    Returns ``(levels, depth, truncated)``: ``levels[b, k-1]`` sums the log
-    evidence of every cell of sample b split at level k and is zero beyond
+    ``cx`` and ``cy`` hold the :func:`half_codes` of the points' two
+    coordinates at ``depth_cap`` and broadcast to (B, n). Returns
+    ``(levels, depth, truncated)``: ``levels[b, k-1]`` sums the log evidence
+    of every cell of sample b split at level k and is zero beyond
     ``depth[b]``, the deepest level with a retained cell; ``truncated[b]``
     tells whether points of sample b still shared a cell at the depth cap.
     """
-    if depth_cap < 1 or depth_cap > MAX_DEPTH_CAP:
-        raise ValueError(f"depth_cap must be in [1, {MAX_DEPTH_CAP}], got {depth_cap}")
-    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    batch, n = np.broadcast_shapes(u.shape, v.shape)
+    _check_depth_cap(depth_cap)
+    cx, cy = np.atleast_2d(cx), np.atleast_2d(cy)
+    batch, n = np.broadcast_shapes(cx.shape, cy.shape)
     levels = np.zeros((batch, depth_cap), dtype=np.float64)
     depth = np.zeros(batch, dtype=np.int64)
     truncated = np.zeros(batch, dtype=bool)
@@ -336,7 +367,7 @@ def logbf_batch(u, v, depth_cap: int, c: float):
     step = rows_per_call(n)
     for lo in range(0, batch, step):
         rows = slice(lo, min(lo + step, batch))
-        addr = _addresses(u[rows] if u.shape[0] > 1 else u,
-                          v[rows] if v.shape[0] > 1 else v, depth_cap)
+        addr = _addresses(cx[rows] if cx.shape[0] > 1 else cx,
+                          cy[rows] if cy.shape[0] > 1 else cy)
         _score_block(addr, depth_cap, float(c), levels[rows], depth[rows], truncated[rows])
     return levels, depth, truncated

@@ -37,11 +37,11 @@ import numpy as np
 from . import kernels
 # the model names, kept where the CLI's parser reads them without loading this module
 from ._models import CHECKER_PATTERNS, MODEL_KINDS, THETA_FULL, THETA_UNIT  # noqa: F401
-from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_rows, run_tests,
-                     shift_search)
+from .ebayes import (Segment, ShiftSearchConfig, best_candidates, cut_rows, margin_codes,
+                     run_tests, shift_search)
 from .engine import (PartitionConfig, TestResult, _check_integer, _check_real, _finite,
                      posterior_dependence)
-from .transforms import PairedSample, to_unit_interval
+from .transforms import PairedSample
 
 # Default x ranges keep each shape's defining feature in play at sigma = 2:
 # a modest linear signal, a symmetric parabola, a sine with ~1.5 periods.
@@ -289,17 +289,18 @@ def _default_null(sample: PairedSample, n_perm: int, cfg: PartitionConfig, metho
                   scfg: ShiftSearchConfig | None, rng: np.random.Generator) -> np.ndarray:
     """Null p_dependent values of ``method``'s test, scored in batches.
 
-    Re-pairing changes no margin, so each axis's :func:`~ptdep.ebayes.cut_rows`
-    are built once, and wrapping and mapping y commute with it: each
-    permutation re-pairs y's mapped margin and cut rows by indices
-    :func:`_orders` draws as ``rng.permutation(sample.y)`` would. A batch of
-    permutations is one segment per candidate row, and only one batch is held
-    at a time.
+    Re-pairing changes no margin, so each margin is mapped and coded once
+    (:func:`~ptdep.ebayes.margin_codes`) and each axis's
+    :func:`~ptdep.ebayes.cut_rows` are built once, and wrapping, mapping and
+    coding y commute with it: each permutation re-pairs y's codes and cut
+    rows by indices :func:`_orders` draws as ``rng.permutation(sample.y)``
+    would. A batch of permutations is one segment per candidate row, and
+    only one batch is held at a time.
     """
     search = shift_search(method, scfg)
-    u, v = to_unit_interval(sample.x), to_unit_interval(sample.y)
-    x_rows = [(None, u), *cut_rows(sample.x, search, "x")]
-    y_rows = list(cut_rows(sample.y, search, "y"))
+    u, v = margin_codes(sample.x, cfg.depth_cap), margin_codes(sample.y, cfg.depth_cap)
+    x_rows = [(None, u), *cut_rows(sample.x, search, "x", cfg.depth_cap)]
+    y_rows = list(cut_rows(sample.y, search, "y", cfg.depth_cap))
     step = max(1, kernels.rows_per_call(sample.n) // (len(x_rows) + len(y_rows)))
 
     def batches():

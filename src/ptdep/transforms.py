@@ -2,10 +2,11 @@
 
 The dependence test works on points in the open unit square. Each margin
 gets there through :func:`to_unit_interval`, the only margin map, which
-every route calls directly: robust standardisation with the median and the
-normal-consistent scaled median absolute deviation, then the standard
-normal CDF. Partitioning the unit square into equal quadrants is then the
-same as partitioning the raw axes at normal quantiles centred on the median.
+every route calls through :func:`ptdep.ebayes.margin_codes`, once per
+margin: robust standardisation with the median and the normal-consistent
+scaled median absolute deviation, then the standard normal CDF.
+Partitioning the unit square into equal quadrants is then the same as
+partitioning the raw axes at normal quantiles centred on the median.
 
 Each median takes one selection (``np.partition`` at the middle index), not
 the two of ``np.median``, with the same float.

@@ -74,12 +74,13 @@ def exact_log_cell_evidence(counts, a: float) -> float:
 def direct_test(sample, cfg=None):
     """The basic test of ``sample`` from one direct kernel call.
 
-    Maps both margins with ``transforms.to_unit_interval``, scores the one row
-    with ``kernels.logbf_batch``, trims it to its depth and sums it with
-    ``math.fsum``. A constant margin raises ``DegenerateSample`` from the map.
+    Maps both margins with ``transforms.to_unit_interval``, codes them with
+    ``kernels.half_codes``, scores the one row with ``kernels.logbf_batch``,
+    trims it to its depth and sums it with ``math.fsum``. A constant margin
+    raises ``DegenerateSample`` from the map.
     """
     cfg = cfg or engine.PartitionConfig()
-    u, v = to_unit_interval(sample.x), to_unit_interval(sample.y)
+    u, v = (kernels.half_codes(to_unit_interval(m), cfg.depth_cap) for m in (sample.x, sample.y))
     levels, depth, truncated = kernels.logbf_batch(u, v, cfg.depth_cap, cfg.c)
     row = levels[0, : depth[0]].tolist()
     return ebayes.winner_result((math.fsum(row), None, "x", row, bool(truncated[0])), sample.n,

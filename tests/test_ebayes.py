@@ -497,7 +497,7 @@ class TestCallSizes:
     @pytest.mark.parametrize("deltas", [(0.25, 0.75), (0.75, 0.25)])
     def test_equal_rows_in_separate_calls_keep_the_first(self, deltas, monkeypatch):
         rng = np.random.default_rng(25)
-        row, fixed = rng.uniform(size=40), rng.uniform(size=40)
+        row, fixed = (kernels.half_codes(rng.uniform(size=40), 20) for _ in range(2))
         monkeypatch.setattr(kernels, "CHUNK_POINTS", row.size)  # one row per call
         calls, batch = [], kernels.logbf_batch
 
@@ -660,7 +660,8 @@ class TestHugeRangeMargin:
 
 @pytest.fixture
 def mapped(monkeypatch):
-    """Sizes of the margins the routes map, through each binding of the one margin map."""
+    """Sizes of the margins the routes map, through the one binding of the one margin
+    map: every route maps through ``ebayes.margin_codes``."""
     sizes = []
 
     def spy(values):
@@ -668,8 +669,20 @@ def mapped(monkeypatch):
         sizes.append(out.size)
         return out
 
-    for module in (ebayes, simulate, diffscan):
-        monkeypatch.setattr(module, "to_unit_interval", spy)
+    monkeypatch.setattr(ebayes, "to_unit_interval", spy)
+    return sizes
+
+
+@pytest.fixture
+def coded(monkeypatch):
+    """Sizes of the margins the routes code, through the one code step."""
+    sizes, code = [], kernels.half_codes
+
+    def spy(u, depth_cap):
+        sizes.append(np.size(u))
+        return code(u, depth_cap)
+
+    monkeypatch.setattr(kernels, "half_codes", spy)
     return sizes
 
 
@@ -707,23 +720,47 @@ class TestEachMarginMappedOnce:
         assert len(mapped) == 2 + usable
 
 
+class TestEachMarginCodedOnce:
+    """Each route codes a margin once and an ebayes cut row once, never a re-pairing."""
+
+    _sample = TestEachMarginMappedOnce._sample
+
+    def test_basic_permutation_null_codes_both_margins_once(self, coded):
+        permutation_null(self._sample, n_perm=3 * kernels.rows_per_call(40))
+        assert coded == [40, 40]
+
+    def test_ebayes_null_codes_both_margins_and_each_cut(self, coded):
+        scfg = ShiftSearchConfig(axis_policy="xy")
+        sample = self._sample
+        cuts = sum(np.unique(wrap_at(v, d)).size > 1
+                   for v in (sample.x, sample.y) for d in delta_candidates(v, scfg))
+        simulate._default_null(sample, 3 * kernels.rows_per_call(40), engine.PartitionConfig(),
+                               "ebayes", scfg, np.random.default_rng(5))
+        assert cuts > 0 and coded == [40] * (2 + cuts)
+
+    def test_basic_scan_codes_each_column_once(self, coded):
+        values = np.random.default_rng(71).standard_normal((40, 12))
+        pairwise_scan(ExpressionMatrix(values=values, var_names=[f"v{j}" for j in range(12)]))
+        assert coded == [40] * 12
+
+
 class TestCutRows:
     _values = np.random.default_rng(30).normal(size=60)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_basic_search_cuts_no_axis(self, axis):
-        assert list(ebayes.cut_rows(self._values, None, axis)) == []
+        assert list(ebayes.cut_rows(self._values, None, axis, 20)) == []
 
     def test_x_policy_cuts_no_y(self):
         scfg = ShiftSearchConfig(axis_policy="x")
-        assert list(ebayes.cut_rows(self._values, scfg, "x"))
-        assert list(ebayes.cut_rows(self._values, scfg, "y")) == []
+        assert list(ebayes.cut_rows(self._values, scfg, "x", 20))
+        assert list(ebayes.cut_rows(self._values, scfg, "y", 20)) == []
 
     @pytest.mark.parametrize("grid", [4, "midpoints"])
     def test_xy_policy_cuts_y_as_x(self, grid):
         scfg = ShiftSearchConfig(axis_policy="xy", grid=grid)
-        on_x = list(ebayes.cut_rows(self._values, scfg, "x"))
-        on_y = list(ebayes.cut_rows(self._values, scfg, "y"))
+        on_x = list(ebayes.cut_rows(self._values, scfg, "x", 20))
+        on_y = list(ebayes.cut_rows(self._values, scfg, "y", 20))
         assert on_x and [d for d, _ in on_y] == [d for d, _ in on_x]
         assert [r.tobytes() for _, r in on_y] == [r.tobytes() for _, r in on_x]
 
@@ -733,8 +770,8 @@ class TestCutRows:
         built = []
         cut_rows = diffscan.cut_rows
 
-        def spy(values, search, axis):
-            for delta, row in cut_rows(values, search, axis):
+        def spy(values, search, axis, depth_cap):
+            for delta, row in cut_rows(values, search, axis, depth_cap):
                 built.append(axis)
                 yield delta, row
 

@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 
 from ptdep import kernels
 from ptdep.engine import C_RANGE
-from ptdep.kernels import CHUNK_POINTS, MAX_DEPTH_CAP, logbf_batch
+from ptdep.kernels import CHUNK_POINTS, MAX_DEPTH_CAP, half_codes
 from ptdep.transforms import CLAMP_EPS
 
 from oracles import build_count_tree, log_bayes_factor
+
+
+def logbf_batch(u, v, depth_cap, c):
+    """The kernel on unit coordinates, each margin coded once as every route codes it."""
+    return kernels.logbf_batch(half_codes(u, depth_cap), half_codes(v, depth_cap), depth_cap, c)
 
 
 def _random_points(rng, n):
@@ -82,10 +87,11 @@ class TestDispatch:
         assert levels[depth - 1] != 0.0 and not levels[depth:].any()
 
     def test_depth_cap_validation(self):
-        with pytest.raises(ValueError):
-            logbf_batch(np.array([0.5]), np.array([0.5]), 0, 5.0)
-        with pytest.raises(ValueError):
-            logbf_batch(np.array([0.5]), np.array([0.5]), 31, 5.0)
+        for depth_cap in (0, 31):
+            with pytest.raises(ValueError):
+                kernels.logbf_batch(np.array([1]), np.array([1]), depth_cap, 5.0)
+            with pytest.raises(ValueError):
+                half_codes(np.array([0.5]), depth_cap)
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(16)
@@ -331,7 +337,7 @@ def _xors_near_powers(depth_cap):
 def _distinct_cell_depths(u, v, depth_cap):
     """Each row's depth and truncation flag, from its distinct cells at every level."""
     depth, truncated = [], []
-    for addr in kernels._addresses(u, v, depth_cap):
+    for addr in kernels._addresses(half_codes(u, depth_cap), half_codes(v, depth_cap)):
         shared = [j for j in range(depth_cap + 1)
                   if np.unique(addr >> 2 * (depth_cap - j)).size < addr.size]
         depth.append(min(depth_cap, shared[-1] + 1))
@@ -362,3 +368,38 @@ class TestSeparationLevels:
         for points in (sys.maxsize, -1, kernels.TAIL_POINTS):
             _, depth, truncated = _with_tail_points(points, *case)
             assert (depth.tolist(), truncated.tolist()) == want
+
+
+class TestHalfCodes:
+    """The one step from coordinates to integers, against its definition."""
+
+    @pytest.mark.parametrize("depth_cap", [1, 2, 20, 26, 27, 30])
+    def test_each_bit_of_the_cell_index_moves_to_twice_its_place(self, depth_cap):
+        u = np.append([0.0, CLAMP_EPS, 0.5, 1 - CLAMP_EPS, 1 - 2**-53],
+                      np.random.default_rng(depth_cap).uniform(0, 1, 200))
+        codes = half_codes(u, depth_cap)
+        assert codes.dtype == np.int64
+        for x, code in zip(u.tolist(), codes.tolist()):
+            cell = int(np.floor(x * 2**depth_cap))
+            for k in range(1, depth_cap + 1):
+                assert (code >> 2 * (depth_cap - k)) & 1 == (cell >> depth_cap - k) & 1
+            assert code >> 2 * depth_cap - 1 == 0  # no bit above 2D - 2
+
+    @pytest.mark.parametrize("bad", [1.0, -0.2, 1.5, np.nan, np.inf, -np.inf])
+    def test_a_coordinate_outside_the_unit_interval_is_refused(self, bad):
+        u = np.array([0.1, 1.0, 0.5, 0.7])
+        u[1] = bad
+        with pytest.raises(ValueError, match=rf"coordinates must lie in \[0, 1\), got {bad}"):
+            half_codes(u, 20)
+
+    def test_one_bad_coordinate_among_many_is_refused(self):
+        # at the old kernel a u of 1.0 here moved the level sums with no error
+        u = np.random.default_rng(0).uniform(0, 1, 5000)
+        u[2500] = 1.0
+        with pytest.raises(ValueError, match=r"got 1\.0"):
+            half_codes(u, 20)
+
+    @pytest.mark.parametrize("depth_cap", [1, 20, 30])
+    def test_both_ends_of_the_unit_interval_are_accepted(self, depth_cap):
+        codes = half_codes(np.array([0.0, 1 - 2**-53]), depth_cap)
+        assert codes.tolist() == [0, int("01" * depth_cap, 2)]

@@ -294,7 +294,8 @@ class TestPermutationNull:
 
         monkeypatch.setattr(kernels, "logbf_batch", spy)
         permutation_null(sample, n_perm=7, seed=0)
-        u, v = to_unit_interval(sample.x), to_unit_interval(sample.y)
+        # the kernel takes each margin's codes, and a re-pairing moves y's codes
+        u, v = (kernels.half_codes(to_unit_interval(m), 20) for m in (sample.x, sample.y))
         assert len(rows) == 7
         for x_row, y_row in rows:
             assert x_row.tobytes() == u.tobytes()
