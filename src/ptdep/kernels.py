@@ -36,7 +36,17 @@ directly; lower down many cells hold few points, so three small tables
 over ``0..max(total)`` are cheaper. :func:`cell_log_evidence` picks the
 route with fewer log-gamma evaluations, and both give the same floats. It
 also scores cells of several levels in one call, each at its own level's
-concentration.
+concentration. Its nine log-gamma terms and three constants are
+accumulated, in one fixed order, into one array that the call made, so
+the counts are never written. A level scored on its own reads tables and
+constants that depend only on its concentration a = c k², so each a keeps
+them across calls, read-only, in a module dict (:func:`_level_tables`):
+each table is grown to the next power of two above the largest count it
+must hold, a table longer than ``TABLE_CAP`` = 2**13 entries is built for
+its call alone, and the dict is emptied when it holds ``KEY_CAP`` = 64
+concentrations, so a sweep over many c keeps at most 64 × 3 tables of at
+most 64 KiB each. The counting step likewise builds each run's quadrant
+slot in place, in the one array that gathers the runs' addresses.
 
 A batch is B samples of n points, given as codes ``cx`` and ``cy`` that
 broadcast to (B, n), so a margin shared by every sample is passed once;
@@ -91,6 +101,11 @@ CHUNK_POINTS = 2**15
 # scorer, by :func:`_score_tail`; above it each level takes one call of each.
 TAIL_POINTS = 2**12
 
+# Entries of the longest log-gamma table kept across calls, and concentrations
+# kept at most; ``_kept`` maps each to its tables (see :func:`_level_tables`).
+TABLE_CAP, KEY_CAP = 2**13, 64
+_kept: dict = {}
+
 
 def rows_per_call(n: int) -> int:
     """Rows of n points that fit one kernel call (at least one)."""
@@ -141,6 +156,36 @@ def _addresses(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return addr
 
 
+def _constants(a, level=None):
+    """The three terms of a cell split that depend on ``a`` alone; one per cell with ``level``."""
+    const = gammaln(4.0 * a), 4.0 * gammaln(a), 4.0 * gammaln(2.0 * a)
+    return const if level is None else tuple(g[level] for g in const)
+
+
+def _level_tables(a: float, top: int):
+    """One ``a``'s tables ``gammaln(m + s * a)`` over ``m = 0..top`` or more, and its constants.
+
+    Both depend on ``a`` alone, so they are kept, read-only, in ``_kept``
+    keyed by ``a``, each table grown to the next power of two above ``top``
+    and rebuilt longer when a later call needs it. A table longer than
+    ``TABLE_CAP`` is built for the call alone, and the dict is emptied once
+    it holds ``KEY_CAP`` concentrations, so neither a deep level nor a sweep
+    over many ``c`` grows it without bound.
+    """
+    kept = _kept.get(a)
+    if kept is None or kept[0][1].size <= top:
+        # TABLE_CAP is a power of two, so the grown table fits it exactly when top does.
+        m = np.arange(1 << top.bit_length() if top < TABLE_CAP else top + 1, dtype=np.float64)
+        kept = {s: gammaln(m + s * a) for s in (1, 2, 4)}, _constants(a)
+        if top < TABLE_CAP:
+            if len(_kept) >= KEY_CAP:
+                _kept.clear()
+            for table in kept[0].values():
+                table.flags.writeable = False
+            _kept[a] = kept
+    return kept
+
+
 def cell_log_evidence(n0, n1, n2, n3, a, level=None):
     """Log evidence of independence over dependence for cells split into quadrants.
 
@@ -153,24 +198,26 @@ def cell_log_evidence(n0, n1, n2, n3, a, level=None):
     The terms need log-gamma at 9 counts per cell, each offset by ``a``,
     ``2a`` or ``4a``. When that is fewer evaluations than three tables over
     ``0..max(total)`` for each concentration, each argument is evaluated
-    directly; otherwise the values are looked up in the tables. Counts are
+    directly; otherwise the values are looked up in the tables, which one
+    concentration keeps across calls (:func:`_level_tables`). Counts are
     integers, so both routes form the same float ``float(k) + s * a`` for
     every argument and give the same terms bit for bit, whatever cells share
-    a call. Terms are formed one at a time, so only a few arrays of one
-    value per cell are alive at once.
+    a call or however long a kept table is. The nine log-gamma terms and the
+    three constants are accumulated, in a fixed order, into one array of
+    one value per cell, which is returned; the counts are never written.
     """
-    total = n0 + n1 + n2 + n3
+    total = (col0 := n0 + n2) + (col1 := n1 + n3)
     top = int(np.max(total))
     if 9 * np.size(total) < 3 * np.size(a) * (top + 1):
         cell_a = a if level is None else a[level]
+        const = _constants(a, level)
 
         def lg(k, s):
             return gammaln(k + s * cell_a)
     elif level is None:
         # One level needs no offsets into its tables: adding them measured a
         # quarter to a third slower on the dense levels' thousands of cells.
-        m = np.arange(top + 1, dtype=np.float64)
-        tables = {s: gammaln(m + s * a) for s in (1, 2, 4)}
+        tables, const = _level_tables(a, top)
 
         def lg(k, s):
             return tables[s][k]
@@ -179,26 +226,23 @@ def cell_log_evidence(n0, n1, n2, n3, a, level=None):
         m = np.arange(top + 1, dtype=np.float64)
         tables = {s: gammaln(m + s * a[:, None]).ravel() for s in (1, 2, 4)}
         base = level * (top + 1)
+        const = _constants(a, level)
 
         def lg(k, s):
             return tables[s][base + k]
-    const = (gammaln(4.0 * a), 4.0 * gammaln(a), 4.0 * gammaln(2.0 * a))
-    if level is not None:
-        const = tuple(g[level] for g in const)
-    return (
-        lg(n0 + n2, 2)
-        + lg(n1 + n3, 2)
-        + lg(n0 + n1, 2)
-        + lg(n2 + n3, 2)
-        - lg(total, 4)
-        - lg(n0, 1)
-        - lg(n1, 1)
-        - lg(n2, 1)
-        - lg(n3, 1)
-        + const[0]
-        + const[1]
-        - const[2]
-    )
+    terms = lg(col0, 2)
+    terms += lg(col1, 2)
+    terms += lg(n0 + n1, 2)
+    terms += lg(n2 + n3, 2)
+    terms -= lg(total, 4)
+    terms -= lg(n0, 1)
+    terms -= lg(n1, 1)
+    terms -= lg(n2, 1)
+    terms -= lg(n3, 1)
+    terms += const[0]
+    terms += const[1]
+    terms -= const[2]
+    return terms
 
 
 def _separation(a: np.ndarray, n: int, depth_cap: int):
@@ -250,10 +294,17 @@ def _count(a, s, k, depth_cap: int):
     size[-1] = a.size - runs[-1]
     if isinstance(k, np.ndarray):
         k = k[runs]
-    run_parent = np.cumsum(s[runs] < k) - 1
+    run_parent = np.cumsum(s[runs] < k)
+    run_parent -= 1
     parents = int(run_parent[-1]) + 1
     counts = np.zeros((4, parents), dtype=np.int64)
-    counts.ravel()[((a[runs] >> 2 * (depth_cap - k)) & 3) * parents + run_parent] = size
+    # Each run's slot in the flat counts, built in the one array the gather makes.
+    slot = a[runs]
+    slot >>= 2 * (depth_cap - k)
+    slot &= 3
+    slot *= parents
+    slot += run_parent
+    counts.ravel()[slot] = size
     return counts, runs, size, run_parent
 
 
@@ -350,7 +401,11 @@ def logbf_batch(cx, cy, depth_cap: int, c: float):
     """Per-level log evidence of every sample in a batch.
 
     ``cx`` and ``cy`` hold the :func:`half_codes` of the points' two
-    coordinates at ``depth_cap`` and broadcast to (B, n). Returns
+    coordinates at ``depth_cap`` and broadcast to (B, n). Codes that are
+    not integers, and codes whose addresses are negative or reach
+    ``4**depth_cap`` (codes made at a larger depth cap), are refused with a
+    ``ValueError``; each sorted row's first and last address are read, so
+    the check costs O(B). Returns
     ``(levels, depth, truncated)``: ``levels[b, k-1]`` sums the log evidence
     of every cell of sample b split at level k and is zero beyond
     ``depth[b]``, the deepest level with a retained cell; ``truncated[b]``
@@ -358,6 +413,9 @@ def logbf_batch(cx, cy, depth_cap: int, c: float):
     """
     _check_depth_cap(depth_cap)
     cx, cy = np.atleast_2d(cx), np.atleast_2d(cy)
+    for name, codes in (("cx", cx), ("cy", cy)):
+        if not np.can_cast(codes.dtype, np.int64):
+            raise ValueError(f"{name} must hold integer half-codes, got dtype {codes.dtype}")
     batch, n = np.broadcast_shapes(cx.shape, cy.shape)
     levels = np.zeros((batch, depth_cap), dtype=np.float64)
     depth = np.zeros(batch, dtype=np.int64)
@@ -369,5 +427,7 @@ def logbf_batch(cx, cy, depth_cap: int, c: float):
         rows = slice(lo, min(lo + step, batch))
         addr = _addresses(cx[rows] if cx.shape[0] > 1 else cx,
                           cy[rows] if cy.shape[0] > 1 else cy)
+        if addr[:, 0].min() < 0 or addr[:, -1].max() >= 4**depth_cap:
+            raise ValueError(f"cx and cy must be half-codes made at depth_cap {depth_cap}")
         _score_block(addr, depth_cap, float(c), levels[rows], depth[rows], truncated[rows])
     return levels, depth, truncated

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import math
 import re
 
@@ -60,6 +62,19 @@ class TestLogCellEvidence:
         assert log_cell_evidence((5, 5, 5, 5), 1.0) == pytest.approx(
             1.0443483138310408, abs=1e-12
         )
+
+    # SHA-256 of the 768 floats over every count 0..3 in each quadrant at a = 0.5, 5
+    # and 80, which take both routes of the cell term; pinned across commits.
+    _GRID_DIGEST = "31dcad56625fe991e1dd3713f5059a424f0fb4d9cd74deb7b772c0f5bf6b7d67"
+
+    def test_pinned_floats_on_a_grid_of_counts(self):
+        for _ in range(2):  # the second pass reads the kept tables
+            got = [log_cell_evidence(counts, a) for a in (0.5, 5.0, 80.0)
+                   for counts in itertools.product(range(4), repeat=4)]
+            assert hashlib.sha256(np.array(got).tobytes()).hexdigest() == self._GRID_DIGEST
+        assert log_cell_evidence((3, 0, 1, 2), 5.0) == -0.19987309059954583
+        assert log_cell_evidence((40, 1, 2, 37), 0.5) == -40.53081253709464
+        assert log_cell_evidence((1000, 3, 0, 999), 80.0) == -1019.7242390996357
 
     def test_matches_exact_oracle_on_random_counts(self):
         rng = np.random.default_rng(1)

@@ -403,3 +403,148 @@ class TestHalfCodes:
     def test_both_ends_of_the_unit_interval_are_accepted(self, depth_cap):
         codes = half_codes(np.array([0.0, 1 - 2**-53]), depth_cap)
         assert codes.tolist() == [0, int("01" * depth_cap, 2)]
+
+
+class TestCodeRefusals:
+    """The kernel refuses codes no route makes, naming what is wrong."""
+
+    _U, _V = np.random.default_rng(30).uniform(0, 1, (2, 500))
+
+    @pytest.mark.parametrize("name", ["cx", "cy"])
+    def test_unit_floats_passed_as_codes_are_refused_by_name(self, name):
+        codes = {"cx": half_codes(self._U, 10), "cy": half_codes(self._V, 10)}
+        codes[name] = self._U
+        message = rf"^{name} must hold integer half-codes, got dtype float64$"
+        with pytest.raises(ValueError, match=message):
+            kernels.logbf_batch(codes["cx"], codes["cy"], 10, 5.0)
+
+    def test_codes_of_a_larger_depth_cap_are_refused(self):
+        # before the check these scored as level sums of exactly 0.0
+        cx, cy = half_codes(self._U, 20), half_codes(self._V, 20)
+        with pytest.raises(ValueError, match=r"half-codes made at depth_cap 10$"):
+            kernels.logbf_batch(cx, cy, 10, 5.0)
+        # in a batch, one row of larger-cap codes is enough
+        rows = np.stack([half_codes(self._U, 10)] * 3 + [cx])
+        with pytest.raises(ValueError, match="depth_cap 10"):
+            kernels.logbf_batch(rows, half_codes(self._V, 10), 10, 5.0)
+
+    @pytest.mark.parametrize("name", ["cx", "cy"])
+    def test_a_negative_code_is_refused(self, name):
+        # before the check one negative code moved the level sum from 2.68 to -56.1
+        codes = {"cx": half_codes(self._U, 10), "cy": half_codes(self._V, 10)}
+        codes[name][0] = -5
+        with pytest.raises(ValueError, match=r"half-codes made at depth_cap 10$"):
+            kernels.logbf_batch(codes["cx"], codes["cy"], 10, 5.0)
+
+    @pytest.mark.parametrize("depth_cap", [1, 10, 20, MAX_DEPTH_CAP])
+    def test_codes_of_the_same_depth_cap_pass(self, depth_cap):
+        # the largest coordinate codes to the largest address the cap allows
+        u, v = np.append(self._U, 1 - 2**-53), np.append(self._V, 1 - 2**-53)
+        cx, cy = half_codes(u, depth_cap), half_codes(v, depth_cap)
+        assert (cx | cy << 1).max() == 4**depth_cap - 1
+        levels, depth, _ = kernels.logbf_batch(cx, cy, depth_cap, 5.0)
+        assert depth[0] >= 1 and levels[0, 0] != 0.0
+
+
+def _counts(rng, top, cells):
+    """Quadrant counts of ``cells`` cells, one of which totals exactly ``top``."""
+    counts = rng.multinomial(top, [0.25] * 4, size=cells).T
+    counts[:, 1:] = rng.integers(0, top // 4 + 1, (4, cells - 1))
+    return counts
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _per_call(counts, a):
+    """The cell terms at ``a`` through the route keyed by level, whose tables are built per call."""
+    return kernels.cell_log_evidence(*counts, np.array([a]), np.zeros(counts.shape[1], int))
+
+
+class TestKeptTables:
+    """Each concentration's log-gamma tables, kept across calls of the cell term."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_kept", {})
+
+    @pytest.mark.parametrize("a", [C_RANGE[0], 0.3, 5.0, 45.0, 2000.0, C_RANGE[1] * 400])
+    def test_cold_and_warm_tables_give_the_same_bits(self, a):
+        rng = np.random.default_rng(31)
+        # 3 * cells >= top + 1, so both take the table route
+        small, large = _counts(rng, 40, 200), _counts(rng, 900, 600)
+        cold_small = kernels.cell_log_evidence(*small, a)
+        assert kernels._kept[a][0][1].size == 64
+        cold_large = kernels.cell_log_evidence(*large, a)
+        assert kernels._kept[a][0][1].size == 1024  # the table grew
+        assert _bits(kernels.cell_log_evidence(*small, a)) == _bits(cold_small)
+        assert _bits(kernels.cell_log_evidence(*large, a)) == _bits(cold_large)
+        # and both equal the per-call tables of the route keyed by level
+        for counts, cold in ((small, cold_small), (large, cold_large)):
+            assert _bits(_per_call(counts, a)) == _bits(cold)
+
+    def test_kept_tables_are_read_only_and_unchanged_by_calls(self):
+        rng = np.random.default_rng(32)
+        counts = _counts(rng, 300, 400)
+        kernels.cell_log_evidence(*counts, 5.0)
+        tables, const = kernels._kept[5.0]
+        before = {s: t.copy() for s, t in tables.items()}
+        for _ in range(3):
+            terms = kernels.cell_log_evidence(*_counts(rng, 300, 400), 5.0)
+            terms += 1.0  # the caller owns what is returned
+        assert kernels._kept[5.0][0] is tables
+        for s, t in tables.items():
+            assert not t.flags.writeable
+            assert _bits(t) == _bits(before[s])
+            with pytest.raises(ValueError, match="read-only"):
+                t[0] = 0.0
+        assert const == kernels._constants(5.0)
+
+    def test_a_sweep_over_many_c_keeps_at_most_key_cap_concentrations(self):
+        # n above TAIL_POINTS, so the top levels are scored one at a time and
+        # some of them through the kept tables
+        n = kernels.TAIL_POINTS + 2000
+        u, v = np.random.default_rng(33).uniform(0, 1, (2, n))
+        cx, cy = half_codes(u, 20), half_codes(v, 20)
+        largest, seen = 0, set()
+        for c in np.linspace(0.5, 50.0, 1000):
+            kernels.logbf_batch(cx, cy, 20, float(c))
+            largest = max(largest, len(kernels._kept))
+            seen.update(kernels._kept)
+        assert 0 < len(kernels._kept) <= largest <= kernels.KEY_CAP < len(seen)
+        # so the kept tables never exceed 16 MiB, however many c are swept
+        assert kernels.KEY_CAP * 3 * kernels.TABLE_CAP * 8 <= 16 * 2**20
+
+    def test_a_top_above_the_length_cap_is_built_per_call(self):
+        top = kernels.TABLE_CAP
+        counts = _counts(np.random.default_rng(34), top, top // 3 + 1)
+        got = kernels.cell_log_evidence(*counts, 5.0)
+        assert kernels._kept == {}
+        assert _bits(got) == _bits(_per_call(counts, 5.0))
+        # one below the cap is kept, at exactly the cap's length
+        kernels.cell_log_evidence(*_counts(np.random.default_rng(35), top - 1, top // 3 + 1), 5.0)
+        assert kernels._kept[5.0][0][4].size == top
+
+
+class TestCallerArraysUnwritten:
+    """The cell term accumulates in place only into arrays it made."""
+
+    @pytest.mark.parametrize("top, cells", [(40, 200), (5000, 10)], ids=["tables", "direct"])
+    @pytest.mark.parametrize("level", [False, True], ids=["one-level", "by-level"])
+    def test_array_counts_are_unchanged(self, top, cells, level):
+        counts = _counts(np.random.default_rng(36), top, cells)
+        before = counts.copy()
+        if level:
+            kernels.cell_log_evidence(*counts, np.array([5.0, 80.0]), np.arange(cells) % 2)
+        else:
+            kernels.cell_log_evidence(*counts, 5.0)
+        assert np.array_equal(counts, before)
+
+    # (1, 0, 1, 0) takes the table route, the others evaluate directly
+    @pytest.mark.parametrize("cell", [(1, 0, 1, 0), (3, 0, 1, 2), (40, 1, 2, 37), (1000, 3, 0, 999)])
+    def test_int_counts_give_the_array_value(self, cell):
+        got = kernels.cell_log_evidence(*cell, 5.0)
+        assert np.ndim(got) == 0
+        want = kernels.cell_log_evidence(*(np.array([k]) for k in cell), 5.0)
+        assert _bits(got) == _bits(want[0])
